@@ -8,6 +8,7 @@ mismatch, 4 invalid config key, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,11 +19,19 @@ import numpy as np
 
 from intelm import data as dat
 from intelm import experiments as exp
-from intelm.elm import GENERATORS, FloatModel, one_hot, predict_float_batch, train, training_residual
+from intelm.elm import (
+    GENERATORS,
+    FloatModel,
+    one_hot,
+    predict_float_batch,
+    scores_float,
+    train,
+    training_residual,
+)
 from intelm.intinfer import QuantizedModel, classify_int_batch, int_scores
 from intelm.linalg import DimensionError
 from intelm.modelio import load_model, save_model
-from intelm.quantize import reduce_precision_step
+from intelm.quantize import bit_width, reduce_precision_step
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -77,23 +86,8 @@ def _load_dataset(args) -> dat.RawDataset:
 
 def _load_inputs(args, expect_n: int) -> np.ndarray:
     path = _resolve(args.input)
-    if args.format == "idx" or (args.format == "auto" and path.read_bytes()[:4] == b"\x00\x00\x08\x03"):
-        import struct
-
-        blob = path.read_bytes()
-        _, count, rows, cols = struct.unpack(">4I", blob[:16])
-        samples = np.frombuffer(blob[16:], dtype=np.uint8).reshape(count, rows * cols)
-        samples = samples.astype(np.int64)
-    elif args.format in ("csv", "auto") and path.suffix == ".csv":
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([int(float(v)) for v in line.split(",")])
-        samples = np.asarray(rows, dtype=np.int64).reshape(len(rows), -1)
-    else:
-        raise CliError(EXIT_ERROR, reason="unknown_input_format", path=str(path))
+    is_csv = args.format == "csv" or (args.format == "auto" and path.suffix == ".csv")
+    samples = dat.load_csv_samples(path) if is_csv else dat.load_idx_images(path)
     if samples.size and samples.shape[1] != expect_n:
         raise CliError(
             EXIT_SHAPE_MISMATCH,
@@ -145,16 +139,7 @@ def cmd_quantize(args) -> int:
     ib = qm.int_beta
     for _ in range(args.ladder_steps):
         ib = reduce_precision_step(ib)
-    qm = QuantizedModel(
-        ternary_weights=qm.ternary_weights,
-        int_beta=ib,
-        input_range=qm.input_range,
-        seed=qm.seed,
-        metadata=qm.metadata,
-    )
-    save_model(qm, out)
-    from intelm.quantize import bit_width
-
+    save_model(dataclasses.replace(qm, int_beta=ib), out)
     print(
         f"quantized tau={ib.tau:.6g} ladder_step={ib.ladder_step} "
         f"bit_width={bit_width(ib)} out={out}"
@@ -164,25 +149,20 @@ def cmd_quantize(args) -> int:
 
 def cmd_classify(args) -> int:
     model = load_model(_resolve(args.model))
-    expect_n = model.n
-    samples = _load_inputs(args, expect_n)
+    samples = _load_inputs(args, model.n)
     if samples.size == 0:
         return EXIT_OK
-    integer_path = isinstance(model, QuantizedModel)
-    if integer_path:
-        preds = classify_int_batch(model, samples)
+    if isinstance(model, QuantizedModel):
+        classify, score = classify_int_batch, int_scores
     else:
-        preds = predict_float_batch(model, samples.astype(np.float64))
-    for i, label in enumerate(preds):
-        if args.scores:
-            if integer_path:
-                row_scores = int_scores(model, samples[i])
-            else:
-                from intelm.elm import scores_float
-
-                row_scores = scores_float(model, samples[i].astype(np.float64))
+        samples = samples.astype(np.float64)
+        classify, score = predict_float_batch, scores_float
+    preds = classify(model, samples)
+    if args.scores:
+        for label, row_scores in zip(preds, score(model, samples)):
             print(f"{int(label)}," + ",".join(str(v) for v in row_scores))
-        else:
+    else:
+        for label in preds:
             print(int(label))
     return EXIT_OK
 

@@ -10,6 +10,8 @@ be shipped with the repository.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,43 +116,41 @@ def _read_u32s(fh, count, path, what):
     return struct.unpack(f">{count}I", data)
 
 
+def _read_idx(path, magic: int, ndim: int, what: str) -> np.ndarray:
+    """Unsigned-byte IDX payload as (count, product of the other dimensions)."""
+    with open(path, "rb") as fh:
+        found, count, *dims = _read_u32s(fh, 1 + ndim, path, f"{what} header")
+        if found != magic:
+            raise DataFormatError(
+                f"{path}: bad magic 0x{found:08x} at offset 0 (expected 0x{magic:08x})"
+            )
+        size = count * math.prod(dims)
+        # bounded by the file size, so a hostile header cannot make read() allocate its claim
+        payload = fh.read(min(size, os.fstat(fh.fileno()).st_size))
+        if len(payload) != size:
+            raise DataFormatError(
+                f"{path}: truncated {what} payload at offset {4 * (1 + ndim) + len(payload)}"
+            )
+    return np.frombuffer(payload, dtype=np.uint8).reshape(count, math.prod(dims))
+
+
+def load_idx_images(path) -> np.ndarray:
+    """Parse a big-endian IDX image file into (count, rows * cols) int64 samples."""
+    return _read_idx(path, IDX_IMAGES_MAGIC, 3, "image").astype(np.int64)
+
+
 def load_idx(images_path, labels_path) -> RawDataset:
     """Parse big-endian IDX image/label file pair."""
-    images_path, labels_path = Path(images_path), Path(labels_path)
-    with open(images_path, "rb") as fh:
-        magic, count, rows, cols = _read_u32s(fh, 4, images_path, "image header")
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: bad magic 0x{magic:08x} at offset 0 "
-                f"(expected 0x{IDX_IMAGES_MAGIC:08x})"
-            )
-        payload = fh.read(count * rows * cols)
-        if len(payload) != count * rows * cols:
-            raise DataFormatError(
-                f"{images_path}: truncated image payload at offset {16 + len(payload)}"
-            )
-        images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-    with open(labels_path, "rb") as fh:
-        magic, label_count = _read_u32s(fh, 2, labels_path, "label header")
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(
-                f"{labels_path}: bad magic 0x{magic:08x} at offset 0 "
-                f"(expected 0x{IDX_LABELS_MAGIC:08x})"
-            )
-        payload = fh.read(label_count)
-        if len(payload) != label_count:
-            raise DataFormatError(
-                f"{labels_path}: truncated label payload at offset {8 + len(payload)}"
-            )
-        labels = np.frombuffer(payload, dtype=np.uint8)
-    if count != label_count:
+    images = load_idx_images(images_path)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "label")[:, 0].astype(np.int64)
+    if images.shape[0] != labels.shape[0]:
         raise DataFormatError(
-            f"image count {count} != label count {label_count} "
+            f"image count {images.shape[0]} != label count {labels.shape[0]} "
             f"({images_path} vs {labels_path})"
         )
     return RawDataset(
-        samples=images.astype(np.int64),
-        labels=labels.astype(np.int64),
+        samples=images,
+        labels=labels,
         class_count=int(labels.max()) + 1 if labels.size else 0,
         source="mnist",
     )
@@ -364,6 +364,25 @@ def load_csv(path, label_column: str) -> RawDataset:
         source="csv",
         value_range=(min(lo, 0), max(hi, 0)),
     )
+
+
+def load_csv_samples(path) -> np.ndarray:
+    """Unlabeled CSV without a header: one sample of integer features per nonblank line."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = [int(v) for v in line.split(",")]
+            except ValueError as e:
+                raise DataFormatError(f"{path}: line {lineno}: {e}") from None
+            if rows and len(row) != len(rows[0]):
+                raise DataFormatError(
+                    f"{path}: line {lineno} has {len(row)} fields, expected {len(rows[0])}"
+                )
+            rows.append(row)
+    return np.asarray(rows, dtype=np.int64)
 
 
 # --- preprocessing and splits ------------------------------------------------

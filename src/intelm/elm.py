@@ -67,6 +67,13 @@ class FloatModel:
                 f"beta has {self.beta.shape[0]} rows, input weights have "
                 f"{self.input_weights.shape[1]} columns"
             )
+        if self.weight_kind in ("continuous", "symmetric") and np.issubdtype(
+            self.input_weights.dtype, np.integer
+        ):
+            raise ValueError(
+                f"{self.weight_kind} weights must be floats, got {self.input_weights.dtype}; "
+                "pass the weight_kind the weights were generated with"
+            )
         if self.weight_kind in ("ternary", "pm1"):
             vals = np.unique(self.input_weights)
             if not np.all(np.isin(vals, [-1, 0, 1])):
@@ -181,24 +188,21 @@ def train(
     )
 
 
-def scores_float(model: FloatModel, x) -> np.ndarray:
-    """Raw class scores beta^T relu(W^T x) for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != model.n:
-        raise DimensionError(f"input has shape {x.shape}, model expects ({model.n},)")
-    h = np.maximum(model.input_weights.astype(np.float64, copy=False).T @ x, 0.0)
-    return model.beta.T @ h
+def scores_float(model: FloatModel, X) -> np.ndarray:
+    """Raw class scores relu(X W) beta, (N, m) for the rows of X."""
+    return hidden_features(model.input_weights, X) @ model.beta
 
 
 def predict_float(model: FloatModel, x) -> int:
-    """Predicted class index; ties break to the lowest index."""
-    return int(np.argmax(scores_float(model, x)))
+    """Predicted class index of one sample; ties break to the lowest index."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise DimensionError(f"predict_float takes one sample, got shape {x.shape}")
+    return int(np.argmax(scores_float(model, x[None, :])[0]))
 
 
 def predict_float_batch(model: FloatModel, X) -> np.ndarray:
-    X = as_matrix(X, "X")
-    H = hidden_features(model.input_weights, X)
-    return np.argmax(H @ model.beta, axis=1)
+    return np.argmax(scores_float(model, X), axis=1)
 
 
 def training_residual(model: FloatModel, X_norm, targets: LabeledTargets) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -316,14 +316,7 @@ def run_bit_sweep(model: FloatModel, test_raw: dat.RawDataset) -> SweepReport:
     float_pred = predict_float_batch(model, test_raw.samples.astype(np.float64))
     base = make_quantized(model, test_raw.value_range)
     for rung in precision_ladder(base.int_beta):
-        qm = QuantizedModel(
-            ternary_weights=base.ternary_weights,
-            int_beta=rung,
-            input_range=base.input_range,
-            seed=base.seed,
-            metadata=base.metadata,
-        )
-        pred = classify_int_batch(qm, test_raw.samples)
+        pred = classify_int_batch(replace(base, int_beta=rung), test_raw.samples)
         report.add(
             dataset=test_raw.source,
             arm="proposed",

@@ -109,18 +109,18 @@ def _check_sample(model: QuantizedModel, x: np.ndarray) -> np.ndarray:
     return x.astype(np.int64, copy=False)
 
 
-def ternary_project(W, x) -> np.ndarray:
-    """Project an integer sample through ternary weights, exactly.
+def ternary_project(W, X) -> np.ndarray:
+    """Project one integer sample, or each row of X, through ternary weights, exactly.
 
     Contractually this is per-column add/subtract/skip selection with no
     general multiply; the audited reference is ternary_project_counted and
     this vectorized form is integer-exact and produces identical results.
     """
     W = np.asarray(W, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape[0] != W.shape[0]:
-        raise DimensionError(f"sample has {x.shape[0]} values, weights expect {W.shape[0]}")
-    return x @ W
+    X = np.asarray(X, dtype=np.int64)
+    if X.shape[-1] != W.shape[0]:
+        raise DimensionError(f"sample has {X.shape[-1]} values, weights expect {W.shape[0]}")
+    return X @ W
 
 
 def relu_int(v) -> np.ndarray:
@@ -131,35 +131,33 @@ def relu_int(v) -> np.ndarray:
     return np.maximum(v, 0)
 
 
+def int_scores(model: QuantizedModel, X) -> np.ndarray:
+    """Exact integer class scores, (m,) for one sample or (N, m) for the rows of X."""
+    X = _check_sample(model, X)
+    return relu_int(ternary_project(model.ternary_weights, X)) @ model.int_beta.values
+
+
 def classify_int(model: QuantizedModel, x) -> int:
     """Predicted class of a raw integer sample; ties break to the lowest index.
 
     The all-zero sample is rejected: scale invariance of the raw path is
     only guaranteed for nonzero inputs.
     """
-    x = _check_sample(model, x)
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise DimensionError(f"classify_int takes one sample, got shape {x.shape}")
     if not np.any(x):
         raise InputError("cannot classify the all-zero sample")
-    h = relu_int(ternary_project(model.ternary_weights, x))
-    scores = model.int_beta.values.T @ h
-    return int(np.argmax(scores))
+    return int(np.argmax(int_scores(model, x)))
 
 
 def classify_int_batch(model: QuantizedModel, X) -> np.ndarray:
     """Classify each row of an integer sample matrix."""
-    X = _check_sample(model, np.atleast_2d(np.asarray(X)))
+    X = np.atleast_2d(np.asarray(X))
     if X.size and not np.all(np.any(X, axis=1)):
         bad = int(np.flatnonzero(~np.any(X, axis=1))[0])
         raise InputError(f"cannot classify the all-zero sample at row {bad}")
-    H = np.maximum(X @ model.ternary_weights.astype(np.int64), 0)
-    return np.argmax(H @ model.int_beta.values, axis=1)
-
-
-def int_scores(model: QuantizedModel, x) -> np.ndarray:
-    """Exact integer class scores, for diagnostics and --scores output."""
-    x = _check_sample(model, x)
-    h = relu_int(ternary_project(model.ternary_weights, x))
-    return model.int_beta.values.T @ h
+    return np.argmax(int_scores(model, X), axis=1)
 
 
 # --- audited reference path ------------------------------------------------

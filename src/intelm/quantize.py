@@ -62,7 +62,12 @@ def quantize_beta(beta) -> IntegerBeta:
     if magnitudes.size == 0:
         raise QuantizationError("beta is all-zero: no quantization scale definable")
     tau = float(magnitudes.min())
-    values = round_half_away(beta / tau).astype(np.int64)
+    scaled = beta / tau
+    largest = float(np.abs(scaled).max())
+    # Casting a float at or beyond 2**63 to int64 yields garbage, not an error.
+    if largest >= 2.0**63:
+        raise QuantizationError(f"max |beta| / tau = {largest:.3g} does not fit 64-bit integers")
+    values = round_half_away(scaled).astype(np.int64)
     return IntegerBeta(values=values, tau=tau, ladder_step=0)
 
 

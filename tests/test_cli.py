@@ -94,11 +94,42 @@ class TestQuantizeAndClassify:
 
     def test_classify_scores_flag(self, idx_dataset, tmp_path, capsys):
         model_path = self._trained(idx_dataset, tmp_path)
-        capsys.readouterr()
+        qpath = tmp_path / "quant.ielm"
+        assert main(["quantize", "--model", str(model_path), "--out", str(qpath)]) == 0
         imgs, _ = idx_dataset
-        assert main(["classify", "--model", str(model_path), "--input", str(imgs), "--scores"]) == 0
-        first = capsys.readouterr().out.splitlines()[0]
-        assert len(first.split(",")) == 3  # label + one score per class
+        for path, parse in ((model_path, float), (qpath, int)):
+            capsys.readouterr()
+            assert main(["classify", "--model", str(path), "--input", str(imgs), "--scores"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 40
+            for line in lines:
+                label, *scores = line.split(",")
+                assert len(scores) == 2  # one score per class
+                # np.argmax picks the lowest index among tied scores
+                assert int(label) == int(np.argmax([parse(v) for v in scores]))
+
+    def test_truncated_idx_exit_1(self, idx_dataset, tmp_path, capsys):
+        model_path = self._trained(idx_dataset, tmp_path)
+        imgs, _ = idx_dataset
+        cut = tmp_path / "cut.idx"
+        cut.write_bytes(imgs.read_bytes()[:-100])
+        capsys.readouterr()
+        assert main(["classify", "--model", str(model_path), "--input", str(cut)]) == 1
+        assert "reason=DataFormatError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [("1,2,3,4\n5,6,1.7,8\n", "line_2"), ("1,2,3,4\n\n5,6,7\n", "line_3_has_3_fields")],
+        ids=["non_integer", "ragged"],
+    )
+    def test_malformed_csv_exit_1(self, idx_dataset, tmp_path, capsys, text, detail):
+        model_path = self._trained(idx_dataset, tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["classify", "--model", str(model_path), "--input", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "reason=DataFormatError" in err and detail in err
 
     def test_feature_mismatch_exit_3(self, idx_dataset, rng, tmp_path, capsys):
         model_path = self._trained(idx_dataset, tmp_path)

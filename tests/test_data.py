@@ -58,6 +58,10 @@ class TestIdx:
         (tmp_path / "lbl").write_bytes(struct.pack(">2I", 0x00000801, 2) + b"\x00\x01")
         with pytest.raises(DataFormatError, match="truncated"):
             load_idx(tmp_path / "img", tmp_path / "lbl")
+        # a header claiming ~2**64 bytes is read only as far as the file goes
+        (tmp_path / "img").write_bytes(struct.pack(">4I", 0x00000803, 2**32 - 1, 2**16, 2**16))
+        with pytest.raises(DataFormatError, match="truncated image payload at offset 16"):
+            load_idx(tmp_path / "img", tmp_path / "lbl")
 
     def test_count_mismatch(self, rng, tmp_path):
         images = rng.integers(0, 256, size=(2, 2, 2)).astype(np.uint8)

@@ -121,6 +121,12 @@ class TestTrain:
             bound = 1e-8 * max(1.0, np.abs(H.T @ targets.onehot).max())
             assert training_residual(model, X, targets) <= bound
 
+    def test_integer_weights_need_their_kind(self, rng):
+        W = gen_weights_ternary(3, 4, seed=1)
+        with pytest.raises(ValueError, match="continuous weights must be floats"):
+            train(rng.standard_normal((5, 3)), one_hot([0, 1, 0, 1, 0], 2), W)
+        assert train(rng.standard_normal((5, 3)), one_hot([0, 1, 0, 1, 0], 2), W, weight_kind="ternary").L == 4
+
     def test_sample_count_mismatch(self, rng):
         with pytest.raises(DimensionError):
             train(rng.standard_normal((5, 3)), one_hot([0, 1], 2), rng.random((3, 2)))
@@ -157,6 +163,8 @@ class TestPredict:
         model = random_float_model(rng)
         with pytest.raises(DimensionError):
             predict_float(model, np.ones(model.n + 1))
+        with pytest.raises(DimensionError):
+            predict_float(model, np.ones((2, model.n)))
 
 
 class TestOneHot:

@@ -16,6 +16,7 @@ from intelm.intinfer import (
     ternary_project,
     ternary_project_counted,
 )
+from intelm.linalg import DimensionError
 from intelm.quantize import IntegerBeta
 
 
@@ -127,6 +128,12 @@ class TestClassifyInt:
         X = rng.integers(1, 256, size=(25, model.n))
         batch = classify_int_batch(model, X)
         assert [classify_int(model, x) for x in X] == batch.tolist()
+        np.testing.assert_array_equal(int_scores(model, X), [int_scores(model, x) for x in X])
+
+    def test_two_dimensional_sample_rejected(self, rng):
+        model = random_quantized_model(rng)
+        with pytest.raises(DimensionError):
+            classify_int(model, rng.integers(1, 256, size=(2, model.n)))
 
     def test_tie_breaks_to_lowest_index(self):
         W = np.eye(2, dtype=np.int8)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_float_model
-from intelm.elm import predict_float
+from intelm.elm import FloatModel, predict_float
+from intelm.experiments import make_quantized
 from intelm.quantize import (
     IntegerBeta,
     QuantizationError,
@@ -51,6 +52,14 @@ class TestQuantizeBeta:
     def test_nan_rejected(self):
         with pytest.raises(QuantizationError, match="NaN"):
             quantize_beta([1.0, np.nan])
+
+    def test_int64_overflow_rejected(self):
+        # beta / tau reaches 1e20 > 2**63; the unchecked cast gave INT64_MIN for +1.0
+        with pytest.raises(QuantizationError, match="64-bit"):
+            quantize_beta([[1e-20], [1.0], [-0.5]])
+        model = FloatModel(np.ones((2, 3), dtype=np.int8), np.array([[1e-20], [1.0], [-0.5]]), 1.0, "ternary", 0)
+        with pytest.raises(QuantizationError, match="64-bit"):
+            make_quantized(model, (0, 255), fit_headroom=True)
 
     def test_sign_preserved_for_large_entries(self, rng):
         beta = rng.standard_normal((30, 5))
