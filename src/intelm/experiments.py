@@ -18,7 +18,7 @@ import numpy as np
 
 from intelm import data as dat
 from intelm.elm import GENERATORS, FloatModel, one_hot, predict_float_batch, train
-from intelm.intinfer import QuantizedModel, classify_int_batch
+from intelm.intinfer import INT64_MAX, QuantizedModel, classify_int_batch, hidden_bound
 from intelm.quantize import bit_width, precision_ladder, quantize_beta, reduce_precision_step
 from intelm.seeding import split_seed
 
@@ -220,9 +220,7 @@ def make_quantized(
     meta["prng_id"] = model.prng_id
     ib = quantize_beta(model.beta)
     if fit_headroom:
-        lo, hi = input_range
-        hidden_bound = model.n * max(abs(int(lo)), abs(int(hi)))
-        allowed = (2**63 - 1) // max(1, model.L * hidden_bound)
+        allowed = INT64_MAX // max(1, model.L * hidden_bound(model.n, input_range))
         while ib.max_abs > max(1, allowed):
             ib = reduce_precision_step(ib)
     return QuantizedModel(

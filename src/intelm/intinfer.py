@@ -5,6 +5,15 @@ subtractions only), passed through integer ReLU, and accumulated against
 integer output weights; the argmax is taken on exact integer scores.
 Overflow is excluded up front by a headroom check on the model, never
 detected (or missed) at inference time.
+
+The same proof selects the host kernel for the projection. Every partial
+sum of x.w over ternary w is a subset sum of the +/-x_j, so its magnitude
+is at most hidden_bound(n, input_range). A float GEMM over integers below
+the format's exact-integer limit (2**24 for float32, 2**53 for float64,
+IEEE 754) therefore rounds nothing, whatever order BLAS sums in. A
+validated QuantizedModel caches W as float32 when the bound is under
+2**24 and as float64 otherwise (the proof caps it at 2**31 - 1), and its
+scores are bit-identical to the int64 reference.
 """
 
 from __future__ import annotations
@@ -18,6 +27,13 @@ from intelm.quantize import IntegerBeta
 
 INT32_MAX = 2**31 - 1
 INT64_MAX = 2**63 - 1
+FLOAT32_EXACT = 2**24  # float32 holds every integer of magnitude below this exactly
+
+
+def hidden_bound(n: int, input_range: tuple[int, int]) -> int:
+    """Largest magnitude of any partial sum of x.w for n in-range inputs and ternary w."""
+    lo, hi = input_range
+    return n * max(abs(int(lo)), abs(int(hi)))
 
 
 class HeadroomError(ValueError):
@@ -37,13 +53,15 @@ class OpCounter:
     float_ops: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantizedModel:
     """Ternary input weights plus integer output weights.
 
     input_range is the declared (lo, hi) of raw sample values; the
     headroom check below proves the 32-bit hidden accumulator and the
     64-bit output accumulator cannot overflow for in-range inputs.
+    kernel_weights is the read-only float copy of ternary_weights that
+    int_scores projects through, built here once from the proven bound.
     """
 
     ternary_weights: np.ndarray  # (n, L) int8 in {-1, 0, 1}
@@ -51,6 +69,7 @@ class QuantizedModel:
     input_range: tuple[int, int] = (0, 255)
     seed: int = 0
     metadata: dict = field(default_factory=dict)
+    kernel_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = self.ternary_weights
@@ -64,6 +83,11 @@ class QuantizedModel:
                 f"weights have {W.shape[1]} columns"
             )
         self.validate_headroom()
+        exact32 = hidden_bound(self.n, self.input_range) < FLOAT32_EXACT
+        kernel = W.astype(np.float32 if exact32 else np.float64)
+        kernel.setflags(write=False)
+        # Frozen: reassigning a field would bypass the proof the kernel rests on.
+        object.__setattr__(self, "kernel_weights", kernel)
 
     @property
     def n(self) -> int:
@@ -78,16 +102,14 @@ class QuantizedModel:
         return self.int_beta.values.shape[1]
 
     def validate_headroom(self) -> None:
-        lo, hi = self.input_range
-        max_in = max(abs(int(lo)), abs(int(hi)))
-        hidden_bound = self.n * max_in
-        if hidden_bound > INT32_MAX:
+        hidden = hidden_bound(self.n, self.input_range)
+        if hidden > INT32_MAX:
             raise HeadroomError(
-                f"hidden accumulator can reach {hidden_bound} > {INT32_MAX} "
+                f"hidden accumulator can reach {hidden} > {INT32_MAX} "
                 f"(n={self.n}, input range {self.input_range})"
             )
         max_beta = self.int_beta.max_abs
-        output_bound = self.L * hidden_bound * max_beta
+        output_bound = self.L * hidden * max_beta
         if output_bound > INT64_MAX:
             raise HeadroomError(
                 f"output accumulator can reach {output_bound} > {INT64_MAX} "
@@ -115,12 +137,20 @@ def ternary_project(W, X) -> np.ndarray:
     Contractually this is per-column add/subtract/skip selection with no
     general multiply; the audited reference is ternary_project_counted and
     this vectorized form is integer-exact and produces identical results.
+
+    The product is computed in W's dtype and returned as int64. Integer W
+    takes the int64 matmul, the reference. Float W takes BLAS sgemv/sgemm
+    or dgemv/dgemm, which is exact only when every subset sum of |x_j| is
+    below 2**24 (float32) or 2**53 (float64): pass float weights only as a
+    validated QuantizedModel's kernel_weights, with in-range X.
     """
-    W = np.asarray(W, dtype=np.int64)
-    X = np.asarray(X, dtype=np.int64)
+    W = np.asarray(W)
+    if not np.issubdtype(W.dtype, np.floating):
+        W = W.astype(np.int64, copy=False)
+    X = np.asarray(X)
     if X.shape[-1] != W.shape[0]:
         raise DimensionError(f"sample has {X.shape[-1]} values, weights expect {W.shape[0]}")
-    return X @ W
+    return (X.astype(W.dtype, copy=False) @ W).astype(np.int64, copy=False)
 
 
 def relu_int(v) -> np.ndarray:
@@ -134,7 +164,7 @@ def relu_int(v) -> np.ndarray:
 def int_scores(model: QuantizedModel, X) -> np.ndarray:
     """Exact integer class scores, (m,) for one sample or (N, m) for the rows of X."""
     X = _check_sample(model, X)
-    return relu_int(ternary_project(model.ternary_weights, X)) @ model.int_beta.values
+    return relu_int(ternary_project(model.kernel_weights, X)) @ model.int_beta.values
 
 
 def classify_int(model: QuantizedModel, x) -> int:

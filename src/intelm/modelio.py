@@ -32,6 +32,7 @@ from intelm.quantize import IntegerBeta
 
 MAGIC = b"IELM"
 FORMAT_VERSION = 1
+BETA_STORAGE_MAX = 2**31 - 1  # integer beta is stored as i32
 
 _WEIGHT_CODES = {"continuous": 0, "ternary": 1, "pm1": 2, "symmetric": 3}
 _WEIGHT_KINDS = {v: k for k, v in _WEIGHT_CODES.items()}
@@ -58,7 +59,7 @@ def save_model(model: FloatModel | QuantizedModel, path) -> None:
         W = model.ternary_weights
         gamma = float(model.metadata.get("gamma", 1.0))
         ib = model.int_beta
-        if ib.max_abs > 2**31 - 1:
+        if ib.max_abs > BETA_STORAGE_MAX:
             raise ModelFormatError("integer beta exceeds the 32-bit storage range")
         extra = _INT_EXTRA.pack(ib.tau, ib.ladder_step, *model.input_range)
         beta_payload = np.ascontiguousarray(ib.values, dtype="<i4").tobytes()

@@ -5,7 +5,9 @@ import pytest
 
 from intelm.cli import main
 from intelm.data import write_idx
-from intelm.modelio import load_model
+from intelm.elm import FloatModel
+from intelm.modelio import load_model, save_model
+from intelm.quantize import precision_ladder, quantize_beta
 from intelm.seeding import make_rng
 
 
@@ -169,6 +171,27 @@ class TestQuantizeAndClassify:
         int_list = int_labels.strip().splitlines()
         agreement = np.mean([a == b for a, b in zip(float_list, int_list)])
         assert agreement >= 0.9  # quantized beta may flip near-ties only
+
+    def test_quantize_near_zero_beta_climbs_to_storable_rung(self, tmp_path, capsys):
+        # A hidden unit fed only by rounding noise gets a beta entry near 1e-12.
+        # Scaling by it gives max |v| = 1e16: past the 64-bit output headroom at
+        # n=4, L=3 and past the file's i32 beta storage.
+        W = np.array([[1, -1, 0], [0, 1, 1], [-1, 0, 1], [1, 1, -1]], dtype=np.int8)
+        beta = np.array([[1e4, -3.0], [2.5, 1e-12], [0.7, -40.0]])
+        fm = FloatModel(input_weights=W, beta=beta, gamma=1.0, weight_kind="ternary", seed=3)
+        save_model(fm, tmp_path / "float.ielm")
+        storable = next(
+            r.ladder_step for r in precision_ladder(quantize_beta(beta)) if r.max_abs <= 2**31 - 1
+        )
+        assert storable > 0
+        for extra, step in (((), storable), (("--ladder-steps", "2"), storable + 2)):
+            capsys.readouterr()
+            args = ["quantize", "--model", str(tmp_path / "float.ielm"), "--out", str(tmp_path / "q.ielm")]
+            assert main([*args, "--force", *extra]) == 0
+            assert f"ladder_step={step} " in capsys.readouterr().out
+            ib = load_model(tmp_path / "q.ielm").int_beta
+            assert ib.ladder_step == step
+            assert 0 < ib.max_abs <= 2**31 - 1
 
 
 class TestSweep:

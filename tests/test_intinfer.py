@@ -1,9 +1,14 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_quantized_model
 from intelm.elm import FloatModel, predict_float
 from intelm.intinfer import (
+    INT32_MAX,
     HeadroomError,
     InputError,
     OpCounter,
@@ -11,6 +16,7 @@ from intelm.intinfer import (
     classify_int,
     classify_int_batch,
     classify_int_counted,
+    hidden_bound,
     int_scores,
     relu_int,
     ternary_project,
@@ -172,6 +178,93 @@ class TestHeadroom:
             ),
             input_range=(0, 255),
         )
+
+
+@st.composite
+def models_and_inputs(draw):
+    """A small ternary model, a declared range on either side of 2**24, and rows in it."""
+    n, L, m, rows = (draw(st.integers(1, k)) for k in (8, 6, 4, 4))
+    W = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n * L, max_size=n * L)))
+    V = np.array(draw(st.lists(st.integers(-(2**20), 2**20), min_size=L * m, max_size=L * m)))
+    # hi = 2**k - 1 is odd, so from k = 25 on float32 cannot hold it.
+    hi = min(2 ** draw(st.integers(0, 31)), INT32_MAX // n + 1) - 1
+    lo = -draw(st.integers(0, hi))
+    x = st.integers(lo, hi) | st.sampled_from([lo, hi])
+    X = np.array(draw(st.lists(x, min_size=rows * n, max_size=rows * n)))
+    model = QuantizedModel(
+        ternary_weights=W.reshape(n, L).astype(np.int8),
+        int_beta=IntegerBeta(values=V.reshape(L, m).astype(np.int64), tau=1.0),
+        input_range=(lo, hi),
+    )
+    return model, X.reshape(rows, n).astype(np.int64)
+
+
+def int64_reference_scores(model, X):
+    return np.maximum(X @ model.ternary_weights.astype(np.int64), 0) @ model.int_beta.values
+
+
+class TestKernelExactness:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(models_and_inputs())
+    def test_scores_match_int64_reference_and_audit(self, case):
+        model, X = case
+        reference = X @ model.ternary_weights.astype(np.int64)
+        np.testing.assert_array_equal(ternary_project(model.kernel_weights, X), reference)
+        np.testing.assert_array_equal(int_scores(model, X), int64_reference_scores(model, X))
+        for x in X[np.any(X, axis=1)]:
+            assert classify_int(model, x) == classify_int_counted(model, x, OpCounter())
+
+    @pytest.mark.parametrize(
+        "n, input_range, dtype",
+        [
+            (1, (0, 2**24 - 1), np.float32),
+            (3, (0, (2**24 - 1) // 3), np.float32),
+            (1, (0, 2**24 + 1), np.float64),
+            (1, (-(2**31 - 1), 2**31 - 1), np.float64),
+        ],
+        ids=["n1_below_2p24", "n3_below_2p24", "n1_above_2p24", "n1_int32_max"],
+    )
+    def test_bound_selects_exact_dtype(self, n, input_range, dtype):
+        # Columns +1 and -1 with unit output weights score |sum(x)|, which
+        # reaches the bound itself when every input sits at an end of the range.
+        model = QuantizedModel(
+            ternary_weights=np.tile(np.array([1, -1], dtype=np.int8), (n, 1)),
+            int_beta=IntegerBeta(values=np.ones((2, 1), dtype=np.int64), tau=1.0),
+            input_range=input_range,
+        )
+        assert model.kernel_weights.dtype == dtype
+        X = np.array([[input_range[1]] * n, [input_range[0]] * n, [input_range[1]] + [0] * (n - 1)])
+        exact = [abs(sum(row)) for row in X.tolist()]
+        assert exact[0] == hidden_bound(n, input_range)
+        assert int_scores(model, X)[:, 0].tolist() == exact
+        assert [int(int_scores(model, x)[0]) for x in X] == exact
+        np.testing.assert_array_equal(int_scores(model, X), int64_reference_scores(model, X))
+
+    def test_replace_across_2p24_switches_cached_dtype(self):
+        model = QuantizedModel(
+            ternary_weights=np.ones((1, 1), dtype=np.int8),
+            int_beta=IntegerBeta(values=np.ones((1, 1), dtype=np.int64), tau=1.0),
+            input_range=(0, 2**24 - 1),
+        )
+        assert model.kernel_weights.dtype == np.float32
+        wide = replace(model, input_range=(0, 2**24))
+        assert wide.kernel_weights.dtype == np.float64
+        assert replace(wide, input_range=(0, 255)).kernel_weights.dtype == np.float32
+        assert int(int_scores(wide, np.array([2**24]))[0]) == 2**24
+
+    def test_kernel_cache_cannot_be_desynchronised(self):
+        W = np.array([[1, 0], [-1, 1]], dtype=np.int8)
+        model = QuantizedModel(
+            ternary_weights=W, int_beta=IntegerBeta(values=np.ones((2, 1), dtype=np.int64), tau=1.0)
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            model.kernel_weights[0, 0] = 5.0
+        # A wider range must go through replace(), which re-proves and rebuilds.
+        with pytest.raises(FrozenInstanceError):
+            model.input_range = (0, 2**24 + 1)
+        # The caller's array stays writeable; the cache is a copy.
+        W[0, 1] = 1
+        assert model.kernel_weights[0, 1] == 0
 
 
 class TestFloatOpAudit:
