@@ -30,7 +30,7 @@ from intelm.elm import (
 )
 from intelm.intinfer import QuantizedModel, classify_int_batch, int_scores
 from intelm.linalg import DimensionError
-from intelm.modelio import BETA_STORAGE_MAX, load_model, save_model
+from intelm.modelio import load_model, save_model
 from intelm.quantize import bit_width, reduce_precision_step
 
 EXIT_OK = 0
@@ -137,9 +137,6 @@ def cmd_quantize(args) -> int:
     out = _check_output(args.out, args.force)
     qm = exp.make_quantized(model, (lo, hi), fit_headroom=True)
     ib = qm.int_beta
-    # A near-zero beta entry sets a tiny scale; climb until the file can store beta.
-    while ib.max_abs > BETA_STORAGE_MAX:
-        ib = reduce_precision_step(ib)
     for _ in range(args.ladder_steps):
         ib = reduce_precision_step(ib)
     save_model(dataclasses.replace(qm, int_beta=ib), out)

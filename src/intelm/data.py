@@ -9,7 +9,6 @@ be shipped with the repository.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import struct
@@ -219,6 +218,8 @@ def load_raw_matrix(path) -> np.ndarray:
     blob = Path(path).read_bytes()
     if blob[:4] != RAW_MATRIX_MAGIC:
         raise DataFormatError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise DataFormatError(f"{path}: {len(blob)} bytes, shorter than the 12-byte header")
     rows, cols = struct.unpack("<2I", blob[4:12])
     if len(blob) != 12 + rows * cols:
         raise DataFormatError(f"{path}: expected {12 + rows * cols} bytes, got {len(blob)}")
@@ -342,47 +343,47 @@ def synthetic_textures(
 # --- CSV ---------------------------------------------------------------------
 
 
+def _int_rows(lines, path, width: int | None = None) -> list[list[int]]:
+    """Integer fields of each nonblank (line number, text) pair, all rows one width."""
+    rows = []
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        try:
+            row = [int(v) for v in line.split(",")]
+        except ValueError as e:
+            raise DataFormatError(f"{path}: line {lineno}: {e}") from None
+        width = width or len(row)
+        if len(row) != width:
+            raise DataFormatError(f"{path}: line {lineno} has {len(row)} fields, expected {width}")
+        rows.append(row)
+    return rows
+
+
 def load_csv(path, label_column: str) -> RawDataset:
     """Generic labeled CSV: header row, integer features, label column by name."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or label_column not in reader.fieldnames:
+    with open(path) as fh:
+        names = [c.strip() for c in fh.readline().split(",")]
+        if label_column not in names:
             raise DataFormatError(f"{path}: no column named {label_column!r}")
-        features = [c for c in reader.fieldnames if c != label_column]
-        samples, labels = [], []
-        for row in reader:
-            samples.append([int(row[c]) for c in features])
-            labels.append(int(row[label_column]))
-    samples = np.asarray(samples, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    lo = int(samples.min()) if samples.size else 0
-    hi = int(samples.max()) if samples.size else 0
+        rows = _int_rows(enumerate(fh, 2), path, len(names))
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(names))
+    label_at = names.index(label_column)
+    samples = np.delete(rows, label_at, axis=1)
+    labels = rows[:, label_at]
     return RawDataset(
         samples,
         labels,
         class_count=int(labels.max()) + 1 if labels.size else 0,
         source="csv",
-        value_range=(min(lo, 0), max(hi, 0)),
+        value_range=(int(samples.min(initial=0)), int(samples.max(initial=0))),
     )
 
 
 def load_csv_samples(path) -> np.ndarray:
     """Unlabeled CSV without a header: one sample of integer features per nonblank line."""
-    rows = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = [int(v) for v in line.split(",")]
-            except ValueError as e:
-                raise DataFormatError(f"{path}: line {lineno}: {e}") from None
-            if rows and len(row) != len(rows[0]):
-                raise DataFormatError(
-                    f"{path}: line {lineno} has {len(row)} fields, expected {len(rows[0])}"
-                )
-            rows.append(row)
-    return np.asarray(rows, dtype=np.int64)
+        return np.asarray(_int_rows(enumerate(fh, 1), path), dtype=np.int64)
 
 
 # --- preprocessing and splits ------------------------------------------------

@@ -60,24 +60,20 @@ class FloatModel:
     def __post_init__(self):
         if self.weight_kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.weight_kind!r}")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.beta.shape[0] != self.input_weights.shape[1]:
             raise DimensionError(
                 f"beta has {self.beta.shape[0]} rows, input weights have "
                 f"{self.input_weights.shape[1]} columns"
             )
-        if self.weight_kind in ("continuous", "symmetric") and np.issubdtype(
-            self.input_weights.dtype, np.integer
-        ):
+        if self.weight_kind in ("ternary", "pm1"):
+            check_ternary(self.input_weights)
+        elif np.issubdtype(self.input_weights.dtype, np.integer):
             raise ValueError(
                 f"{self.weight_kind} weights must be floats, got {self.input_weights.dtype}; "
                 "pass the weight_kind the weights were generated with"
             )
-        if self.weight_kind in ("ternary", "pm1"):
-            vals = np.unique(self.input_weights)
-            if not np.all(np.isin(vals, [-1, 0, 1])):
-                raise ValueError("ternary weights must lie in {-1, 0, 1}")
 
     @property
     def n(self) -> int:
@@ -90,6 +86,14 @@ class FloatModel:
     @property
     def m(self) -> int:
         return self.beta.shape[1]
+
+
+def check_ternary(W: np.ndarray) -> None:
+    """Require integer codes in {-1, 0, 1}: a min and a max, no sort."""
+    if not np.issubdtype(W.dtype, np.integer):
+        raise ValueError(f"ternary weights must be integers, got {W.dtype}")
+    if W.size and (int(W.min()) < -1 or int(W.max()) > 1):
+        raise ValueError("ternary weights must lie in {-1, 0, 1}")
 
 
 def _check_size(n: int, L: int) -> None:

@@ -18,7 +18,8 @@ import numpy as np
 
 from intelm import data as dat
 from intelm.elm import GENERATORS, FloatModel, one_hot, predict_float_batch, train
-from intelm.intinfer import INT64_MAX, QuantizedModel, classify_int_batch, hidden_bound
+from intelm.intinfer import QuantizedModel, classify_int_batch, output_beta_limit
+from intelm.modelio import BETA_STORAGE_MAX
 from intelm.quantize import bit_width, precision_ladder, quantize_beta, reduce_precision_step
 from intelm.seeding import split_seed
 
@@ -209,9 +210,9 @@ def make_quantized(
 ) -> QuantizedModel:
     """Quantize a ternary-weight model's beta into the integer-only pipeline.
 
-    With fit_headroom, the precision ladder is applied until the integer
-    weights satisfy the 64-bit output accumulator contract; near-zero beta
-    entries can otherwise make min-magnitude scaling explode the range.
+    With fit_headroom, the precision ladder is climbed until max |v| fits
+    the 64-bit output accumulator and the file's 32-bit beta storage; a
+    near-zero beta entry can otherwise make min-magnitude scaling explode it.
     """
     if model.weight_kind not in ("ternary", "pm1"):
         raise ValueError(f"integer path needs ternary weights, model has {model.weight_kind}")
@@ -220,8 +221,8 @@ def make_quantized(
     meta["prng_id"] = model.prng_id
     ib = quantize_beta(model.beta)
     if fit_headroom:
-        allowed = INT64_MAX // max(1, model.L * hidden_bound(model.n, input_range))
-        while ib.max_abs > max(1, allowed):
+        limit = min(output_beta_limit(model.n, model.L, input_range), BETA_STORAGE_MAX)
+        while ib.max_abs > max(1, limit):
             ib = reduce_precision_step(ib)
     return QuantizedModel(
         ternary_weights=model.input_weights,
@@ -306,13 +307,14 @@ def run_weight_comparison(config: ExperimentConfig) -> SweepReport:
 def run_bit_sweep(model: FloatModel, test_raw: dat.RawDataset) -> SweepReport:
     """Accuracy at every rung of the output-weight precision ladder.
 
-    Rows are ordered by descending bit width; agreement_with_float counts
-    the fraction of test samples where the rung's integer prediction
-    matches the float model's prediction.
+    The ladder starts at the first rung that fits the headroom and the
+    beta storage. Rows are ordered by descending bit width;
+    agreement_with_float counts the fraction of test samples where the
+    rung's integer prediction matches the float model's prediction.
     """
     report = SweepReport()
     float_pred = predict_float_batch(model, test_raw.samples.astype(np.float64))
-    base = make_quantized(model, test_raw.value_range)
+    base = make_quantized(model, test_raw.value_range, fit_headroom=True)
     for rung in precision_ladder(base.int_beta):
         pred = classify_int_batch(replace(base, int_beta=rung), test_raw.samples)
         report.add(

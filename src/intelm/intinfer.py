@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from intelm.elm import check_ternary
 from intelm.linalg import DimensionError
 from intelm.quantize import IntegerBeta
 
@@ -34,6 +35,11 @@ def hidden_bound(n: int, input_range: tuple[int, int]) -> int:
     """Largest magnitude of any partial sum of x.w for n in-range inputs and ternary w."""
     lo, hi = input_range
     return n * max(abs(int(lo)), abs(int(hi)))
+
+
+def output_beta_limit(n: int, L: int, input_range: tuple[int, int]) -> int:
+    """Largest max |v| for which L * hidden_bound * max |v| fits the 64-bit output accumulator."""
+    return INT64_MAX // max(1, L * hidden_bound(n, input_range))
 
 
 class HeadroomError(ValueError):
@@ -60,8 +66,9 @@ class QuantizedModel:
     input_range is the declared (lo, hi) of raw sample values; the
     headroom check below proves the 32-bit hidden accumulator and the
     64-bit output accumulator cannot overflow for in-range inputs.
-    kernel_weights is the read-only float copy of ternary_weights that
-    int_scores projects through, built here once from the proven bound.
+    ternary_weights is kept as a private read-only int8 copy, so no caller
+    can change W behind the proof; kernel_weights is its read-only float
+    copy that int_scores projects through, built once from the proven bound.
     """
 
     ternary_weights: np.ndarray  # (n, L) int8 in {-1, 0, 1}
@@ -72,21 +79,23 @@ class QuantizedModel:
     kernel_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        W = self.ternary_weights
-        if not np.issubdtype(W.dtype, np.integer):
-            raise ValueError(f"ternary weights must be integers, got {W.dtype}")
-        if not np.all(np.isin(np.unique(W), [-1, 0, 1])):
-            raise ValueError("ternary weights must lie in {-1, 0, 1}")
+        check_ternary(self.ternary_weights)
+        W = self.ternary_weights.astype(np.int8)
+        W.setflags(write=False)
         if self.int_beta.values.shape[0] != W.shape[1]:
             raise DimensionError(
                 f"int beta has {self.int_beta.values.shape[0]} rows, "
                 f"weights have {W.shape[1]} columns"
             )
+        lo, hi = self.input_range
+        if lo > hi:
+            raise ValueError(f"input range ({lo}, {hi}) has lo > hi")
+        # Frozen: reassigning a field would bypass the proof the kernel rests on.
+        object.__setattr__(self, "ternary_weights", W)
         self.validate_headroom()
         exact32 = hidden_bound(self.n, self.input_range) < FLOAT32_EXACT
         kernel = W.astype(np.float32 if exact32 else np.float64)
         kernel.setflags(write=False)
-        # Frozen: reassigning a field would bypass the proof the kernel rests on.
         object.__setattr__(self, "kernel_weights", kernel)
 
     @property
@@ -109,10 +118,9 @@ class QuantizedModel:
                 f"(n={self.n}, input range {self.input_range})"
             )
         max_beta = self.int_beta.max_abs
-        output_bound = self.L * hidden * max_beta
-        if output_bound > INT64_MAX:
+        if max_beta > output_beta_limit(self.n, self.L, self.input_range):
             raise HeadroomError(
-                f"output accumulator can reach {output_bound} > {INT64_MAX} "
+                f"output accumulator can reach {self.L * hidden * max_beta} > {INT64_MAX} "
                 f"(L={self.L}, max |beta| = {max_beta})"
             )
 

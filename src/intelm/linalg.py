@@ -93,16 +93,6 @@ def accumulate_gram(row_block, acc: SpdSystem, target_block) -> SpdSystem:
     return acc
 
 
-def merge_systems(a: SpdSystem, b: SpdSystem) -> SpdSystem:
-    """Merge two private accumulators (entrywise addition) into a new one."""
-    if a.gram.shape != b.gram.shape or a.rhs.shape != b.rhs.shape:
-        raise DimensionError(
-            f"cannot merge systems of shapes {a.gram.shape}/{a.rhs.shape} "
-            f"and {b.gram.shape}/{b.rhs.shape}"
-        )
-    return SpdSystem(a.gram + b.gram, a.rhs + b.rhs)
-
-
 def solve_spd(system: SpdSystem) -> np.ndarray:
     """Solve gram @ beta = rhs by Cholesky factorization.
 

@@ -21,6 +21,7 @@ Writing the same model twice yields byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -46,10 +47,8 @@ class ModelFormatError(ValueError):
     pass
 
 
-def _weights_payload(kind: str, W: np.ndarray) -> bytes:
-    if kind in _INT8_KINDS:
-        return np.ascontiguousarray(W, dtype=np.int8).tobytes()
-    return np.ascontiguousarray(W, dtype="<f8").tobytes()
+def _weight_dtype(kind: str) -> np.dtype:
+    return np.dtype(np.int8 if kind in _INT8_KINDS else "<f8")
 
 
 def save_model(model: FloatModel | QuantizedModel, path) -> None:
@@ -84,18 +83,19 @@ def save_model(model: FloatModel | QuantizedModel, path) -> None:
         fh.write(extra)
         fh.write(struct.pack("<I", len(prng_bytes)) + prng_bytes)
         fh.write(struct.pack("<I", len(meta_bytes)) + meta_bytes)
-        fh.write(_weights_payload(kind, W))
+        fh.write(np.ascontiguousarray(W, dtype=_weight_dtype(kind)).tobytes())
         fh.write(beta_payload)
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
+    # bounded by the bytes left, so a hostile header cannot make read() allocate its claim
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ModelFormatError(f"truncated model file while reading {what}")
-    return data
+    return fh.read(size)
 
 
 def load_model(path) -> FloatModel | QuantizedModel:
+    """Read an IELM file; any malformed file raises ModelFormatError."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic, version, n, L, m, gamma, wcode, bcode, seed = _HEADER.unpack(
@@ -107,48 +107,49 @@ def load_model(path) -> FloatModel | QuantizedModel:
             raise ModelFormatError(f"unsupported format version {version}")
         if wcode not in _WEIGHT_KINDS:
             raise ModelFormatError(f"unknown weight kind code {wcode}")
+        if bcode not in (0, 1):
+            raise ModelFormatError(f"unknown beta kind code {bcode}")
         kind = _WEIGHT_KINDS[wcode]
         if bcode == 1:
             tau, ladder_step, lo, hi = _INT_EXTRA.unpack(
                 _read_exact(fh, _INT_EXTRA.size, "integer beta header")
             )
         (prng_len,) = struct.unpack("<I", _read_exact(fh, 4, "prng id length"))
-        prng_id = _read_exact(fh, prng_len, "prng id").decode()
+        prng_bytes = _read_exact(fh, prng_len, "prng id")
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
-        metadata = json.loads(_read_exact(fh, meta_len, "metadata") or b"{}")
-        if kind in _INT8_KINDS:
-            W = np.frombuffer(_read_exact(fh, n * L, "weights"), dtype=np.int8)
-        else:
-            W = np.frombuffer(_read_exact(fh, 8 * n * L, "weights"), dtype="<f8")
-        W = W.reshape(n, L).copy()
-        if bcode == 0:
-            beta = (
-                np.frombuffer(_read_exact(fh, 8 * L * m, "beta"), dtype="<f8")
-                .reshape(L, m)
-                .copy()
-            )
-        else:
-            beta = (
-                np.frombuffer(_read_exact(fh, 4 * L * m, "beta"), dtype="<i4")
-                .reshape(L, m)
-                .astype(np.int64)
-            )
+        meta_bytes = _read_exact(fh, meta_len, "metadata")
+        try:
+            prng_id = prng_bytes.decode()
+            metadata = json.loads(meta_bytes or b"{}")
+        except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
+            raise ModelFormatError(f"{path}: {e}") from None
+        if not isinstance(metadata, dict):
+            raise ModelFormatError(f"metadata is a JSON {type(metadata).__name__}, not an object")
+        w_dtype, b_dtype = _weight_dtype(kind), np.dtype("<i4" if bcode else "<f8")
+        W = np.frombuffer(_read_exact(fh, w_dtype.itemsize * n * L, "weights"), w_dtype)
+        beta = np.frombuffer(_read_exact(fh, b_dtype.itemsize * L * m, "beta"), b_dtype)
         if fh.read(1):
             raise ModelFormatError(f"trailing bytes after model payload in {path}")
-    if bcode == 0:
-        return FloatModel(
-            input_weights=W,
-            beta=beta,
-            gamma=gamma,
-            weight_kind=kind,
+    try:
+        if bcode == 0:
+            return FloatModel(
+                input_weights=W.reshape(n, L).copy(),
+                beta=beta.reshape(L, m).copy(),
+                gamma=gamma,
+                weight_kind=kind,
+                seed=seed,
+                prng_id=prng_id,
+                metadata=metadata,
+            )
+        # QuantizedModel keeps its own copy of W.
+        return QuantizedModel(
+            ternary_weights=W.reshape(n, L),
+            int_beta=IntegerBeta(
+                values=beta.reshape(L, m).astype(np.int64), tau=tau, ladder_step=ladder_step
+            ),
+            input_range=(lo, hi),
             seed=seed,
-            prng_id=prng_id,
             metadata=metadata,
         )
-    return QuantizedModel(
-        ternary_weights=W,
-        int_beta=IntegerBeta(values=beta, tau=tau, ladder_step=ladder_step),
-        input_range=(lo, hi),
-        seed=seed,
-        metadata=metadata,
-    )
+    except ValueError as e:  # the models' own checks: codes, gamma, tau, range, headroom
+        raise ModelFormatError(f"{path}: {e}") from None

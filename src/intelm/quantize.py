@@ -35,18 +35,14 @@ class IntegerBeta:
     ladder_step: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise QuantizationError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < np.inf:
+            raise QuantizationError(f"tau must be positive and finite, got {self.tau}")
         if not np.issubdtype(self.values.dtype, np.integer):
             raise QuantizationError(f"values must be integers, got dtype {self.values.dtype}")
 
     @property
     def max_abs(self) -> int:
         return int(np.abs(self.values).max()) if self.values.size else 0
-
-    def dequantize(self) -> np.ndarray:
-        """Approximate real-valued beta implied by the current rung."""
-        return self.values.astype(np.float64) * self.tau
 
 
 def quantize_beta(beta) -> IntegerBeta:

@@ -71,6 +71,18 @@ def random_float_model(rng, n=6, L=8, m=3, weight_kind="continuous"):
     )
 
 
+def near_zero_beta_model() -> FloatModel:
+    """4x3 ternary model whose beta has one entry near 1e-12.
+
+    Such an entry comes from a hidden unit fed only by rounding noise.
+    Scaling by it gives max |v| = 1e16 at rung 0: past the 64-bit output
+    headroom at n=4, L=3 and past the file's i32 beta storage.
+    """
+    W = np.array([[1, -1, 0], [0, 1, 1], [-1, 0, 1], [1, 1, -1]], dtype=np.int8)
+    beta = np.array([[1e4, -3.0], [2.5, 1e-12], [0.7, -40.0]])
+    return FloatModel(input_weights=W, beta=beta, gamma=1.0, weight_kind="ternary", seed=3)
+
+
 def random_quantized_model(rng, n=8, L=6, m=3, beta_max=50, input_range=(0, 255)):
     W = gen_weights_ternary(n, L, int(rng.integers(1 << 30)))
     values = rng.integers(-beta_max, beta_max + 1, size=(L, m)).astype(np.int64)

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import near_zero_beta_model
 from intelm.cli import main
 from intelm.data import write_idx
-from intelm.elm import FloatModel
 from intelm.modelio import load_model, save_model
 from intelm.quantize import precision_ladder, quantize_beta
 from intelm.seeding import make_rng
@@ -68,6 +68,24 @@ class TestTrain:
         assert main(train_args(idx_dataset, a)) == 0
         assert main(train_args(idx_dataset, b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("a,b,label\n1,2,0\n3,4\n", "line_3_has_2_fields,_expected_3"),
+            ("a,b,label\n1,2,0\n3,4,1,99\n", "line_3_has_4_fields,_expected_3"),
+            ("a,b,label\n1,2.5,0\n3,4,1\n", "line_2"),
+        ],
+        ids=["short_row", "long_row", "non_integer"],
+    )
+    def test_malformed_labeled_csv_exit_1(self, tmp_path, capsys, text, detail):
+        data = tmp_path / "train.csv"
+        data.write_text(text)
+        args = ["train", "--csv", str(data), "--L", "4", "--out", str(tmp_path / "m.ielm")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "reason=DataFormatError" in err and detail in err
+        assert not (tmp_path / "m.ielm").exists()
 
     def test_refuses_overwrite_without_force(self, idx_dataset, tmp_path, capsys):
         out = tmp_path / "model.ielm"
@@ -133,6 +151,16 @@ class TestQuantizeAndClassify:
         err = capsys.readouterr().err
         assert "reason=DataFormatError" in err and detail in err
 
+    def test_malformed_model_exit_1(self, idx_dataset, tmp_path, capsys):
+        model_path = self._trained(idx_dataset, tmp_path)
+        blob = bytearray(model_path.read_bytes())
+        blob[29] = 2  # beta kind code: 0 float, 1 integer
+        model_path.write_bytes(bytes(blob))
+        imgs, _ = idx_dataset
+        capsys.readouterr()
+        assert main(["classify", "--model", str(model_path), "--input", str(imgs)]) == 1
+        assert "reason=ModelFormatError" in capsys.readouterr().err
+
     def test_feature_mismatch_exit_3(self, idx_dataset, rng, tmp_path, capsys):
         model_path = self._trained(idx_dataset, tmp_path)
         write_idx(
@@ -173,15 +201,10 @@ class TestQuantizeAndClassify:
         assert agreement >= 0.9  # quantized beta may flip near-ties only
 
     def test_quantize_near_zero_beta_climbs_to_storable_rung(self, tmp_path, capsys):
-        # A hidden unit fed only by rounding noise gets a beta entry near 1e-12.
-        # Scaling by it gives max |v| = 1e16: past the 64-bit output headroom at
-        # n=4, L=3 and past the file's i32 beta storage.
-        W = np.array([[1, -1, 0], [0, 1, 1], [-1, 0, 1], [1, 1, -1]], dtype=np.int8)
-        beta = np.array([[1e4, -3.0], [2.5, 1e-12], [0.7, -40.0]])
-        fm = FloatModel(input_weights=W, beta=beta, gamma=1.0, weight_kind="ternary", seed=3)
+        fm = near_zero_beta_model()
         save_model(fm, tmp_path / "float.ielm")
         storable = next(
-            r.ladder_step for r in precision_ladder(quantize_beta(beta)) if r.max_abs <= 2**31 - 1
+            r.ladder_step for r in precision_ladder(quantize_beta(fm.beta)) if r.max_abs <= 2**31 - 1
         )
         assert storable > 0
         for extra, step in (((), storable), (("--ladder-steps", "2"), storable + 2)):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import random_float_model
-from intelm.data import synthetic_textures
+from conftest import near_zero_beta_model, random_float_model
+from intelm.data import RawDataset, synthetic_textures
 from intelm.elm import gen_weights_ternary, one_hot, train
+from intelm.quantize import bit_width, precision_ladder
+from intelm.seeding import make_rng
 from intelm.experiments import (
     ConfigError,
     ExperimentConfig,
+    make_quantized,
     SweepReport,
     beta_energy,
     run_bit_sweep,
@@ -143,6 +146,19 @@ class TestBitSweep:
         model.beta = vals
         report = run_bit_sweep(model, test_raw)
         assert len(report.rows) == 4
+
+    def test_near_zero_beta_starts_at_first_fitting_rung(self):
+        # Unfitted, rung 0 of this model has max |v| = 1e16 and fails the headroom check.
+        model = near_zero_beta_model()
+        samples = make_rng(4).integers(1, 256, size=(30, model.n))
+        test_raw = RawDataset(samples, np.arange(30) % 2, class_count=2)
+        fitted = make_quantized(model, test_raw.value_range, fit_headroom=True)
+        assert fitted.int_beta.ladder_step > 0
+        report = run_bit_sweep(model, test_raw)
+        steps = [int(r["note"].removeprefix("ladder_step=")) for r in report.rows]
+        assert steps == list(range(fitted.int_beta.ladder_step, fitted.int_beta.ladder_step + len(steps)))
+        assert len(steps) == len(precision_ladder(fitted.int_beta))
+        assert int(report.rows[0]["bit_width"]) == bit_width(fitted.int_beta) <= 32
 
     def test_rung0_agreement_counts_float_matches(self):
         model, test_raw = self._trained_texture_model()

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_quantized_model
-from intelm.elm import FloatModel, predict_float
+from conftest import random_float_model, random_quantized_model
+from intelm.elm import FloatModel, check_ternary, predict_float
+from intelm.experiments import make_quantized
 from intelm.intinfer import (
     INT32_MAX,
     HeadroomError,
@@ -265,6 +266,60 @@ class TestKernelExactness:
         # The caller's array stays writeable; the cache is a copy.
         W[0, 1] = 1
         assert model.kernel_weights[0, 1] == 0
+
+
+class TestOwnedWeights:
+    def test_write_to_float_model_weights_leaves_quantized_model_intact(self, rng):
+        fm = random_float_model(rng, n=6, L=4, m=2, weight_kind="ternary")
+        qm = make_quantized(fm, (0, 255))
+        before = qm.ternary_weights.copy()
+        fm.input_weights[:, 0] *= -1
+        fm.input_weights[0, 1] = 1 - fm.input_weights[0, 1]
+        np.testing.assert_array_equal(qm.ternary_weights, before)
+        assert qm.ternary_weights.dtype == np.int8
+        with pytest.raises(ValueError, match="read-only"):
+            qm.ternary_weights[0, 0] = 1
+        X = rng.integers(0, 256, size=(5, 6))
+        np.testing.assert_array_equal(int_scores(qm, X), int64_reference_scores(qm, X))
+        np.testing.assert_array_equal(
+            int_scores(qm, X), np.maximum(X @ before.astype(np.int64), 0) @ qm.int_beta.values
+        )
+
+
+class TestTernaryCheck:
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize("bad", [2, -2])
+    def test_rejects_codes_outside_ternary(self, dtype, bad):
+        W = np.array([[1, 0], [-1, bad]], dtype=dtype)
+        with pytest.raises(ValueError, match=r"lie in \{-1, 0, 1\}"):
+            check_ternary(W)
+        with pytest.raises(ValueError, match=r"lie in \{-1, 0, 1\}"):
+            FloatModel(W, np.ones((2, 1)), 1.0, "ternary", 0)
+        with pytest.raises(ValueError, match=r"lie in \{-1, 0, 1\}"):
+            QuantizedModel(W, IntegerBeta(values=np.ones((2, 1), dtype=np.int64), tau=1.0))
+
+    def test_rejects_float_codes(self):
+        W = np.array([[1.0, 0.0], [-1.0, 1.0]])
+        with pytest.raises(ValueError, match="must be integers, got float64"):
+            check_ternary(W)
+        for kind in ("ternary", "pm1"):
+            with pytest.raises(ValueError, match="must be integers"):
+                FloatModel(W, np.ones((2, 1)), 1.0, kind, 0)
+        with pytest.raises(ValueError, match="must be integers"):
+            QuantizedModel(W, IntegerBeta(values=np.ones((2, 1), dtype=np.int64), tau=1.0))
+
+    def test_accepts_every_integer_width(self):
+        for dtype in (np.int8, np.int16, np.int64, np.uint8):
+            check_ternary(np.array([[1, 0], [0, 1]], dtype=dtype))
+        check_ternary(np.zeros((0, 3), dtype=np.int8))
+
+    def test_rejects_inverted_input_range(self):
+        with pytest.raises(ValueError, match="lo > hi"):
+            QuantizedModel(
+                np.eye(2, dtype=np.int8),
+                IntegerBeta(values=np.ones((2, 1), dtype=np.int64), tau=1.0),
+                input_range=(5, 4),
+            )
 
 
 class TestFloatOpAudit:

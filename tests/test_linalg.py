@@ -7,7 +7,6 @@ from intelm.linalg import (
     DimensionError,
     SpdSystem,
     accumulate_gram,
-    merge_systems,
     solve_spd,
 )
 
@@ -50,18 +49,6 @@ class TestAccumulateGram:
             accumulate_gram(H[start:stop], streamed, T[start:stop])
         np.testing.assert_allclose(streamed.gram, single.gram, rtol=1e-10)
         np.testing.assert_allclose(streamed.rhs, single.rhs, rtol=1e-10)
-
-    def test_merge_of_private_accumulators(self, rng):
-        H = rng.standard_normal((20, 4))
-        T = rng.standard_normal((20, 2))
-        whole = SpdSystem.zeros(4, 2)
-        accumulate_gram(H, whole, T)
-        a, b = SpdSystem.zeros(4, 2), SpdSystem.zeros(4, 2)
-        accumulate_gram(H[:11], a, T[:11])
-        accumulate_gram(H[11:], b, T[11:])
-        merged = merge_systems(a, b)
-        np.testing.assert_allclose(merged.gram, whole.gram, rtol=1e-10)
-        np.testing.assert_allclose(merged.rhs, whole.rhs, rtol=1e-10)
 
 
 class TestSolveSpd:

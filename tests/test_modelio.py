@@ -1,0 +1,149 @@
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import near_zero_beta_model, random_float_model
+from intelm.elm import FloatModel
+from intelm.experiments import make_quantized
+from intelm.intinfer import QuantizedModel
+from intelm.modelio import _HEADER, _INT_EXTRA, ModelFormatError, load_model, save_model
+from intelm.seeding import make_rng
+
+# Byte offsets of header fields, from the layout in intelm.modelio.
+N_AT, GAMMA_AT, BCODE_AT = 8, 20, 29
+TAU_AT, LO_AT = _HEADER.size, _HEADER.size + 12
+
+
+def saved_models(directory):
+    """Bytes of a saved float continuous, float ternary and quantized model."""
+    rng = make_rng(7)
+    ternary = random_float_model(rng, n=5, L=4, m=3, weight_kind="ternary")
+    models = {
+        "continuous": random_float_model(rng, n=5, L=4, m=3),
+        "ternary": ternary,
+        "quantized": make_quantized(ternary, (0, 255)),
+    }
+    blobs = {}
+    for name, model in models.items():
+        save_model(model, directory / f"{name}.ielm")
+        blobs[name] = (directory / f"{name}.ielm").read_bytes()
+    return blobs
+
+
+@pytest.fixture(scope="module")
+def blobs(tmp_path_factory):
+    return saved_models(tmp_path_factory.mktemp("models"))
+
+
+def patched(blob: bytes, fmt: str, offset: int, *values) -> bytes:
+    out = bytearray(blob)
+    struct.pack_into(fmt, out, offset, *values)
+    return bytes(out)
+
+
+def metadata_offset(blob: bytes, integer: bool) -> int:
+    at = _HEADER.size + (_INT_EXTRA.size if integer else 0)
+    (prng_len,) = struct.unpack_from("<I", blob, at)
+    return at + 4 + prng_len + 4
+
+
+@pytest.mark.parametrize(
+    "name, mutate, match",
+    [
+        ("ternary", lambda b: patched(b, "<II", N_AT, 2**32 - 1, 2**32 - 1), "truncated"),
+        ("ternary", lambda b: patched(b, "<II", N_AT, 100_000, 100_000), "truncated"),
+        ("continuous", lambda b: patched(b, "<II", N_AT, 100_000, 100_000), "truncated"),
+        ("quantized", lambda b: patched(b, "<B", BCODE_AT, 2), "beta kind code 2"),
+        ("ternary", lambda b: patched(b, "<B", BCODE_AT, 2), "beta kind code 2"),
+        ("continuous", lambda b: patched(b, "<c", metadata_offset(b, False), b"x"), "Expecting value"),
+        ("quantized", lambda b: patched(b, "<B", _HEADER.size + _INT_EXTRA.size + 4, 0xFF), "utf-8"),
+        ("quantized", lambda b: patched(b, "<d", TAU_AT, float("nan")), "tau"),
+        ("quantized", lambda b: patched(b, "<d", TAU_AT, float("inf")), "tau"),
+        ("quantized", lambda b: patched(b, "<qq", LO_AT, 10, 5), "lo > hi"),
+        ("continuous", lambda b: patched(b, "<d", GAMMA_AT, -1.0), "gamma"),
+        ("continuous", lambda b: patched(b, "<d", GAMMA_AT, float("nan")), "gamma"),
+        ("quantized", lambda b: patched(b, "<qq", LO_AT, 0, 2**40), "hidden accumulator"),
+        ("ternary", lambda b: b[:-1], "truncated"),
+        ("quantized", lambda b: b + b"\0", "trailing"),
+    ],
+    ids=[
+        "dims_2p32", "dims_1e5", "dims_1e5_f64", "beta_code_2_quantized", "beta_code_2_float",
+        "bad_json", "non_utf8_prng", "nan_tau", "inf_tau", "range_lo_above_hi", "negative_gamma",
+        "nan_gamma", "range_past_headroom", "truncated", "trailing",
+    ],
+)
+def test_malformed_file_raises_model_format_error(blobs, tmp_path, name, mutate, match):
+    path = tmp_path / "bad.ielm"
+    path.write_bytes(mutate(blobs[name]))
+    with pytest.raises(ModelFormatError, match=match):
+        load_model(path)
+
+
+def test_metadata_must_be_an_object(blobs, tmp_path):
+    blob = blobs["continuous"]
+    at = metadata_offset(blob, False)
+    (meta_len,) = struct.unpack_from("<I", blob, at - 4)
+    body = b"[]".ljust(meta_len)
+    path = tmp_path / "list.ielm"
+    path.write_bytes(blob[:at] + body + blob[at + meta_len :])
+    with pytest.raises(ModelFormatError, match="not an object"):
+        load_model(path)
+
+
+def test_ternary_code_out_of_range_is_a_format_error(blobs, tmp_path):
+    blob = blobs["quantized"]
+    at = metadata_offset(blob, True)
+    (meta_len,) = struct.unpack_from("<I", blob, at - 4)
+    path = tmp_path / "w.ielm"
+    path.write_bytes(patched(blob, "<b", at + meta_len, 2))  # first weight
+    with pytest.raises(ModelFormatError, match="ternary"):
+        load_model(path)
+
+
+def test_loaded_quantized_weights_are_owned_and_read_only(blobs, tmp_path):
+    path = tmp_path / "q.ielm"
+    path.write_bytes(blobs["quantized"])
+    model = load_model(path)
+    assert model.ternary_weights.dtype == np.int8 and model.ternary_weights.flags.owndata
+    assert not model.ternary_weights.flags.writeable
+    save_model(model, tmp_path / "again.ielm")
+    assert (tmp_path / "again.ielm").read_bytes() == blobs["quantized"]
+
+
+def test_fitted_near_zero_beta_model_saves_without_further_climbing(tmp_path):
+    qm = make_quantized(near_zero_beta_model(), (0, 255), fit_headroom=True)
+    assert qm.int_beta.ladder_step > 0 and qm.int_beta.max_abs <= 2**31 - 1
+    save_model(qm, tmp_path / "q.ielm")
+    loaded = load_model(tmp_path / "q.ielm")
+    assert loaded.int_beta.ladder_step == qm.int_beta.ladder_step
+    np.testing.assert_array_equal(loaded.int_beta.values, qm.int_beta.values)
+
+
+@st.composite
+def damaged(draw):
+    """A saved model's bytes cut short, or with a few bytes changed."""
+    name = draw(st.sampled_from(["continuous", "ternary", "quantized"]))
+    cut = draw(st.none() | st.integers(0, 10_000))
+    flips = draw(st.lists(st.tuples(st.integers(0, 10_000), st.integers(1, 255)), max_size=4))
+    return name, cut, flips
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(damaged())
+def test_damaged_file_loads_or_raises_model_format_error(blobs, tmp_path_factory, case):
+    name, cut, flips = case
+    blob = bytearray(blobs[name])
+    for at, mask in flips:
+        blob[at % len(blob)] ^= mask
+    if cut is not None:
+        blob = blob[: cut % len(blob)]
+    path = tmp_path_factory.getbasetemp() / "damaged.ielm"
+    path.write_bytes(bytes(blob))
+    try:
+        model = load_model(path)
+    except ModelFormatError:
+        return
+    assert isinstance(model, (FloatModel, QuantizedModel))
