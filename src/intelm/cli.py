@@ -26,7 +26,6 @@ from intelm.elm import (
     predict_float_batch,
     scores_float,
     train,
-    training_residual,
 )
 from intelm.intinfer import QuantizedModel, classify_int_batch, int_scores
 from intelm.linalg import DimensionError
@@ -111,21 +110,21 @@ def cmd_train(args) -> int:
     out = _check_output(args.out, args.force)
     t0 = time.perf_counter()
     model = train(
-        norm.samples,
+        norm.rows,
         one_hot(norm.labels, norm.class_count),
         W,
         args.gamma,
         seed=args.seed,
         weight_kind=args.weight_kind,
         metadata={"preprocessing": steps, "dataset": raw.source},
+        row_scale=norm.row_scale,
     )
     elapsed = time.perf_counter() - t0
     save_model(model, out)
-    if norm.N * model.L <= 20_000_000:
-        residual = f"{training_residual(model, norm.samples, one_hot(norm.labels, norm.class_count)):.3e}"
-    else:
-        residual = "skipped"
-    print(f"trained L={model.L} gamma={model.gamma} time_s={elapsed:.2f} residual={residual} out={out}")
+    print(
+        f"trained L={model.L} gamma={model.gamma} time_s={elapsed:.2f} "
+        f"residual={model.solve_residual:.3e} out={out}"
+    )
     return EXIT_OK
 
 

@@ -88,21 +88,33 @@ class RawDataset:
 
 @dataclass
 class NormalizedDataset:
-    """Real-valued samples after per-row preprocessing."""
+    """Preprocessed samples, each an integer row times a positive scale.
 
-    samples: np.ndarray  # (N, n) float64
+    Sample i is rows[i] * row_scale[i]. Since the scale is positive and ReLU
+    with zero bias commutes with it, training projects the exact rows and
+    scales the hidden layer afterwards; samples is the float matrix for
+    every other consumer.
+    """
+
+    rows: np.ndarray  # (N, n) int64; float64 only when integers would overflow
+    row_scale: np.ndarray  # (N,) float64, positive
     labels: np.ndarray
     class_count: int
     preprocessing: list[str] = field(default_factory=list)
     source: str = "csv"
 
     @property
+    def samples(self) -> np.ndarray:
+        """(N, n) float64 preprocessed samples, computed on each access."""
+        return self.rows * self.row_scale[:, None]
+
+    @property
     def N(self) -> int:
-        return self.samples.shape[0]
+        return self.rows.shape[0]
 
     @property
     def n(self) -> int:
-        return self.samples.shape[1]
+        return self.rows.shape[1]
 
 
 # --- IDX (MNIST) -----------------------------------------------------------
@@ -343,8 +355,8 @@ def synthetic_textures(
 # --- CSV ---------------------------------------------------------------------
 
 
-def _int_rows(lines, path, width: int | None = None) -> list[list[int]]:
-    """Integer fields of each nonblank (line number, text) pair, all rows one width."""
+def _int_rows(lines, path, width: int | None = None) -> np.ndarray:
+    """(rows, width) int64 fields of each nonblank (line number, text) pair."""
     rows = []
     for lineno, line in lines:
         if not line.strip():
@@ -357,17 +369,28 @@ def _int_rows(lines, path, width: int | None = None) -> list[list[int]]:
         if len(row) != width:
             raise DataFormatError(f"{path}: line {lineno} has {len(row)} fields, expected {width}")
         rows.append(row)
-    return rows
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), width or 0)
+    except OverflowError:
+        raise DataFormatError(f"{path}: a value does not fit in 64-bit integers") from None
+
+
+def _text_lines(path) -> list[str]:
+    """Lines of a UTF-8 text file; undecodable bytes are a DataFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: byte {e.start} is not UTF-8 text") from None
 
 
 def load_csv(path, label_column: str) -> RawDataset:
     """Generic labeled CSV: header row, integer features, label column by name."""
-    with open(path) as fh:
-        names = [c.strip() for c in fh.readline().split(",")]
-        if label_column not in names:
-            raise DataFormatError(f"{path}: no column named {label_column!r}")
-        rows = _int_rows(enumerate(fh, 2), path, len(names))
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(names))
+    header, *lines = _text_lines(path) or [""]
+    names = [c.strip() for c in header.split(",")]
+    if label_column not in names:
+        raise DataFormatError(f"{path}: no column named {label_column!r}")
+    rows = _int_rows(enumerate(lines, 2), path, len(names))
     label_at = names.index(label_column)
     samples = np.delete(rows, label_at, axis=1)
     labels = rows[:, label_at]
@@ -382,8 +405,7 @@ def load_csv(path, label_column: str) -> RawDataset:
 
 def load_csv_samples(path) -> np.ndarray:
     """Unlabeled CSV without a header: one sample of integer features per nonblank line."""
-    with open(path) as fh:
-        return np.asarray(_int_rows(enumerate(fh, 1), path), dtype=np.int64)
+    return _int_rows(enumerate(_text_lines(path), 1), path)
 
 
 # --- preprocessing and splits ------------------------------------------------
@@ -392,24 +414,38 @@ PREPROCESS_STEPS = ("zero_mean", "l2_normalize")
 
 
 def preprocess(raw: RawDataset, steps: list[str]) -> NormalizedDataset:
-    """Apply per-row preprocessing steps in the declared order."""
+    """Apply per-row preprocessing steps in the declared order.
+
+    The result is integer rows and a positive float64 scale per row:
+    zero_mean makes the rows n*x - sum(x), n times the centred signal, and
+    l2_normalize sets the scale to 1/|row| from the exact integer sum of
+    squares. Integer samples stay int64 while |n*x - sum(x)| and that sum
+    of squares fit in 64 bits; otherwise the same steps run in float64.
+    """
     for step in steps:
         if step not in PREPROCESS_STEPS:
             raise ValueError(f"unknown preprocessing step {step!r}")
-    samples = raw.samples.astype(np.float64)
+    X = raw.samples
+    n = X.shape[1]
+    big = max(-int(X.min()), int(X.max())) if X.size else 0
+    exact = np.issubdtype(X.dtype, np.integer) and n * (2 * n * big) ** 2 < 2**63
+    rows = X.astype(np.int64 if exact else np.float64)
+    scale = np.ones(X.shape[0])
     for step in steps:
         if step == "zero_mean":
-            samples = samples - samples.mean(axis=1, keepdims=True)
+            rows = n * rows - rows.sum(axis=1, keepdims=True)
+            scale = scale / n
         else:
-            norms = np.linalg.norm(samples, axis=1)
-            zero_rows = np.flatnonzero(norms == 0)
+            sumsq = np.einsum("ij,ij->i", rows, rows)
+            zero_rows = np.flatnonzero(sumsq == 0)
             if zero_rows.size:
                 raise DataFormatError(
                     f"cannot l2-normalize all-zero rows: {zero_rows[:10].tolist()}"
                 )
-            samples = samples / norms[:, None]
+            scale = 1.0 / np.sqrt(sumsq.astype(np.float64))
     return NormalizedDataset(
-        samples=samples,
+        rows=rows,
+        row_scale=scale,
         labels=raw.labels.copy(),
         class_count=raw.class_count,
         preprocessing=list(steps),
@@ -448,7 +484,8 @@ def _take(dataset, idx):
             dataset.value_range,
         )
     return NormalizedDataset(
-        dataset.samples[idx],
+        dataset.rows[idx],
+        dataset.row_scale[idx],
         dataset.labels[idx],
         dataset.class_count,
         list(dataset.preprocessing),

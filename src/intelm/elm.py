@@ -3,6 +3,11 @@
 The hidden layer is a fixed random projection followed by ReLU with zero
 bias; only the output weights are trained, by solving the ridge normal
 equations with streaming Gram accumulation.
+
+ReLU with zero bias commutes with a positive scale, so training on
+data.preprocess's integer rows projects them exactly and applies each
+row's scale afterwards: the float model's hidden layer, with no rounding
+inside the projection.
 """
 
 from __future__ import annotations
@@ -11,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from intelm.linalg import DimensionError, SpdSystem, accumulate_gram, as_matrix, solve_spd
+from intelm.linalg import (
+    DimensionError,
+    SpdSystem,
+    accumulate_gram,
+    as_matrix,
+    exact_dtype,
+    solve_spd,
+)
 from intelm.seeding import PRNG_ID, make_rng
 
 WEIGHT_KINDS = ("continuous", "ternary", "pm1", "symmetric")
@@ -47,6 +59,9 @@ class FloatModel:
 
     Bias is fixed at zero and the activation is ReLU; both are load-bearing
     for the raw-integer classification path, so neither is configurable.
+    solve_residual is the max-abs normal-equation residual of the solve
+    that produced beta (None when the model was not trained in this
+    process); it is never written to a model file.
     """
 
     input_weights: np.ndarray  # (n, L); float64 or int8 ternary codes
@@ -56,6 +71,7 @@ class FloatModel:
     seed: int
     prng_id: str = PRNG_ID
     metadata: dict = field(default_factory=dict)
+    solve_residual: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weight_kind not in WEIGHT_KINDS:
@@ -67,6 +83,8 @@ class FloatModel:
                 f"beta has {self.beta.shape[0]} rows, input weights have "
                 f"{self.input_weights.shape[1]} columns"
             )
+        if not np.all(np.isfinite(self.beta)):
+            raise ValueError("beta contains NaN or Inf")
         if self.weight_kind in ("ternary", "pm1"):
             check_ternary(self.input_weights)
         elif np.issubdtype(self.input_weights.dtype, np.integer):
@@ -140,15 +158,50 @@ GENERATORS = {
 }
 
 
-def hidden_features(W, X) -> np.ndarray:
-    """ReLU-activated hidden layer outputs: H[j, i] = max(0, w_i . x_j)."""
+def _sample_rows(X, name: str) -> np.ndarray:
+    """Integer 2-D samples as given; anything else through as_matrix (float64, finite)."""
+    X = np.asarray(X)
+    if not np.issubdtype(X.dtype, np.integer):
+        return as_matrix(X, name)
+    if X.ndim != 2:
+        raise DimensionError(f"{name} must be 2-D, got shape {X.shape}")
+    return X
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return max(-int(a.min(initial=0)), int(a.max(initial=0)))
+
+
+def hidden_features(W, X, row_scale=None) -> np.ndarray:
+    """ReLU-activated hidden layer outputs: H[j, i] = max(0, w_i . x_j) * row_scale[j].
+
+    Integer rows through integer weights are projected exactly, in the
+    dtype linalg.exact_dtype picks from the partial-sum bound
+    n * max|x| * max|w|; ReLU acts on the exact integers, and the row scale
+    (default 1) is the one rounding per element, so H does not depend on
+    BLAS's summation order or thread count. Float rows or float weights
+    take the float64 GEMM.
+    """
     W = np.asarray(W)
-    X = as_matrix(X, "X")
+    X = _sample_rows(X, "X")
     if X.shape[1] != W.shape[0]:
         raise DimensionError(
             f"X has {X.shape[1]} features, weights expect {W.shape[0]}"
         )
-    return np.maximum(X @ W.astype(np.float64, copy=False), 0.0)
+    dtype = None
+    if np.issubdtype(X.dtype, np.integer) and np.issubdtype(W.dtype, np.integer):
+        dtype = exact_dtype(X.shape[1] * _max_abs(X) * _max_abs(W))
+    if dtype is None:
+        H = np.maximum(X @ W.astype(np.float64, copy=False), 0.0)
+    else:
+        P = X.astype(dtype, copy=False) @ W.astype(dtype, copy=False)
+        H = np.maximum(P, 0, out=P).astype(np.float64, copy=False)
+    if row_scale is not None:
+        scale = np.asarray(row_scale, dtype=np.float64)
+        if scale.shape != (X.shape[0],):
+            raise DimensionError(f"row_scale has shape {scale.shape}, X has {X.shape[0]} rows")
+        H *= scale[:, None]
+    return H
 
 
 def train(
@@ -161,14 +214,20 @@ def train(
     weight_kind: str = "continuous",
     block_size: int = 4096,
     metadata: dict | None = None,
+    row_scale=None,
 ) -> FloatModel:
     """Closed-form ridge training over streamed row blocks.
 
+    The training samples are the rows of X_norm, each times its entry of
+    row_scale when given (data.preprocess's rows and row_scale); integer
+    rows take hidden_features's exact projection.
     Peak memory stays at O(L^2 + block_size * L): blocks of hidden features
     are folded into the normal-equation accumulator and discarded.
     """
-    X = as_matrix(X_norm, "X_norm")
+    X = _sample_rows(X_norm, "X_norm")
     W = np.asarray(W)
+    if row_scale is not None:
+        row_scale = np.asarray(row_scale, dtype=np.float64)
     if X.shape[0] != targets.labels.shape[0]:
         raise DimensionError(
             f"{X.shape[0]} samples but {targets.labels.shape[0]} labels"
@@ -176,8 +235,9 @@ def train(
     L = W.shape[1]
     acc = SpdSystem.zeros(L, targets.class_count)
     for start in range(0, X.shape[0], block_size):
-        block = hidden_features(W, X[start : start + block_size])
-        accumulate_gram(block, acc, targets.onehot[start : start + block_size])
+        rows = slice(start, start + block_size)
+        block = hidden_features(W, X[rows], None if row_scale is None else row_scale[rows])
+        accumulate_gram(block, acc, targets.onehot[rows])
     acc.add_ridge(gamma)
     beta = solve_spd(acc)
     meta = dict(metadata or {})
@@ -189,6 +249,7 @@ def train(
         weight_kind=weight_kind,
         seed=seed,
         metadata=meta,
+        solve_residual=acc.residual,
     )
 
 
@@ -209,8 +270,13 @@ def predict_float_batch(model: FloatModel, X) -> np.ndarray:
     return np.argmax(scores_float(model, X), axis=1)
 
 
-def training_residual(model: FloatModel, X_norm, targets: LabeledTargets) -> float:
-    """Max-abs residual of the normal equations, for diagnostics and tests."""
-    H = hidden_features(model.input_weights, as_matrix(X_norm, "X_norm"))
+def training_residual(
+    model: FloatModel, X_norm, targets: LabeledTargets, row_scale=None
+) -> float:
+    """Max-abs residual of the normal equations, recomputed from the data, for tests.
+
+    Training keeps the residual of its own solve as model.solve_residual.
+    """
+    H = hidden_features(model.input_weights, X_norm, row_scale)
     gram = H.T @ H + np.eye(model.L) / model.gamma
     return float(np.abs(gram @ model.beta - H.T @ targets.onehot).max())

@@ -239,13 +239,14 @@ def _train_one(
     W = GENERATORS[kind](train_norm.n, L, seed)
     targets = one_hot(train_norm.labels, train_norm.class_count)
     return train(
-        train_norm.samples,
+        train_norm.rows,
         targets,
         W,
         gamma,
         seed=seed,
         weight_kind=kind,
         metadata={"preprocessing": train_norm.preprocessing, "dataset": train_norm.source},
+        row_scale=train_norm.row_scale,
     )
 
 

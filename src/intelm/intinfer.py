@@ -8,27 +8,26 @@ detected (or missed) at inference time.
 
 The same proof selects the host kernel for the projection. Every partial
 sum of x.w over ternary w is a subset sum of the +/-x_j, so its magnitude
-is at most hidden_bound(n, input_range). A float GEMM over integers below
-the format's exact-integer limit (2**24 for float32, 2**53 for float64,
-IEEE 754) therefore rounds nothing, whatever order BLAS sums in. A
-validated QuantizedModel caches W as float32 when the bound is under
-2**24 and as float64 otherwise (the proof caps it at 2**31 - 1), and its
-scores are bit-identical to the int64 reference.
+is at most hidden_bound(n, input_range), and linalg.exact_dtype (the rule
+training's projection uses too) picks a float GEMM that rounds nothing,
+whatever order BLAS sums in. A validated QuantizedModel caches W as
+float32 when the bound is under 2**24 and as float64 otherwise (the proof
+caps it at 2**31 - 1), and its scores are bit-identical to the int64
+reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from intelm.elm import check_ternary
-from intelm.linalg import DimensionError
+from intelm.linalg import DimensionError, exact_dtype
 from intelm.quantize import IntegerBeta
 
 INT32_MAX = 2**31 - 1
 INT64_MAX = 2**63 - 1
-FLOAT32_EXACT = 2**24  # float32 holds every integer of magnitude below this exactly
 
 
 def hidden_bound(n: int, input_range: tuple[int, int]) -> int:
@@ -66,9 +65,10 @@ class QuantizedModel:
     input_range is the declared (lo, hi) of raw sample values; the
     headroom check below proves the 32-bit hidden accumulator and the
     64-bit output accumulator cannot overflow for in-range inputs.
-    ternary_weights is kept as a private read-only int8 copy, so no caller
-    can change W behind the proof; kernel_weights is its read-only float
-    copy that int_scores projects through, built once from the proven bound.
+    ternary_weights and int_beta.values are kept as private read-only
+    copies (int8 and int64), so no caller can change W or beta behind the
+    proof; kernel_weights is W's read-only float copy that int_scores
+    projects through, built once from the proven bound.
     """
 
     ternary_weights: np.ndarray  # (n, L) int8 in {-1, 0, 1}
@@ -90,11 +90,13 @@ class QuantizedModel:
         lo, hi = self.input_range
         if lo > hi:
             raise ValueError(f"input range ({lo}, {hi}) has lo > hi")
+        values = self.int_beta.values.astype(np.int64)
+        values.setflags(write=False)
         # Frozen: reassigning a field would bypass the proof the kernel rests on.
         object.__setattr__(self, "ternary_weights", W)
+        object.__setattr__(self, "int_beta", replace(self.int_beta, values=values))
         self.validate_headroom()
-        exact32 = hidden_bound(self.n, self.input_range) < FLOAT32_EXACT
-        kernel = W.astype(np.float32 if exact32 else np.float64)
+        kernel = W.astype(exact_dtype(hidden_bound(self.n, self.input_range)))
         kernel.setflags(write=False)
         object.__setattr__(self, "kernel_weights", kernel)
 

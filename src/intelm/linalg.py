@@ -3,6 +3,8 @@
 Streaming Gram accumulation (so the hidden matrix never has to be held in
 memory at once) and a symmetric-positive-definite solve via Cholesky.
 Everything is float64 row-major; shapes are explicit and checked.
+exact_dtype is the one rule for exact integer products, shared by the
+training projection and the integer classifier's kernel.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
+
+# Each dtype with the magnitude below which it holds every integer exactly.
+EXACT_INTEGER_LIMITS = ((np.float32, 2**24), (np.float64, 2**53), (np.int64, 2**63))
 
 
 class DimensionError(ValueError):
@@ -39,12 +44,30 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def exact_dtype(bound: int) -> type | None:
+    """Cheapest dtype whose GEMM is exact when every partial sum is at most bound.
+
+    A float GEMM over integers rounds nothing, in any summation order, when
+    every partial sum stays below the format's exact-integer limit (IEEE
+    754): float32 below 2**24, float64 below 2**53, then int64 below 2**63.
+    None when no fixed-width product is exact.
+    """
+    for dtype, limit in EXACT_INTEGER_LIMITS:
+        if bound < limit:
+            return dtype
+    return None
+
+
 @dataclass
 class SpdSystem:
-    """Normal-equation accumulator: gram (L x L, symmetric) and rhs (L x m)."""
+    """Normal-equation accumulator: gram (L x L, symmetric) and rhs (L x m).
+
+    residual is set by solve_spd: the max-abs residual of the solved system.
+    """
 
     gram: np.ndarray
     rhs: np.ndarray
+    residual: float | None = None
 
     @classmethod
     def zeros(cls, size: int, targets: int) -> "SpdSystem":
@@ -97,7 +120,8 @@ def solve_spd(system: SpdSystem) -> np.ndarray:
     """Solve gram @ beta = rhs by Cholesky factorization.
 
     Raises CholeskyError naming the offending pivot if the matrix is not
-    positive definite.
+    positive definite. The max-abs residual |gram @ beta - rhs| is checked
+    against 1e-8 * max(1, max |rhs|) and kept as system.residual.
     """
     system.check()
     # Exact symmetry keeps dpotrf's result independent of which triangle it reads.
@@ -111,8 +135,9 @@ def solve_spd(system: SpdSystem) -> np.ndarray:
     if info != 0:
         raise RuntimeError(f"dpotrs failed with info={info}")
     beta = np.ascontiguousarray(beta)
-    residual = np.abs(gram @ beta - system.rhs).max()
+    residual = float(np.abs(gram @ beta - system.rhs).max())
     bound = 1e-8 * max(1.0, float(np.abs(system.rhs).max()))
-    if residual > bound:
+    system.residual = residual
+    if not residual <= bound:
         raise RuntimeError(f"solve residual {residual:.3e} exceeds bound {bound:.3e}")
     return beta

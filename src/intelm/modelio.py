@@ -141,15 +141,13 @@ def load_model(path) -> FloatModel | QuantizedModel:
                 prng_id=prng_id,
                 metadata=metadata,
             )
-        # QuantizedModel keeps its own copy of W.
+        # QuantizedModel keeps its own copies of W and beta.
         return QuantizedModel(
             ternary_weights=W.reshape(n, L),
-            int_beta=IntegerBeta(
-                values=beta.reshape(L, m).astype(np.int64), tau=tau, ladder_step=ladder_step
-            ),
+            int_beta=IntegerBeta(values=beta.reshape(L, m), tau=tau, ladder_step=ladder_step),
             input_range=(lo, hi),
             seed=seed,
             metadata=metadata,
         )
-    except ValueError as e:  # the models' own checks: codes, gamma, tau, range, headroom
+    except ValueError as e:  # the models' own checks: codes, gamma, finite beta, tau, range, headroom
         raise ModelFormatError(f"{path}: {e}") from None

@@ -22,7 +22,7 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegerBeta:
     """Integer output weights with the scale they were quantized at.
 

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import near_zero_beta_model
 from intelm.cli import main
-from intelm.data import write_idx
+from intelm.data import load_idx, preprocess, write_idx
+from intelm.elm import one_hot, training_residual
 from intelm.modelio import load_model, save_model
 from intelm.quantize import precision_ladder, quantize_beta
 from intelm.seeding import make_rng
@@ -51,6 +52,15 @@ class TestTrain:
         model = load_model(out)
         assert model.L == 8
         assert "trained L=8" in capsys.readouterr().out
+
+    def test_prints_the_residual_of_its_own_solve(self, idx_dataset, tmp_path, capsys):
+        out = tmp_path / "model.ielm"
+        assert main(train_args(idx_dataset, out)) == 0
+        printed = float(capsys.readouterr().out.split("residual=")[1].split()[0])
+        norm = preprocess(load_idx(*idx_dataset), ["l2_normalize"])
+        targets = one_hot(norm.labels, norm.class_count)
+        recomputed = training_residual(load_model(out), norm.rows, targets, norm.row_scale)
+        assert printed <= 1e-8 and abs(printed - recomputed) <= 1e-12
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = main(
@@ -160,6 +170,20 @@ class TestQuantizeAndClassify:
         capsys.readouterr()
         assert main(["classify", "--model", str(model_path), "--input", str(imgs)]) == 1
         assert "reason=ModelFormatError" in capsys.readouterr().err
+
+    def test_nan_beta_model_exit_1(self, tmp_path, capsys):
+        model = near_zero_beta_model()
+        path = tmp_path / "nan.ielm"
+        save_model(model, path)
+        blob = bytearray(path.read_bytes())
+        at = len(blob) - 8 * (model.beta.size - (model.m + 1))  # beta[1, 1], f8, row-major, last
+        blob[at : at + 8] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
+        (tmp_path / "x.csv").write_text("1,2,3,4\n0,5,0,1\n9,9,9,9\n")
+        code = main(["classify", "--model", str(path), "--input", str(tmp_path / "x.csv"), "--scores"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "reason=ModelFormatError" in captured.err and "NaN" in captured.err
 
     def test_feature_mismatch_exit_3(self, idx_dataset, rng, tmp_path, capsys):
         model_path = self._trained(idx_dataset, tmp_path)

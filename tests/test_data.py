@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intelm.data import (
     DataFormatError,
@@ -7,6 +9,7 @@ from intelm.data import (
     extract_patches,
     load_cifar10,
     load_csv,
+    load_csv_samples,
     load_idx,
     load_raw_matrix,
     preprocess,
@@ -181,6 +184,26 @@ class TestPreprocess:
         np.testing.assert_array_equal(ds.labels, raw.labels)
         assert (ds.N, ds.n) == (raw.N, raw.n)
 
+    def test_rows_are_exact_integers_times_a_positive_scale(self):
+        ds = preprocess(self._raw([[3, 4], [1, 0]]), ["l2_normalize"])
+        assert ds.rows.dtype == np.int64 and ds.rows.tolist() == [[3, 4], [1, 0]]
+        assert ds.row_scale.tolist() == [0.2, 1.0]
+        ds = preprocess(self._raw([[1, 3], [0, 1], [5, 5]]), ["zero_mean"])
+        assert ds.rows.tolist() == [[-2, 2], [-1, 1], [0, 0]]  # n*x - sum(x)
+        assert ds.row_scale.tolist() == [0.5, 0.5, 0.5]
+        np.testing.assert_array_equal(ds.samples, [[-1, 1], [-0.5, 0.5], [0, 0]])
+
+    def test_constant_row_rejected_by_l2_after_zero_mean(self):
+        with pytest.raises(DataFormatError, match=r"all-zero rows: \[1\]"):
+            preprocess(self._raw([[1, 2], [7, 7]]), ["zero_mean", "l2_normalize"])
+
+    def test_values_too_large_for_exact_integers_take_float64(self):
+        big = 2**40
+        raw = RawDataset(np.array([[big, 1], [3, big]]), [0, 1], class_count=2, value_range=(0, big))
+        ds = preprocess(raw, ["zero_mean", "l2_normalize"])
+        assert ds.rows.dtype == np.float64
+        np.testing.assert_allclose(ds.samples, [[2**-0.5, -(2**-0.5)], [-(2**-0.5), 2**-0.5]])
+
     def test_unknown_step(self):
         with pytest.raises(ValueError, match="unknown preprocessing step"):
             preprocess(self._raw([[1, 2]], labels=[0], m=1), ["whiten"])
@@ -230,6 +253,16 @@ class TestCsv:
         np.testing.assert_array_equal(ds.samples, [[1, 2], [3, 4]])
         np.testing.assert_array_equal(ds.labels, [0, 1])
 
+    @pytest.mark.parametrize(
+        "blob, match",
+        [(b"a,label\n99999999999999999999,0\n", "64-bit"), (b"a,label\n1,0\n\xff\xfe,1\n", "byte 12 is not UTF-8")],
+        ids=["beyond_int64", "not_utf8"],
+    )
+    def test_unparseable_values_rejected(self, tmp_path, blob, match):
+        (tmp_path / "d.csv").write_bytes(blob)
+        with pytest.raises(DataFormatError, match=match):
+            load_csv(tmp_path / "d.csv", "label")
+
     def test_missing_label_column(self, tmp_path):
         (tmp_path / "d.csv").write_text("a,b\n1,2\n")
         with pytest.raises(DataFormatError, match="no column named 'label'"):
@@ -245,3 +278,60 @@ class TestRawDatasetInvariants:
     def test_out_of_range_values_rejected(self):
         with pytest.raises(DataFormatError, match="declared range"):
             RawDataset(np.array([[300]]), [0], class_count=1, value_range=(0, 255))
+
+
+# --- malformed training inputs -------------------------------------------------
+
+
+# file name of each valid training input, and how to parse it from a directory
+PARSERS = {
+    "idx_images": ("img.idx", lambda p, d: load_idx(p, d / "lbl.idx")),
+    "idx_labels": ("lbl.idx", lambda p, d: load_idx(d / "img.idx", p)),
+    "cifar10": ("batch.bin", lambda p, d: load_cifar10([p])),
+    "raw_matrix": ("tex.raw", lambda p, d: load_raw_matrix(p)),
+    "csv": ("labeled.csv", lambda p, d: load_csv(p, "label")),
+    "csv_samples": ("samples.csv", lambda p, d: load_csv_samples(p)),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """Directory holding one valid file of every training-input format."""
+    d = tmp_path_factory.mktemp("valid")
+    rng = make_rng(21)
+    write_idx(rng.integers(0, 256, size=(3, 4, 4)), [0, 2, 1], d / "img.idx", d / "lbl.idx")
+    write_cifar10_batch(rng.integers(0, 256, size=(2, 3072)), [3, 9], d / "batch.bin")
+    write_raw_matrix(rng.integers(0, 256, size=(5, 6)), d / "tex.raw")
+    (d / "labeled.csv").write_text("a,b,label\n12,250,0\n7,0,1\n\n-3,44,2\n")
+    (d / "samples.csv").write_text("12,250,3\n7,0,1\n-3,44,2\n")
+    for name, (file, parse) in PARSERS.items():
+        parse(d / file, d)
+    return d
+
+
+@st.composite
+def damaged_input(draw):
+    """One valid training input cut short, or with a few bytes changed."""
+    name = draw(st.sampled_from(sorted(PARSERS)))
+    cut = draw(st.none() | st.integers(0, 7000))
+    flips = draw(st.lists(st.tuples(st.integers(0, 7000), st.integers(1, 255)), max_size=4))
+    return name, cut, flips
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(damaged_input())
+def test_damaged_input_parses_or_raises_data_format_error(valid_inputs, tmp_path_factory, case):
+    name, cut, flips = case
+    file, parse = PARSERS[name]
+    blob = bytearray((valid_inputs / file).read_bytes())
+    for at, mask in flips:
+        blob[at % len(blob)] ^= mask
+    if cut is not None:
+        blob = blob[: cut % len(blob)]
+    path = tmp_path_factory.getbasetemp() / f"damaged-{name}"
+    path.write_bytes(bytes(blob))
+    try:
+        parsed = parse(path, valid_inputs)
+    except DataFormatError:
+        return
+    assert isinstance(parsed, (RawDataset, np.ndarray))

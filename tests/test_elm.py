@@ -1,7 +1,17 @@
+import hashlib
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import gauss_solve, naive_hidden, random_float_model
+from intelm.data import RawDataset, preprocess
 from intelm.elm import (
     FloatModel,
     gen_weights_continuous,
@@ -210,3 +220,142 @@ class TestModelFile:
             model = train(X, targets, W, seed=9, weight_kind="ternary")
             save_model(model, tmp_path / name)
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+# --- exact hidden layer on integer rows -----------------------------------------
+
+STEP_LISTS = [[], ["l2_normalize"], ["zero_mean"], ["zero_mean", "l2_normalize"]]
+
+
+@st.composite
+def integer_cases(draw):
+    """Small integer samples, ternary weights and a list of preprocessing steps."""
+    N, n, L = (draw(st.integers(1, k)) for k in (5, 8, 6))
+    # values up to 2**22 push the partial-sum bound past 2**24, onto the float64 kernel
+    value = st.integers(-300, 300) | st.integers(-(2**22), 2**22)
+    X = draw(st.lists(value, min_size=N * n, max_size=N * n))
+    W = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n * L, max_size=n * L))
+    steps = draw(st.sampled_from(STEP_LISTS))
+    return np.array(X).reshape(N, n), np.array(W, dtype=np.int8).reshape(n, L), steps
+
+
+def exact_signal(x: list[int], steps: list[str]) -> tuple[list[int], int, int]:
+    """Integer signal z and (d, s) with sample = z / d / sqrt(s), computed in Python ints."""
+    n = len(x)
+    z, d, s = list(x), 1, 1
+    if "zero_mean" in steps:
+        z, d = [n * v - sum(x) for v in x], n
+    if "l2_normalize" in steps:
+        d, s = 1, sum(v * v for v in z)
+    return z, d, s
+
+
+class TestExactHiddenLayer:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(integer_cases())
+    def test_within_two_ulp_of_exact_relu_times_scale(self, case):
+        X, W, steps = case
+        signals = [exact_signal(x, steps) for x in X.tolist()]
+        assume(all(s > 0 for _, _, s in signals))
+        norm = preprocess(RawDataset(X, np.zeros(len(X)), 1, value_range=(-(2**22), 2**22)), steps)
+        assert norm.rows.dtype == np.int64
+        H = hidden_features(W, norm.rows, norm.row_scale)
+        for j, (z, d, s) in enumerate(signals):
+            for i in range(W.shape[1]):
+                v = max(0, sum(zk * int(wk) for zk, wk in zip(z, W[:, i])))
+                h, ulp = Fraction(float(H[j, i])), Fraction(float(np.spacing(H[j, i])))
+                if v == 0:
+                    assert h == 0
+                    continue
+                # exact value t = v / d / sqrt(s) > 0; |h - t| <= 2 ulp <=> (h -/+ 2 ulp)^2 bracket t^2
+                t2 = Fraction(v * v, d * d * s)
+                assert max(h - 2 * ulp, 0) ** 2 <= t2 <= (h + 2 * ulp) ** 2
+
+    def test_dead_unit_gets_exact_zero_activation_and_beta_row(self):
+        # Unit 0 is x0 + x1 - x2, <= 0 on every row and exactly 0 on rows 0-2.
+        # The float path projects l2-normalized floats, and 40/s + 6/s - 46/s
+        # rounds to 1.1e-16 on row 0.
+        X = np.array([[40, 6, 46], [3, 4, 7], [10, 20, 30], [1, 2, 9], [5, 0, 8], [2, 7, 12]])
+        W = np.array([[1, 1, 0], [1, -1, 1], [-1, 0, 1]], dtype=np.int8)
+        targets = one_hot([0, 1, 0, 1, 0, 1], 2)
+        float_rows = X / np.linalg.norm(X, axis=1)[:, None]
+        assert hidden_features(W, float_rows)[0, 0] > 0
+        assert np.any(train(float_rows, targets, W, weight_kind="ternary").beta[0] != 0)
+
+        norm = preprocess(RawDataset(X, targets.labels, 2, value_range=(0, 255)), ["l2_normalize"])
+        H = hidden_features(W, norm.rows, norm.row_scale)
+        assert np.all(H[:, 0] == 0)
+        model = train(norm.rows, targets, W, weight_kind="ternary", row_scale=norm.row_scale)
+        assert np.all(model.beta[0] == 0) and np.all(model.beta[1:] != 0)
+
+    def test_float_rows_and_float_weights_take_the_float_path(self, rng):
+        X = rng.integers(0, 256, size=(7, 5))
+        W = gen_weights_ternary(5, 4, seed=2)
+        scale = 1.0 / np.arange(1, 8)
+        exact = hidden_features(W, X, scale)
+        np.testing.assert_array_equal(exact, np.maximum(X @ W.astype(np.int64), 0) * scale[:, None])
+        np.testing.assert_allclose(hidden_features(W, X * scale[:, None]), exact, rtol=1e-14)
+        np.testing.assert_allclose(hidden_features(W.astype(np.float64), X, scale), exact, rtol=1e-14)
+
+    def test_row_scale_length_checked(self):
+        with pytest.raises(DimensionError, match="row_scale"):
+            hidden_features(np.ones((2, 3), dtype=np.int8), np.ones((4, 2), dtype=np.int64), np.ones(3))
+
+    def test_same_model_as_training_on_float_samples(self, rng):
+        X = rng.integers(0, 256, size=(60, 16))
+        labels = np.arange(60) % 3
+        W = gen_weights_ternary(16, 12, seed=4)
+        for steps in (["l2_normalize"], ["zero_mean", "l2_normalize"]):
+            norm = preprocess(RawDataset(X, labels, 3), steps)
+            exact = train(norm.rows, one_hot(labels, 3), W, weight_kind="ternary", row_scale=norm.row_scale)
+            floats = train(norm.samples, one_hot(labels, 3), W, weight_kind="ternary")
+            np.testing.assert_allclose(exact.beta, floats.beta, rtol=0, atol=1e-12 * np.abs(floats.beta).max())
+
+    def test_solve_residual_matches_recomputed_residual(self, rng):
+        X = rng.integers(0, 256, size=(50, 10))
+        targets = one_hot(np.arange(50) % 2, 2)
+        norm = preprocess(RawDataset(X, targets.labels, 2), ["l2_normalize"])
+        model = train(norm.rows, targets, gen_weights_ternary(10, 8, seed=1), weight_kind="ternary",
+                      row_scale=norm.row_scale, block_size=16)
+        recomputed = training_residual(model, norm.rows, targets, norm.row_scale)
+        assert model.solve_residual <= 1e-8 and abs(model.solve_residual - recomputed) <= 1e-12
+
+
+# Hashes the training hidden layer of saved integer data (argv[1]), for both kernel dtypes.
+HIDDEN_HASH_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from intelm.data import RawDataset, preprocess
+from intelm.elm import hidden_features
+with np.load(sys.argv[1]) as saved:
+    X, W = saved["X"], saved["W"]
+for steps in (["l2_normalize"], ["zero_mean", "l2_normalize"]):
+    norm = preprocess(RawDataset(X, np.zeros(len(X)), 1), steps)
+    print(hashlib.sha256(hidden_features(W, norm.rows, norm.row_scale).tobytes()).hexdigest())
+"""
+
+
+def test_hidden_layer_is_bit_identical_across_blas_thread_counts(tmp_path):
+    """Every sum in the projection is exact and the scale is applied per element,
+    so H cannot depend on how many threads BLAS splits the GEMM over."""
+    X = np.random.default_rng(5).integers(0, 256, size=(600, 784))
+    # Bright left halves through a left-half unit: zero-mean partial sums reach 3.6e7 > 2**24.
+    X[:100, :392] |= 0xC1
+    X[:100, 392:] &= 0x1F
+    W = gen_weights_ternary(784, 400, seed=3)
+    W[:, 0] = np.arange(784) < 392
+    np.savez(tmp_path / "inputs.npz", X=X, W=W)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", HIDDEN_HASH_SCRIPT, str(tmp_path / "inputs.npz")],
+                             env=env, capture_output=True, text=True, check=True)
+        outputs.append(run.stdout.split())
+    reference = []
+    for steps in (["l2_normalize"], ["zero_mean", "l2_normalize"]):
+        norm = preprocess(RawDataset(X, np.zeros(600), 1), steps)
+        H = np.maximum(norm.rows @ W.astype(np.int64), 0) * norm.row_scale[:, None]
+        reference.append(hashlib.sha256(H.tobytes()).hexdigest())
+    assert outputs[0] == outputs[1] == reference

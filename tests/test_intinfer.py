@@ -286,6 +286,23 @@ class TestOwnedWeights:
         )
 
 
+    def test_int_beta_is_owned_and_read_only(self):
+        # A write of 2**62 would pass the output headroom and wrap int_scores in int64.
+        values = np.ones((2, 1), dtype=np.int64)
+        qm = QuantizedModel(
+            ternary_weights=np.ones((784, 2), dtype=np.int8),
+            int_beta=IntegerBeta(values=values, tau=1.0),
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            qm.int_beta.values[0, 0] = 2**62
+        with pytest.raises(FrozenInstanceError):
+            qm.int_beta.values = np.full((2, 1), 2**62)
+        values[0, 0] = 2**62  # the caller's array is not the model's
+        X = np.full((1, 784), 255)
+        assert int_scores(qm, X).tolist() == [[2 * 784 * 255]]
+        np.testing.assert_array_equal(int_scores(qm, X), int64_reference_scores(qm, X))
+
+
 class TestTernaryCheck:
     @pytest.mark.parametrize("dtype", [np.int8, np.int64])
     @pytest.mark.parametrize("bad", [2, -2])

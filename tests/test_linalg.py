@@ -7,6 +7,7 @@ from intelm.linalg import (
     DimensionError,
     SpdSystem,
     accumulate_gram,
+    exact_dtype,
     solve_spd,
 )
 
@@ -77,6 +78,14 @@ class TestSolveSpd:
             resid = np.abs(gram @ beta - rhs).max()
             assert resid <= 1e-8 * max(1.0, np.abs(rhs).max())
 
+    def test_keeps_its_checked_residual(self, rng):
+        A = rng.standard_normal((6, 4))
+        system = SpdSystem(A.T @ A + np.eye(4), rng.standard_normal((4, 2)))
+        assert system.residual is None
+        beta = solve_spd(system)
+        assert system.residual == np.abs(system.gram @ beta - system.rhs).max()
+        assert system.residual <= 1e-8 * max(1.0, np.abs(system.rhs).max())
+
     def test_ridge_shifted_gram_always_solvable(self, rng):
         # rank-deficient H: gram is singular without the shift, SPD with it
         for gamma in (0.1, 1.0, 100.0):
@@ -100,3 +109,12 @@ class TestSolveSpd:
         acc = SpdSystem.zeros(2, 1)
         with pytest.raises(ValueError, match="NaN"):
             accumulate_gram([[np.nan, 1.0]], acc, [[1.0]])
+
+
+@pytest.mark.parametrize(
+    "bound, dtype",
+    [(0, np.float32), (2**24 - 1, np.float32), (2**24, np.float64), (2**53 - 1, np.float64),
+     (2**53, np.int64), (2**63 - 1, np.int64), (2**63, None)],
+)
+def test_exact_dtype_limits(bound, dtype):
+    assert exact_dtype(bound) is dtype
