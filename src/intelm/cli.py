@@ -1,5 +1,7 @@
 """Command-line entry point: train / quantize / classify / sweep / select.
 
+Only train takes --preprocess: a model records its steps, and classify and
+select give it raw samples, to which it applies those steps itself.
 Errors are reported as a single machine-parseable key=value line on
 stderr. Exit codes: 0 success, 2 missing input file, 3 input/model shape
 mismatch, 4 invalid config key, 1 anything else.
@@ -77,10 +79,14 @@ def _load_dataset(args) -> dat.RawDataset:
     if args.images:
         if not args.labels:
             raise CliError(EXIT_ERROR, reason="labels_required_with_images")
-        return dat.load_idx(_resolve(args.images), _resolve(args.labels))
-    if args.csv:
-        return dat.load_csv(_resolve(args.csv), args.label_column)
-    raise CliError(EXIT_ERROR, reason="no_input_dataset", hint="pass --images/--labels or --csv")
+        raw = dat.load_idx(_resolve(args.images), _resolve(args.labels))
+    elif args.csv:
+        raw = dat.load_csv(_resolve(args.csv), args.label_column)
+    else:
+        raise CliError(EXIT_ERROR, reason="no_input_dataset", hint="pass --images/--labels or --csv")
+    if raw.N == 0:
+        raise dat.DataFormatError("the dataset has no samples")
+    return raw
 
 
 def _load_inputs(args, expect_n: int) -> np.ndarray:
@@ -154,7 +160,6 @@ def cmd_classify(args) -> int:
     if isinstance(model, QuantizedModel):
         classify, score = classify_int_batch, int_scores
     else:
-        samples = samples.astype(np.float64)
         classify, score = predict_float_batch, scores_float
     preds = classify(model, samples)
     if args.scores:
@@ -172,14 +177,9 @@ def cmd_sweep(args) -> int:
         raw = json.loads(config_path.read_text())
     except json.JSONDecodeError as e:
         raise CliError(EXIT_BAD_CONFIG, reason="config_parse_error", detail=str(e).replace(" ", "_"))
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.jobs is not None:
-        raw["jobs"] = args.jobs
-    try:
-        config = exp.ExperimentConfig.from_dict(raw)
-    except exp.ConfigError as e:
-        raise CliError(EXIT_BAD_CONFIG, reason="invalid_config_key", key=e.key)
+    config = exp.ExperimentConfig.from_dict(raw)
+    overrides = {"seed": args.seed, "jobs": args.jobs}
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     out = args.out or config.out_csv
     if out is None:
         raise CliError(EXIT_BAD_CONFIG, reason="invalid_config_key", key="out_csv")
@@ -195,15 +195,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_select(args) -> int:
     raw = _load_dataset(args)
-    steps = [s for s in args.preprocess.split(",") if s]
-    norm = dat.preprocess(raw, steps)
     candidates = []
     for path in args.models:
         model = load_model(_resolve(path))
         if isinstance(model, QuantizedModel):
             raise CliError(EXIT_ERROR, reason="select_requires_float_models", path=path)
-        pred = predict_float_batch(model, norm.samples)
-        acc = float(np.mean(pred == norm.labels))
+        pred = predict_float_batch(model, raw.samples)
+        acc = float(np.mean(pred == raw.labels))
         candidates.append((model, acc, path))
     chosen = exp.select_model([(m, a) for m, a, _ in candidates], args.threshold)
     for model, acc, path in candidates:
@@ -225,10 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--labels", help="IDX label file")
         p.add_argument("--csv", help="labeled CSV file")
         p.add_argument("--label-column", default="label")
-        p.add_argument("--preprocess", default="l2_normalize", help="comma-separated steps")
 
     p = sub.add_parser("train", help="train a model in closed form")
     add_dataset_args(p)
+    p.add_argument("--preprocess", default="l2_normalize", help="comma-separated steps")
     p.add_argument("--L", type=int, required=True, help="hidden layer size")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--weight-kind", choices=sorted(GENERATORS), default="ternary")

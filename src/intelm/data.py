@@ -92,11 +92,10 @@ class NormalizedDataset:
 
     Sample i is rows[i] * row_scale[i]. Since the scale is positive and ReLU
     with zero bias commutes with it, training projects the exact rows and
-    scales the hidden layer afterwards; samples is the float matrix for
-    every other consumer.
+    scales the hidden layer afterwards; samples is the float matrix.
     """
 
-    rows: np.ndarray  # (N, n) int64; float64 only when integers would overflow
+    rows: np.ndarray  # (N, n) int64 (raw int64 samples themselves when unchanged); float64 on overflow
     row_scale: np.ndarray  # (N,) float64, positive
     labels: np.ndarray
     class_count: int
@@ -413,36 +412,70 @@ def load_csv_samples(path) -> np.ndarray:
 PREPROCESS_STEPS = ("zero_mean", "l2_normalize")
 
 
-def preprocess(raw: RawDataset, steps: list[str]) -> NormalizedDataset:
-    """Apply per-row preprocessing steps in the declared order.
+def check_steps(steps) -> tuple[str, ...]:
+    """Preprocessing steps as a tuple: anything but a list of distinct known steps is a ValueError.
 
-    The result is integer rows and a positive float64 scale per row:
-    zero_mean makes the rows n*x - sum(x), n times the centred signal, and
-    l2_normalize sets the scale to 1/|row| from the exact integer sum of
-    squares. Integer samples stay int64 while |n*x - sum(x)| and that sum
-    of squares fit in 64 bits; otherwise the same steps run in float64.
+    The one check of a step list, for preprocess and for the steps a model
+    records.
     """
+    if not isinstance(steps, (list, tuple)):
+        raise ValueError(f"preprocessing must be a list of steps, got {steps!r}")
     for step in steps:
         if step not in PREPROCESS_STEPS:
-            raise ValueError(f"unknown preprocessing step {step!r}")
+            raise ValueError(f"unknown preprocessing step {step!r}; one of {PREPROCESS_STEPS}")
+    if len(set(steps)) != len(steps):
+        raise ValueError(f"repeated preprocessing step in {list(steps)}")
+    return tuple(steps)
+
+
+def max_abs(X: np.ndarray) -> int:
+    """Largest magnitude in an integer array, 0 when empty."""
+    return max(-int(X.min(initial=0)), int(X.max(initial=0)))
+
+
+def integer_rows(X, steps) -> np.ndarray:
+    """The rows that steps make of samples X (one sample, or one per row of X).
+
+    X itself, or n*X - sum(X) under zero_mean: n times the centred signal,
+    a positive multiple of it that is exact in integers. Training scales
+    these rows (preprocess), and both scorers project them unscaled, since
+    ReLU with zero bias and argmax ignore a positive scale. X whose dtype
+    casts to int64 gives int64 rows while they fit in 64 bits
+    (|n*X - sum(X)| <= 2n * max|x|); any other X gives float64 rows.
+    """
+    X = np.asarray(X)
+    n = X.shape[-1]
+    centred = "zero_mean" in steps
+    exact = np.can_cast(X.dtype, np.int64) and not (centred and 2 * n * max_abs(X) >= 2**63)
+    rows = X.astype(np.int64 if exact else np.float64, copy=False)
+    if centred:
+        rows = n * rows - rows.sum(axis=-1, keepdims=True)
+    return rows
+
+
+def preprocess(raw: RawDataset, steps: list[str]) -> NormalizedDataset:
+    """Integer rows (integer_rows) and a positive float64 scale per row.
+
+    The scale is 1/|row| under l2_normalize, from the exact integer sum of
+    squares, else 1/n under zero_mean (the centred signal), else 1; the
+    steps therefore act as a set, centring before normalizing. Integer
+    samples stay int64 while that sum of squares fits in 64 bits
+    (n * (2n * max|x|)**2 < 2**63); otherwise the rows are float64.
+    """
+    steps = check_steps(steps)
     X = raw.samples
     n = X.shape[1]
-    big = max(-int(X.min()), int(X.max())) if X.size else 0
-    exact = np.issubdtype(X.dtype, np.integer) and n * (2 * n * big) ** 2 < 2**63
-    rows = X.astype(np.int64 if exact else np.float64)
-    scale = np.ones(X.shape[0])
-    for step in steps:
-        if step == "zero_mean":
-            rows = n * rows - rows.sum(axis=1, keepdims=True)
-            scale = scale / n
-        else:
-            sumsq = np.einsum("ij,ij->i", rows, rows)
-            zero_rows = np.flatnonzero(sumsq == 0)
-            if zero_rows.size:
-                raise DataFormatError(
-                    f"cannot l2-normalize all-zero rows: {zero_rows[:10].tolist()}"
-                )
-            scale = 1.0 / np.sqrt(sumsq.astype(np.float64))
+    if not (np.issubdtype(X.dtype, np.integer) and n * (2 * n * max_abs(X)) ** 2 < 2**63):
+        X = X.astype(np.float64)
+    rows = integer_rows(X, steps)
+    if "l2_normalize" in steps:
+        sumsq = np.einsum("ij,ij->i", rows, rows)
+        zero_rows = np.flatnonzero(sumsq == 0)
+        if zero_rows.size:
+            raise DataFormatError(f"cannot l2-normalize all-zero rows: {zero_rows[:10].tolist()}")
+        scale = 1.0 / np.sqrt(sumsq.astype(np.float64))
+    else:
+        scale = np.full(rows.shape[0], 1.0 / n if "zero_mean" in steps else 1.0)
     return NormalizedDataset(
         rows=rows,
         row_scale=scale,
@@ -453,8 +486,8 @@ def preprocess(raw: RawDataset, steps: list[str]) -> NormalizedDataset:
     )
 
 
-def split_train_val(dataset, fraction: float = 0.8, seed: int = 0):
-    """Stratified random split into (train, val), deterministic per seed."""
+def split_train_val(dataset: RawDataset, fraction: float = 0.8, seed: int = 0):
+    """Stratified random split of a RawDataset into (train, val), deterministic per seed."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     labels = dataset.labels
@@ -469,25 +502,12 @@ def split_train_val(dataset, fraction: float = 0.8, seed: int = 0):
         cut = max(cut, 1)
         train_idx.append(idx[:cut])
         val_idx.append(idx[cut:])
-    train_idx = np.sort(np.concatenate(train_idx))
-    val_idx = np.sort(np.concatenate(val_idx))
-    return _take(dataset, train_idx), _take(dataset, val_idx)
 
-
-def _take(dataset, idx):
-    if isinstance(dataset, RawDataset):
+    def take(parts):
+        idx = np.sort(np.concatenate(parts))
         return RawDataset(
-            dataset.samples[idx],
-            dataset.labels[idx],
-            dataset.class_count,
-            dataset.source,
+            dataset.samples[idx], dataset.labels[idx], dataset.class_count, dataset.source,
             dataset.value_range,
         )
-    return NormalizedDataset(
-        dataset.rows[idx],
-        dataset.row_scale[idx],
-        dataset.labels[idx],
-        dataset.class_count,
-        list(dataset.preprocessing),
-        dataset.source,
-    )
+
+    return take(train_idx), take(val_idx)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from intelm.data import check_steps, integer_rows, max_abs
 from intelm.linalg import (
     DimensionError,
     SpdSystem,
@@ -31,6 +32,10 @@ WEIGHT_KINDS = ("continuous", "ternary", "pm1", "symmetric")
 # One-hot target rows use {0, 1}; recorded in model metadata so reported
 # accuracies are tied to a concrete encoding.
 TARGET_ENCODING = "onehot-01"
+
+
+class ScoreOverflowError(ArithmeticError):
+    """A float class score is not finite: the model's weights overflow float64 on the input."""
 
 
 @dataclass
@@ -59,6 +64,9 @@ class FloatModel:
 
     Bias is fixed at zero and the activation is ReLU; both are load-bearing
     for the raw-integer classification path, so neither is configurable.
+    metadata["preprocessing"] records the steps training applied (steps
+    reads and checks them); the scorer applies their integer row transform
+    to raw samples.
     solve_residual is the max-abs normal-equation residual of the solve
     that produced beta (None when the model was not trained in this
     process); it is never written to a model file.
@@ -85,6 +93,7 @@ class FloatModel:
             )
         if not np.all(np.isfinite(self.beta)):
             raise ValueError("beta contains NaN or Inf")
+        check_steps(self.metadata.get("preprocessing", []))
         if self.weight_kind in ("ternary", "pm1"):
             check_ternary(self.input_weights)
         elif np.issubdtype(self.input_weights.dtype, np.integer):
@@ -92,6 +101,11 @@ class FloatModel:
                 f"{self.weight_kind} weights must be floats, got {self.input_weights.dtype}; "
                 "pass the weight_kind the weights were generated with"
             )
+
+    @property
+    def steps(self) -> tuple[str, ...]:
+        """The recorded preprocessing steps, checked on every read."""
+        return check_steps(self.metadata.get("preprocessing", []))
 
     @property
     def n(self) -> int:
@@ -168,10 +182,6 @@ def _sample_rows(X, name: str) -> np.ndarray:
     return X
 
 
-def _max_abs(a: np.ndarray) -> int:
-    return max(-int(a.min(initial=0)), int(a.max(initial=0)))
-
-
 def hidden_features(W, X, row_scale=None) -> np.ndarray:
     """ReLU-activated hidden layer outputs: H[j, i] = max(0, w_i . x_j) * row_scale[j].
 
@@ -190,7 +200,7 @@ def hidden_features(W, X, row_scale=None) -> np.ndarray:
         )
     dtype = None
     if np.issubdtype(X.dtype, np.integer) and np.issubdtype(W.dtype, np.integer):
-        dtype = exact_dtype(X.shape[1] * _max_abs(X) * _max_abs(W))
+        dtype = exact_dtype(X.shape[1] * max_abs(X) * max_abs(W))
     if dtype is None:
         H = np.maximum(X @ W.astype(np.float64, copy=False), 0.0)
     else:
@@ -254,13 +264,24 @@ def train(
 
 
 def scores_float(model: FloatModel, X) -> np.ndarray:
-    """Raw class scores relu(X W) beta, (N, m) for the rows of X."""
-    return hidden_features(model.input_weights, X) @ model.beta
+    """Class scores relu(Z W) beta, (N, m), of the rows Z the model's steps make of samples X.
+
+    Z is data.integer_rows(X, model.steps): raw samples go in as they are,
+    and the scores are a positive multiple of those of the preprocessed
+    samples, with the same argmax. A score that overflows float64, which
+    only weights far beyond any trained model's can cause, raises
+    ScoreOverflowError instead of yielding an arbitrary argmax.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = hidden_features(model.input_weights, integer_rows(X, model.steps)) @ model.beta
+    if not np.isfinite(S).all():
+        raise ScoreOverflowError("float class scores overflow float64 on this input")
+    return S
 
 
 def predict_float(model: FloatModel, x) -> int:
     """Predicted class index of one sample; ties break to the lowest index."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 1:
         raise DimensionError(f"predict_float takes one sample, got shape {x.shape}")
     return int(np.argmax(scores_float(model, x[None, :])[0]))

@@ -5,13 +5,15 @@ comparison at fixed hidden size, bit-precision sweeps over the output
 weight ladder, and hidden-size sweeps comparing the original float
 pipeline against the integer-only pipeline with the 80/20 selection
 protocol.
+Every evaluation, float or integer, scores raw samples, to which each
+model applies its own recorded preprocessing (data.integer_rows).
 """
 
 from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,14 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
+# The JSON types of the config keys; a JSON true or false is not a number.
+_KEY_TYPES = dict(
+    mode=str, dataset=dict, L_list=list, models_per_L=int, pairs=int, gamma=(int, float), seed=int,
+    selection_threshold=(int, float), split_fraction=(int, float), train_limit=(int, type(None)),
+    jobs=int, out_csv=(str, type(None)),
+)
+
+
 @dataclass
 class ExperimentConfig:
     mode: str
@@ -77,8 +87,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError("mode", f"invalid config key mode={self.mode!r}; one of {MODES}")
-        if not self.L_list or sorted(self.L_list) != list(self.L_list):
-            raise ConfigError("L_list", f"L_list must be nonempty ascending, got {self.L_list}")
+        L_list = self.L_list
+        if not L_list or any(type(L) is not int for L in L_list) or sorted(L_list) != list(L_list):
+            raise ConfigError("L_list", f"L_list must be nonempty ascending integers, got {L_list}")
         if self.models_per_L < 1:
             raise ConfigError("models_per_L", f"models_per_L must be >= 1, got {self.models_per_L}")
         if not 0.0 < self.selection_threshold <= 1.0:
@@ -92,10 +103,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        for key in raw:
-            if key not in known:
+        """A config from parsed JSON; an unknown key or a value of the wrong type names its key."""
+        if not isinstance(raw, dict):
+            raise ConfigError("config", f"config is a JSON {type(raw).__name__}, not an object")
+        for key, value in raw.items():
+            if key not in _KEY_TYPES:
                 raise ConfigError(key, f"invalid config key {key!r}")
+            if isinstance(value, bool) or not isinstance(value, _KEY_TYPES[key]):
+                raise ConfigError(key, f"config key {key} has the wrong type: {value!r}")
         if "mode" not in raw or "dataset" not in raw:
             missing = "mode" if "mode" not in raw else "dataset"
             raise ConfigError(missing, f"missing required config key {missing!r}")
@@ -140,34 +155,32 @@ def resolve_dataset(spec: dict) -> tuple[dat.RawDataset, dat.RawDataset, list[st
     spec = dict(spec)
     kind = spec.pop("kind")
     steps = spec.pop("preprocessing", None)
+    if steps is None:
+        steps = ["zero_mean", "l2_normalize"] if kind == "mnist" else ["l2_normalize"]
+    try:
+        steps = list(dat.check_steps(steps))
+    except ValueError as e:
+        raise ConfigError("dataset.preprocessing", str(e)) from None
     if kind == "textures":
-        allowed = {"patch_size", "count", "seed", "size"}
-        _reject_unknown(spec, allowed, "dataset")
+        _reject_unknown(spec, {"patch_size", "count", "seed", "size"}, "dataset")
         train_raw, test_raw = dat.synthetic_textures(**spec)
-        default_steps = ["l2_normalize"]
     elif kind == "mnist":
-        _reject_unknown(
-            spec, {"train_images", "train_labels", "test_images", "test_labels"}, "dataset"
-        )
+        keys = {"train_images", "train_labels", "test_images", "test_labels"}
+        _reject_unknown(spec, keys, "dataset")
         train_raw = dat.load_idx(spec["train_images"], spec["train_labels"])
         test_raw = dat.load_idx(spec["test_images"], spec["test_labels"])
-        default_steps = ["zero_mean", "l2_normalize"]
     elif kind == "cifar10":
         _reject_unknown(spec, {"train_batches", "test_batches", "class_filter"}, "dataset")
-        class_filter = spec.get("class_filter")
-        if class_filter is not None:
-            class_filter = tuple(class_filter)
+        class_filter = tuple(spec["class_filter"]) if spec.get("class_filter") is not None else None
         train_raw = dat.load_cifar10(spec["train_batches"], class_filter)
         test_raw = dat.load_cifar10(spec["test_batches"], class_filter)
-        default_steps = ["l2_normalize"]
     else:
         _reject_unknown(spec, {"train_path", "test_path", "label_column"}, "dataset")
         train_raw = dat.load_csv(spec["train_path"], spec["label_column"])
         test_raw = dat.load_csv(spec["test_path"], spec["label_column"])
-        default_steps = ["l2_normalize"]
     train_raw.check_all_classes_present()
     test_raw.check_all_classes_present()
-    return train_raw, test_raw, list(steps) if steps is not None else default_steps
+    return train_raw, test_raw, steps
 
 
 def _reject_unknown(spec: dict, allowed: set, prefix: str) -> None:
@@ -216,12 +229,11 @@ def make_quantized(
     """
     if model.weight_kind not in ("ternary", "pm1"):
         raise ValueError(f"integer path needs ternary weights, model has {model.weight_kind}")
-    meta = dict(model.metadata)
-    meta["gamma"] = model.gamma
-    meta["prng_id"] = model.prng_id
+    meta = {**model.metadata, "gamma": model.gamma, "prng_id": model.prng_id}
     ib = quantize_beta(model.beta)
     if fit_headroom:
-        limit = min(output_beta_limit(model.n, model.L, input_range), BETA_STORAGE_MAX)
+        centred = "zero_mean" in model.steps
+        limit = min(output_beta_limit(model.n, model.L, input_range, centred), BETA_STORAGE_MAX)
         while ib.max_abs > max(1, limit):
             ib = reduce_precision_step(ib)
     return QuantizedModel(
@@ -269,24 +281,20 @@ def run_weight_comparison(config: ExperimentConfig) -> SweepReport:
     train_raw, test_raw, steps = resolve_dataset(config.dataset)
     train_raw = _limit(train_raw, config.train_limit, config.seed)
     train_norm = dat.preprocess(train_raw, steps)
-    test_norm = dat.preprocess(test_raw, steps)
     L = config.L_list[0]
     report = SweepReport(notes=[PAIR_COUNT_NOTE, f"pairs={config.pairs} L={L}"])
     seeds = split_seed(config.seed, config.pairs * 2)
 
     def job(args):
-        arm, kind, seed = args
+        kind, seed = args
         model = _train_one(train_norm, kind, L, config.gamma, seed)
-        acc = _accuracy(predict_float_batch(model, test_norm.samples), test_norm.labels)
-        return arm, seed, acc
+        return kind, seed, _accuracy(predict_float_batch(model, test_raw.samples), test_raw.labels)
 
-    tasks = []
-    for i in range(config.pairs):
-        tasks.append(("continuous", "continuous", seeds[2 * i]))
-        tasks.append(("ternary", "ternary", seeds[2 * i + 1]))
+    arms = ("continuous", "ternary")  # each arm is named after its weight kind
+    tasks = [(kind, seeds[2 * i + j]) for i in range(config.pairs) for j, kind in enumerate(arms)]
     results = _run_pool(job, tasks, config.jobs)
 
-    per_arm: dict[str, list[float]] = {"continuous": [], "ternary": []}
+    per_arm: dict[str, list[float]] = {arm: [] for arm in arms}
     for arm, seed, acc in results:
         per_arm[arm].append(acc)
         report.add(dataset=train_raw.source, arm=arm, L=L, seed=seed, test_accuracy=acc)
@@ -314,7 +322,7 @@ def run_bit_sweep(model: FloatModel, test_raw: dat.RawDataset) -> SweepReport:
     rung's integer prediction matches the float model's prediction.
     """
     report = SweepReport()
-    float_pred = predict_float_batch(model, test_raw.samples.astype(np.float64))
+    float_pred = predict_float_batch(model, test_raw.samples)
     base = make_quantized(model, test_raw.value_range, fit_headroom=True)
     for rung in precision_ladder(base.int_beta):
         pred = classify_int_batch(replace(base, int_beta=rung), test_raw.samples)
@@ -355,19 +363,11 @@ def run_size_sweep(config: ExperimentConfig) -> SweepReport:
     """
     train_raw, test_raw, steps = resolve_dataset(config.dataset)
     train_raw = _limit(train_raw, config.train_limit, config.seed)
-    test_norm = dat.preprocess(test_raw, steps)
     report = SweepReport(notes=[f"selection: threshold={config.selection_threshold}, "
                                 f"models_per_L={config.models_per_L}"])
-    if "zero_mean" in steps:
-        report.notes.append(
-            "training preprocessing includes a zero-mean shift; the integer path "
-            "classifies raw unshifted signals (scale invariance covers the norm only)"
-        )
-
     split_seeds = split_seed(config.seed, 2)
     fit_raw, val_raw = dat.split_train_val(train_raw, config.split_fraction, split_seeds[0])
     fit_norm = dat.preprocess(fit_raw, steps)
-    val_norm = dat.preprocess(val_raw, steps)
     arm_specs = [("original", "continuous"), ("proposed", "ternary")]
     results: dict[tuple[str, int], float] = {}
 
@@ -381,7 +381,7 @@ def run_size_sweep(config: ExperimentConfig) -> SweepReport:
                         qm = make_quantized(model, val_raw.value_range, fit_headroom=True)
                         pred = classify_int_batch(qm, val_raw.samples)
                     else:
-                        pred = predict_float_batch(model, val_norm.samples)
+                        pred = predict_float_batch(model, val_raw.samples)
                     return model, _accuracy(pred, val_raw.labels)
 
                 candidates = _run_pool(job, cand_seeds, config.jobs)
@@ -399,11 +399,10 @@ def run_size_sweep(config: ExperimentConfig) -> SweepReport:
                     qm = make_quantized(chosen, test_raw.value_range, fit_headroom=True)
                     pred = classify_int_batch(qm, test_raw.samples)
                     row["bit_width"] = bit_width(qm.int_beta)
-                    row["agreement_with_float"] = _accuracy(
-                        pred, predict_float_batch(chosen, test_raw.samples.astype(np.float64))
-                    )
+                    float_pred = predict_float_batch(chosen, test_raw.samples)
+                    row["agreement_with_float"] = _accuracy(pred, float_pred)
                 else:
-                    pred = predict_float_batch(chosen, test_norm.samples)
+                    pred = predict_float_batch(chosen, test_raw.samples)
                 test_acc = _accuracy(pred, test_raw.labels)
                 row["test_accuracy"] = test_acc
                 results[(arm, L)] = test_acc

@@ -6,9 +6,11 @@ integer output weights; the argmax is taken on exact integer scores.
 Overflow is excluded up front by a headroom check on the model, never
 detected (or missed) at inference time.
 
-The same proof selects the host kernel for the projection. Every partial
-sum of x.w over ternary w is a subset sum of the +/-x_j, so its magnitude
-is at most hidden_bound(n, input_range), and linalg.exact_dtype (the rule
+The rows projected are data.integer_rows of the raw samples under the
+model's recorded preprocessing: x, or n*x - sum(x) under zero_mean, the
+same integer rows training scaled. Every partial sum of z.w over ternary
+w is a subset sum of the +/-z_j, so its magnitude is at most
+hidden_bound(n, input_range, centred), and linalg.exact_dtype (the rule
 training's projection uses too) picks a float GEMM that rounds nothing,
 whatever order BLAS sums in. A validated QuantizedModel caches W as
 float32 when the bound is under 2**24 and as float64 otherwise (the proof
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from intelm.data import check_steps, integer_rows
 from intelm.elm import check_ternary
 from intelm.linalg import DimensionError, exact_dtype
 from intelm.quantize import IntegerBeta
@@ -30,15 +33,24 @@ INT32_MAX = 2**31 - 1
 INT64_MAX = 2**63 - 1
 
 
-def hidden_bound(n: int, input_range: tuple[int, int]) -> int:
-    """Largest magnitude of any partial sum of x.w for n in-range inputs and ternary w."""
-    lo, hi = input_range
-    return n * max(abs(int(lo)), abs(int(hi)))
+def hidden_bound(n: int, input_range: tuple[int, int], centred: bool = False) -> int:
+    """Largest sum |z_j|, which bounds every partial sum of z.w over ternary w.
+
+    The rows z of n in-range inputs x are x itself, with sum |x_j| at most
+    n * max(|lo|, |hi|), or, centred, n*x - sum(x). Centred, z_j is the sum
+    over k of x_j - x_k, and sum |z_j| (convex in x, so largest at a
+    corner of the box) is 2*a*(n - a)*(hi - lo) with a inputs at hi and the
+    rest at lo: at most 2 * floor(n/2) * ceil(n/2) * (hi - lo), attained.
+    """
+    lo, hi = int(input_range[0]), int(input_range[1])
+    if centred:
+        return 2 * (n // 2) * ((n + 1) // 2) * (hi - lo)
+    return n * max(abs(lo), abs(hi))
 
 
-def output_beta_limit(n: int, L: int, input_range: tuple[int, int]) -> int:
+def output_beta_limit(n: int, L: int, input_range: tuple[int, int], centred: bool = False) -> int:
     """Largest max |v| for which L * hidden_bound * max |v| fits the 64-bit output accumulator."""
-    return INT64_MAX // max(1, L * hidden_bound(n, input_range))
+    return INT64_MAX // max(1, L * hidden_bound(n, input_range, centred))
 
 
 class HeadroomError(ValueError):
@@ -62,13 +74,15 @@ class OpCounter:
 class QuantizedModel:
     """Ternary input weights plus integer output weights.
 
-    input_range is the declared (lo, hi) of raw sample values; the
-    headroom check below proves the 32-bit hidden accumulator and the
-    64-bit output accumulator cannot overflow for in-range inputs.
-    ternary_weights and int_beta.values are kept as private read-only
-    copies (int8 and int64), so no caller can change W or beta behind the
-    proof; kernel_weights is W's read-only float copy that int_scores
-    projects through, built once from the proven bound.
+    input_range is the declared (lo, hi) of raw sample values, and
+    metadata["preprocessing"] the steps training applied; the headroom
+    check below proves the 32-bit hidden accumulator and the 64-bit output
+    accumulator cannot overflow for the integer rows of in-range inputs.
+    ternary_weights, int_beta.values and steps are kept as private copies
+    (read-only int8 and int64, and a tuple), so no caller can change W,
+    beta or the rows behind the proof; kernel_weights is W's read-only
+    float copy that int_scores projects through, built once from the
+    proven bound.
     """
 
     ternary_weights: np.ndarray  # (n, L) int8 in {-1, 0, 1}
@@ -77,6 +91,7 @@ class QuantizedModel:
     seed: int = 0
     metadata: dict = field(default_factory=dict)
     kernel_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    steps: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_ternary(self.ternary_weights)
@@ -95,8 +110,9 @@ class QuantizedModel:
         # Frozen: reassigning a field would bypass the proof the kernel rests on.
         object.__setattr__(self, "ternary_weights", W)
         object.__setattr__(self, "int_beta", replace(self.int_beta, values=values))
+        object.__setattr__(self, "steps", check_steps(self.metadata.get("preprocessing", [])))
         self.validate_headroom()
-        kernel = W.astype(exact_dtype(hidden_bound(self.n, self.input_range)))
+        kernel = W.astype(exact_dtype(hidden_bound(self.n, self.input_range, self.centred)))
         kernel.setflags(write=False)
         object.__setattr__(self, "kernel_weights", kernel)
 
@@ -112,15 +128,19 @@ class QuantizedModel:
     def m(self) -> int:
         return self.int_beta.values.shape[1]
 
+    @property
+    def centred(self) -> bool:
+        return "zero_mean" in self.steps
+
     def validate_headroom(self) -> None:
-        hidden = hidden_bound(self.n, self.input_range)
+        hidden = hidden_bound(self.n, self.input_range, self.centred)
         if hidden > INT32_MAX:
             raise HeadroomError(
                 f"hidden accumulator can reach {hidden} > {INT32_MAX} "
-                f"(n={self.n}, input range {self.input_range})"
+                f"(n={self.n}, input range {self.input_range}, steps {list(self.steps)})"
             )
         max_beta = self.int_beta.max_abs
-        if max_beta > output_beta_limit(self.n, self.L, self.input_range):
+        if max_beta > output_beta_limit(self.n, self.L, self.input_range, self.centred):
             raise HeadroomError(
                 f"output accumulator can reach {self.L * hidden * max_beta} > {INT64_MAX} "
                 f"(L={self.L}, max |beta| = {max_beta})"
@@ -171,32 +191,37 @@ def relu_int(v) -> np.ndarray:
     return np.maximum(v, 0)
 
 
-def int_scores(model: QuantizedModel, X) -> np.ndarray:
-    """Exact integer class scores, (m,) for one sample or (N, m) for the rows of X."""
+def _classifiable(model: QuantizedModel, X) -> np.ndarray:
+    """Checked int64 samples X; a row whose integer row is all zero is an InputError.
+
+    That row is an all-zero sample, or a constant one when the model
+    centres: scale invariance of the raw path holds only for the rest.
+    """
     X = _check_sample(model, X)
-    return relu_int(ternary_project(model.kernel_weights, X)) @ model.int_beta.values
+    zero = ~integer_rows(X, model.steps).any(axis=-1)
+    if zero.any():
+        kind = "constant" if model.centred else "all-zero"
+        raise InputError(f"cannot classify the {kind} sample at row {int(np.argmax(zero))}")
+    return X
+
+
+def int_scores(model: QuantizedModel, X) -> np.ndarray:
+    """Exact integer class scores, (m,) for one raw sample or (N, m) for the rows of X."""
+    Z = integer_rows(_check_sample(model, X), model.steps)
+    return relu_int(ternary_project(model.kernel_weights, Z)) @ model.int_beta.values
 
 
 def classify_int(model: QuantizedModel, x) -> int:
-    """Predicted class of a raw integer sample; ties break to the lowest index.
-
-    The all-zero sample is rejected: scale invariance of the raw path is
-    only guaranteed for nonzero inputs.
-    """
+    """Predicted class of a raw integer sample; ties break to the lowest index."""
     x = np.asarray(x)
     if x.ndim != 1:
         raise DimensionError(f"classify_int takes one sample, got shape {x.shape}")
-    if not np.any(x):
-        raise InputError("cannot classify the all-zero sample")
-    return int(np.argmax(int_scores(model, x)))
+    return int(np.argmax(int_scores(model, _classifiable(model, x))))
 
 
 def classify_int_batch(model: QuantizedModel, X) -> np.ndarray:
     """Classify each row of an integer sample matrix."""
-    X = np.atleast_2d(np.asarray(X))
-    if X.size and not np.all(np.any(X, axis=1)):
-        bad = int(np.flatnonzero(~np.any(X, axis=1))[0])
-        raise InputError(f"cannot classify the all-zero sample at row {bad}")
+    X = _classifiable(model, np.atleast_2d(np.asarray(X)))
     return np.argmax(int_scores(model, X), axis=1)
 
 
@@ -229,10 +254,16 @@ def ternary_project_counted(W, x, counter: OpCounter) -> list[int]:
 
 
 def classify_int_counted(model: QuantizedModel, x, counter: OpCounter) -> int:
-    x = _check_sample(model, x)
-    if not np.any(x):
-        raise InputError("cannot classify the all-zero sample")
-    h = ternary_project_counted(model.ternary_weights, x, counter)
+    xs = [int(v) for v in _classifiable(model, x)]
+    if model.centred:  # n*x - sum(x), one multiply per input
+        total = 0
+        for v in xs:
+            total += v
+            counter.int_adds += 1
+        xs = [len(xs) * v - total for v in xs]
+        counter.int_muls += len(xs)
+        counter.int_adds += len(xs)
+    h = ternary_project_counted(model.ternary_weights, xs, counter)
     h = [v if v > 0 else 0 for v in h]
     beta = model.int_beta.values
     best_class, best_score = 0, None

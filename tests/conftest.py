@@ -83,7 +83,7 @@ def near_zero_beta_model() -> FloatModel:
     return FloatModel(input_weights=W, beta=beta, gamma=1.0, weight_kind="ternary", seed=3)
 
 
-def random_quantized_model(rng, n=8, L=6, m=3, beta_max=50, input_range=(0, 255)):
+def random_quantized_model(rng, n=8, L=6, m=3, beta_max=50, input_range=(0, 255), steps=()):
     W = gen_weights_ternary(n, L, int(rng.integers(1 << 30)))
     values = rng.integers(-beta_max, beta_max + 1, size=(L, m)).astype(np.int64)
     if not values.any():
@@ -93,6 +93,7 @@ def random_quantized_model(rng, n=8, L=6, m=3, beta_max=50, input_range=(0, 255)
         int_beta=IntegerBeta(values=values, tau=float(rng.random()) + 0.1),
         input_range=input_range,
         seed=int(rng.integers(1 << 30)),
+        metadata={"preprocessing": list(steps)},
     )
 
 

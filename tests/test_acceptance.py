@@ -108,19 +108,26 @@ def test_criterion_01_scale_invariance_of_prediction():
 def test_criterion_02_integer_float_path_equivalence():
     rng = make_rng(2)
     for i in range(1000):
-        model = random_quantized_model(rng, n=8, L=6, m=3)
+        steps = ["zero_mean", "l2_normalize"][: i % 3]
+        model = random_quantized_model(rng, n=8, L=6, m=3, steps=steps)
         x = rng.integers(0, 256, size=model.n)
-        if not x.any():
-            x[0] = 1
+        if x.min() == x.max():
+            x[0] = (x[0] + 1) % 256
         twin = FloatModel(
             input_weights=model.ternary_weights,
             beta=model.int_beta.values.astype(np.float64),
             gamma=1.0,
             weight_kind="ternary",
             seed=0,
+            metadata={"preprocessing": steps},
         )
+        assert classify_int(model, x) == predict_float(twin, x)
         assert classify_int(model, x) == predict_float(twin, x.astype(np.float64))
-    report("criterion 2 (integer/float path equivalence)", True, "1000 models, exact")
+    report(
+        "criterion 2 (integer/float path equivalence)",
+        True,
+        "1000 models, a third each with no steps, zero_mean and zero_mean + l2_normalize, exact",
+    )
 
 
 def test_criterion_03_beta_scaling_argmax_invariance():
@@ -261,7 +268,8 @@ def test_criterion_09_bit_sweep_mnist():
     L = 1000
     W = gen_weights_ternary(norm.n, L, seed=9)
     model = train(
-        norm.samples, one_hot(norm.labels, 10), W, seed=9, weight_kind="ternary"
+        norm.rows, one_hot(norm.labels, 10), W, seed=9, weight_kind="ternary",
+        metadata={"preprocessing": norm.preprocessing}, row_scale=norm.row_scale,
     )
     rep = run_bit_sweep(model, test_raw)
     widths = [int(r["bit_width"]) for r in rep.rows]

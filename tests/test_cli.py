@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import near_zero_beta_model
 from intelm.cli import main
 from intelm.data import load_idx, preprocess, write_idx
-from intelm.elm import one_hot, training_residual
-from intelm.modelio import load_model, save_model
+from intelm.elm import hidden_features, one_hot, predict_float_batch, training_residual
+from intelm.experiments import select_model
+from intelm.modelio import ModelFormatError, load_model, save_model
 from intelm.quantize import precision_ladder, quantize_beta
 from intelm.seeding import make_rng
 
@@ -30,13 +35,13 @@ def idx_dataset(rng, tmp_path):
     return tmp_path / "imgs.idx", tmp_path / "lbls.idx"
 
 
-def train_args(idx_dataset, out, seed=1, kind="ternary", extra=()):
+def train_args(idx_dataset, out, seed=1, kind="ternary", extra=(), L=8):
     imgs, lbls = idx_dataset
     return [
         "train",
         "--images", str(imgs),
         "--labels", str(lbls),
-        "--L", "8",
+        "--L", str(L),
         "--seed", str(seed),
         "--weight-kind", kind,
         "--out", str(out),
@@ -85,8 +90,9 @@ class TestTrain:
             ("a,b,label\n1,2,0\n3,4\n", "line_3_has_2_fields,_expected_3"),
             ("a,b,label\n1,2,0\n3,4,1,99\n", "line_3_has_4_fields,_expected_3"),
             ("a,b,label\n1,2.5,0\n3,4,1\n", "line_2"),
+            ("a,b,label\n", "has_no_samples"),
         ],
-        ids=["short_row", "long_row", "non_integer"],
+        ids=["short_row", "long_row", "non_integer", "header_only"],
     )
     def test_malformed_labeled_csv_exit_1(self, tmp_path, capsys, text, detail):
         data = tmp_path / "train.csv"
@@ -184,6 +190,17 @@ class TestQuantizeAndClassify:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "reason=ModelFormatError" in captured.err and "NaN" in captured.err
+
+    def test_overflowing_float_scores_exit_1(self, tmp_path, capsys):
+        # A beta entry near float64's largest value, as a flipped exponent bit in a file gives.
+        model = near_zero_beta_model()
+        model.beta[0, 1] = -1e308
+        save_model(model, tmp_path / "big.ielm")
+        (tmp_path / "x.csv").write_text("1,2,3,4\n0,5,0,1\n9,9,9,9\n")
+        code = main(["classify", "--model", str(tmp_path / "big.ielm"), "--input", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "reason=ScoreOverflowError" in captured.err
 
     def test_feature_mismatch_exit_3(self, idx_dataset, rng, tmp_path, capsys):
         model_path = self._trained(idx_dataset, tmp_path)
@@ -308,3 +325,190 @@ class TestSelect:
         out = capsys.readouterr().out
         assert out.count("*") == 1
         assert "val_accuracy=" in out
+
+
+class TestSweepConfigTypes:
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("null", "config"),
+            ('{"mode": "size_sweep", "dataset": []}', "dataset"),
+            ('{"mode": "size_sweep", "dataset": {"kind": "textures"}, "models_per_L": "3"}', "models_per_L"),
+            ('{"mode": "size_sweep", "dataset": {"kind": "textures"}, "L_list": "ab"}', "L_list"),
+            ('{"mode": "size_sweep", "dataset": {"kind": "textures"}, "L_list": [10, true]}', "L_list"),
+            ('{"mode": "size_sweep", "dataset": {"kind": "textures", "preprocessing": "zero_mean"}}',
+             "dataset.preprocessing"),
+        ],
+        ids=["null", "dataset_list", "string_count", "string_L_list", "bool_in_L_list", "string_steps"],
+    )
+    def test_wrong_type_exit_4_naming_the_key(self, tmp_path, capsys, text, key):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 4
+        err = capsys.readouterr().err
+        assert "reason=invalid_config_key" in err.split() and f"key={key}" in err.split()
+
+
+def centred_task(rng, count, side=6):
+    """Two classes told apart by a pattern on a random brightness offset, which centring removes."""
+    labels = np.arange(count) % 2
+    pattern = np.where(np.indices((side, side)).sum(axis=0) % 2, 40, -40)
+    offset = rng.integers(60, 180, size=(count, 1, 1))
+    noise = rng.integers(-30, 31, size=(count, side, side))
+    images = offset + np.where(labels[:, None, None] == 0, pattern, -pattern) // 2 + noise
+    return np.clip(images, 0, 255).astype(np.uint8), labels.astype(np.uint8)
+
+
+class TestRecordedPreprocessing:
+    """classify and select give models raw samples; each model applies its recorded steps."""
+
+    @pytest.mark.parametrize("steps", ["zero_mean,l2_normalize", "zero_mean"])
+    def test_classify_matches_the_exact_normalized_hidden_layer(self, rng, tmp_path, capsys, steps):
+        images, labels = centred_task(rng, 600)
+        write_idx(images[:400], labels[:400], tmp_path / "tr.idx", tmp_path / "trl.idx")
+        write_idx(images[400:], labels[400:], tmp_path / "te.idx", tmp_path / "tel.idx")
+        fpath, qpath = tmp_path / "f.ielm", tmp_path / "q.ielm"
+        dataset = (tmp_path / "tr.idx", tmp_path / "trl.idx")
+        assert main(train_args(dataset, fpath, extra=("--preprocess", steps), L=32)) == 0
+        assert main(["quantize", "--model", str(fpath), "--out", str(qpath)]) == 0
+        model = load_model(fpath)
+        assert model.metadata["preprocessing"] == steps.split(",")
+        norm = preprocess(load_idx(tmp_path / "te.idx", tmp_path / "tel.idx"), steps.split(","))
+        exact = np.argmax(hidden_features(model.input_weights, norm.rows, norm.row_scale) @ model.beta, axis=1)
+        for path in (fpath, qpath):
+            capsys.readouterr()
+            assert main(["classify", "--model", str(path), "--input", str(tmp_path / "te.idx")]) == 0
+            got = np.array([int(v) for v in capsys.readouterr().out.split()])
+            assert np.mean(got == exact) >= 0.99
+            assert np.mean(got == norm.labels) >= 0.9
+
+    def test_constant_sample_exit_1_under_zero_mean(self, idx_dataset, tmp_path, capsys):
+        fpath, qpath = tmp_path / "f.ielm", tmp_path / "q.ielm"
+        assert main(train_args(idx_dataset, fpath, extra=("--preprocess", "zero_mean"))) == 0
+        assert main(["quantize", "--model", str(fpath), "--out", str(qpath)]) == 0
+        (tmp_path / "x.csv").write_text(",".join(["3"] * 15 + ["4"]) + "\n" + ",".join(["7"] * 16) + "\n")
+        capsys.readouterr()
+        assert main(["classify", "--model", str(qpath), "--input", str(tmp_path / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "reason=InputError" in captured.err
+        assert "constant_sample_at_row_1" in captured.err
+
+    @pytest.mark.parametrize("steps", ['"zero_mean"', '["whiten"]', "7", '["zero_mean", "zero_mean"]'])
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float", "integer"])
+    def test_hostile_preprocessing_metadata_exit_1(self, idx_dataset, tmp_path, capsys, steps, quantized):
+        fpath = tmp_path / "f.ielm"
+        assert main(train_args(idx_dataset, fpath)) == 0
+        model = load_model(fpath)
+        if quantized:
+            assert main(["quantize", "--model", str(fpath), "--out", str(tmp_path / "q.ielm")]) == 0
+            model = load_model(tmp_path / "q.ielm")
+        model.metadata["preprocessing"] = json.loads(steps)  # metadata is a plain dict
+        save_model(model, tmp_path / "hostile.ielm")
+        with pytest.raises(ModelFormatError, match="preprocessing"):
+            load_model(tmp_path / "hostile.ielm")
+        capsys.readouterr()
+        imgs, _ = idx_dataset
+        assert main(["classify", "--model", str(tmp_path / "hostile.ielm"), "--input", str(imgs)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "reason=ModelFormatError" in captured.err
+
+    def test_select_marks_the_model_chosen_on_normalized_samples(self, idx_dataset, tmp_path, capsys):
+        paths = []
+        for seed in (1, 2, 3, 4):
+            paths.append(str(tmp_path / f"m{seed}.ielm"))
+            assert main(train_args(idx_dataset, paths[-1], seed=seed)) == 0
+        norm = preprocess(load_idx(*idx_dataset), ["l2_normalize"])
+        models = [load_model(p) for p in paths]
+        accs = [float(np.mean(predict_float_batch(m, norm.samples) == norm.labels)) for m in models]
+        chosen = select_model(list(zip(models, accs)))
+        chosen = next(p for p, m in zip(paths, models) if m is chosen)
+        capsys.readouterr()
+        imgs, lbls = idx_dataset
+        assert main(["select", "--images", str(imgs), "--labels", str(lbls), "--models", *paths]) == 0
+        marked = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("*")]
+        assert marked == [chosen]
+
+    def test_select_takes_no_preprocess_option(self, idx_dataset, tmp_path, capsys):
+        imgs, lbls = idx_dataset
+        args = ["select", "--images", str(imgs), "--labels", str(lbls), "--preprocess", "zero_mean"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*args, "--models", str(tmp_path / "m.ielm")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --preprocess" in capsys.readouterr().err
+
+
+# --- damaged inputs through main ---------------------------------------------
+
+# Reasons main may give for a damaged input: the program's typed errors and
+# its documented reasons. A numpy or Python built-in error is never one.
+TYPED_ERRORS = {
+    "DataFormatError", "ModelFormatError", "InputError", "HeadroomError", "QuantizationError",
+    "ScoreOverflowError",
+}
+DOCUMENTED_REASONS = {"feature_mismatch", "shape_mismatch", "missing_file"}
+
+# file name of each valid input, and the intelm command that reads it from a directory
+COMMANDS = {
+    "idx_images": ("img.idx", ["train", "--images", "{}", "--labels", "lbl.idx"]),
+    "idx_labels": ("lbl.idx", ["train", "--images", "img.idx", "--labels", "{}"]),
+    "csv": ("train.csv", ["train", "--csv", "{}"]),
+    "input_idx": ("input.idx", ["classify", "--model", "q.ielm", "--input", "{}", "--scores"]),
+    "input_csv": ("input.csv", ["classify", "--model", "f.ielm", "--input", "{}", "--format", "csv"]),
+    "float_model": ("f.ielm", ["classify", "--model", "{}", "--input", "input.idx", "--scores"]),
+    "integer_model": ("q.ielm", ["classify", "--model", "{}", "--input", "input.csv", "--scores"]),
+    "centred_model": ("qz.ielm", ["classify", "--model", "{}", "--input", "input.idx"]),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Directory holding one valid file of every input intelm train and classify read."""
+    d = tmp_path_factory.mktemp("cli-valid")
+    rng = make_rng(31)
+    images, labels = centred_task(rng, 12, side=4)
+    write_idx(images, labels, d / "img.idx", d / "lbl.idx")
+    write_idx(images[:3], labels[:3], d / "input.idx", d / "input-labels.idx")
+    (d / "train.csv").write_text("a,b,c,label\n12,250,3,0\n7,0,1,1\n\n-3,44,2,0\n9,9,1,1\n")
+    (d / "input.csv").write_text("\n".join(",".join(map(str, row)) for row in images[3:6].reshape(3, -1)))
+    for steps, f, q in (("l2_normalize", "f.ielm", "q.ielm"), ("zero_mean", "fz.ielm", "qz.ielm")):
+        assert main(train_args((d / "img.idx", d / "lbl.idx"), d / f, extra=("--preprocess", steps))) == 0
+        assert main(["quantize", "--model", str(d / f), "--out", str(d / q)]) == 0
+    return d
+
+
+@st.composite
+def damaged_cli_input(draw):
+    """One valid input of intelm train or classify cut short, or with a few bytes changed."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    cut = draw(st.none() | st.integers(0, 4000))
+    flips = draw(st.lists(st.tuples(st.integers(0, 4000), st.integers(1, 255)), max_size=4))
+    return name, cut, flips
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(damaged_cli_input())
+def test_damaged_input_through_main_exits_with_a_typed_reason(cli_inputs, tmp_path_factory, case):
+    name, cut, flips = case
+    file, command = COMMANDS[name]
+    blob = bytearray((cli_inputs / file).read_bytes())
+    for at, mask in flips:
+        blob[at % len(blob)] ^= mask
+    if cut is not None:
+        blob = blob[: cut % len(blob)]
+    path = tmp_path_factory.getbasetemp() / f"damaged-{file}"
+    path.write_bytes(bytes(blob))
+    argv = [str(path) if arg == "{}" else arg for arg in command]
+    if argv[0] == "train":
+        argv += ["--L", "4", "--out", str(tmp_path_factory.getbasetemp() / "fuzz.ielm"), "--force"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.MonkeyPatch.context() as mp:
+        mp.setenv("INTELM_DATA_DIR", str(cli_inputs))
+        mp.chdir(tmp_path_factory.getbasetemp())
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        return
+    lines = err.getvalue().splitlines()
+    assert code in (1, 2, 3) and len(lines) == 1 and lines[0].startswith("error "), err.getvalue()
+    fields = dict(part.split("=", 1) for part in lines[0].split()[1:])
+    assert fields["reason"] in TYPED_ERRORS | DOCUMENTED_REASONS, lines[0]

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from intelm.data import (
     DataFormatError,
     RawDataset,
+    check_steps,
     extract_patches,
+    integer_rows,
     load_cifar10,
     load_csv,
     load_csv_samples,
@@ -207,6 +209,44 @@ class TestPreprocess:
     def test_unknown_step(self):
         with pytest.raises(ValueError, match="unknown preprocessing step"):
             preprocess(self._raw([[1, 2]], labels=[0], m=1), ["whiten"])
+
+    @pytest.mark.parametrize(
+        "steps, match",
+        [("zero_mean", "must be a list"), (7, "must be a list"), (["whiten"], "unknown"),
+         ([["zero_mean"]], "unknown"), (["l2_normalize", "l2_normalize"], "repeated")],
+    )
+    def test_check_steps_rejects(self, steps, match):
+        with pytest.raises(ValueError, match=match):
+            check_steps(steps)
+
+    def test_check_steps_returns_a_tuple(self):
+        assert check_steps(["zero_mean", "l2_normalize"]) == ("zero_mean", "l2_normalize")
+        assert check_steps(()) == ()
+
+    @pytest.mark.parametrize("steps", [[], ["l2_normalize"], ["zero_mean"], ["zero_mean", "l2_normalize"]])
+    def test_rows_are_the_shared_integer_row_transform(self, rng, steps):
+        samples = rng.integers(0, 256, size=(20, 7)).astype(np.uint8)
+        rows = preprocess(self._raw(samples), steps).rows
+        np.testing.assert_array_equal(rows, integer_rows(samples, steps))
+        np.testing.assert_array_equal(integer_rows(samples[3], steps), rows[3])  # one sample
+        centred = "zero_mean" in steps
+        expected = 7 * samples.astype(np.int64) - samples.sum(axis=1, keepdims=True) if centred else samples
+        np.testing.assert_array_equal(rows, expected)
+        assert rows.dtype == np.int64
+
+    def test_integer_rows_leave_int64_only_when_centring_would_overflow(self):
+        assert integer_rows(np.array([[2**61, 0]]), ["zero_mean"]).dtype == np.float64
+        assert integer_rows(np.array([[2**62 + 1, 0]]), []).tolist() == [[2**62 + 1, 0]]
+        assert integer_rows(np.array([[2**63]], dtype=np.uint64), []).dtype == np.float64
+        assert integer_rows(np.array([[2**61 - 1, 0]]), ["zero_mean"]).tolist() == [[2**61 - 1, -(2**61 - 1)]]
+        assert integer_rows(np.array([[0.5, 1.5]]), ["zero_mean"]).tolist() == [[-1.0, 1.0]]
+
+    def test_steps_act_as_a_set(self, rng):
+        raw = self._raw(rng.integers(0, 256, size=(10, 5)))
+        a = preprocess(raw, ["zero_mean", "l2_normalize"])
+        b = preprocess(raw, ["l2_normalize", "zero_mean"])
+        np.testing.assert_array_equal(a.rows, b.rows)
+        np.testing.assert_array_equal(a.row_scale, b.row_scale)
 
 
 class TestSplit:

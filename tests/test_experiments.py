@@ -192,6 +192,15 @@ class TestSizeSweep:
         parallel = run_size_sweep(texture_config(jobs=4))
         assert serial.rows == parallel.rows
 
+    @pytest.mark.parametrize("steps", [["zero_mean", "l2_normalize"], ["zero_mean"]])
+    def test_both_arms_score_raw_samples_through_the_recorded_steps(self, steps):
+        dataset = {"kind": "textures", "count": 60, "size": 64, "preprocessing": steps}
+        report = run_size_sweep(texture_config(dataset=dataset, L_list=[40], seed=5))
+        rows = {r["arm"]: r for r in report.rows}
+        assert rows["original"]["test_accuracy"] == rows["proposed"]["test_accuracy"] == 1.0
+        assert rows["proposed"]["agreement_with_float"] == 1.0
+        assert not any("zero-mean" in note for note in report.notes)
+
     def test_accuracies_in_unit_interval(self):
         report = run_size_sweep(texture_config())
         for row in report.rows:

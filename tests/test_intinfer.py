@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_float_model, random_quantized_model
+from intelm.data import integer_rows
 from intelm.elm import FloatModel, check_ternary, predict_float
 from intelm.experiments import make_quantized
 from intelm.intinfer import (
     INT32_MAX,
+    INT64_MAX,
     HeadroomError,
     InputError,
     OpCounter,
@@ -19,6 +22,7 @@ from intelm.intinfer import (
     classify_int_counted,
     hidden_bound,
     int_scores,
+    output_beta_limit,
     relu_int,
     ternary_project,
     ternary_project_counted,
@@ -35,6 +39,7 @@ def float_twin(model: QuantizedModel) -> FloatModel:
         gamma=1.0,
         weight_kind="ternary",
         seed=model.seed,
+        metadata=dict(model.metadata),
     )
 
 
@@ -183,25 +188,38 @@ class TestHeadroom:
 
 @st.composite
 def models_and_inputs(draw):
-    """A small ternary model, a declared range on either side of 2**24, and rows in it."""
+    """A small ternary model, centred or not, a range whose bound is on either side of 2**24, and rows in it."""
     n, L, m, rows = (draw(st.integers(1, k)) for k in (8, 6, 4, 4))
+    centred = draw(st.booleans())
     W = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n * L, max_size=n * L)))
     V = np.array(draw(st.lists(st.integers(-(2**20), 2**20), min_size=L * m, max_size=L * m)))
-    # hi = 2**k - 1 is odd, so from k = 25 on float32 cannot hold it.
-    hi = min(2 ** draw(st.integers(0, 31)), INT32_MAX // n + 1) - 1
-    lo = -draw(st.integers(0, hi))
+    # The largest span the int32 proof admits; 2**k - 1 is odd, so from k = 25 on float32 cannot hold it.
+    per_unit = max(1, hidden_bound(n, (0, 1), centred))
+    span = min(2 ** draw(st.integers(0, 31)), INT32_MAX // per_unit + 1) - 1
+    lo = -draw(st.integers(0, span))
+    hi = lo + span if centred else span
     x = st.integers(lo, hi) | st.sampled_from([lo, hi])
     X = np.array(draw(st.lists(x, min_size=rows * n, max_size=rows * n)))
     model = QuantizedModel(
         ternary_weights=W.reshape(n, L).astype(np.int8),
         int_beta=IntegerBeta(values=V.reshape(L, m).astype(np.int64), tau=1.0),
         input_range=(lo, hi),
+        metadata={"preprocessing": ["zero_mean"] if centred else []},
     )
     return model, X.reshape(rows, n).astype(np.int64)
 
 
+def reference_rows(model, X):
+    """n*x - sum(x) for a centring model, else x, in int64 without the library's transform."""
+    X = np.asarray(X, dtype=np.int64)
+    if "zero_mean" in model.metadata.get("preprocessing", []):
+        return X.shape[-1] * X - X.sum(axis=-1, keepdims=True)
+    return X
+
+
 def int64_reference_scores(model, X):
-    return np.maximum(X @ model.ternary_weights.astype(np.int64), 0) @ model.int_beta.values
+    H = np.maximum(reference_rows(model, X) @ model.ternary_weights.astype(np.int64), 0)
+    return H @ model.int_beta.values
 
 
 class TestKernelExactness:
@@ -209,11 +227,24 @@ class TestKernelExactness:
     @given(models_and_inputs())
     def test_scores_match_int64_reference_and_audit(self, case):
         model, X = case
-        reference = X @ model.ternary_weights.astype(np.int64)
-        np.testing.assert_array_equal(ternary_project(model.kernel_weights, X), reference)
+        bound = hidden_bound(model.n, model.input_range, model.centred)
+        Z = reference_rows(model, X)
+        np.testing.assert_array_equal(integer_rows(X, model.steps), Z)
+        assert (np.abs(Z).sum(axis=1) <= bound).all()
+        reference = Z @ model.ternary_weights.astype(np.int64)
+        np.testing.assert_array_equal(ternary_project(model.kernel_weights, Z), reference)
         np.testing.assert_array_equal(int_scores(model, X), int64_reference_scores(model, X))
-        for x in X[np.any(X, axis=1)]:
-            assert classify_int(model, x) == classify_int_counted(model, x, OpCounter())
+        twin = float_twin(model)
+        for x, z in zip(X, Z):
+            if not z.any():
+                for classify in (classify_int, lambda m, x: classify_int_counted(m, x, OpCounter())):
+                    with pytest.raises(InputError, match="constant" if model.centred else "all-zero"):
+                        classify(model, x)
+                continue
+            label = classify_int(model, x)
+            assert label == classify_int_counted(model, x, OpCounter())
+            if model.int_beta.max_abs * model.L * bound < 2**53:  # the float64 scores are exact
+                assert label == predict_float(twin, x)
 
     @pytest.mark.parametrize(
         "n, input_range, dtype",
@@ -266,6 +297,108 @@ class TestKernelExactness:
         # The caller's array stays writeable; the cache is a copy.
         W[0, 1] = 1
         assert model.kernel_weights[0, 1] == 0
+
+
+def centred_model(n, L=2, m=2, input_range=(0, 255), values=None):
+    W = np.tile(np.array([1, -1] * L, dtype=np.int8)[:L], (n, 1))
+    W[0] = 0
+    if values is None:
+        values = np.arange(L * m, dtype=np.int64).reshape(L, m) - 1
+    return QuantizedModel(
+        ternary_weights=W,
+        int_beta=IntegerBeta(values=np.asarray(values, dtype=np.int64), tau=1.0),
+        input_range=input_range,
+        metadata={"preprocessing": ["zero_mean", "l2_normalize"]},
+    )
+
+
+class TestCentredRows:
+    @pytest.mark.parametrize("input_range", [(0, 3), (-2, 1), (5, 5)])
+    def test_bound_is_attained_by_brute_force(self, input_range):
+        lo, hi = input_range
+        for n in range(1, 7):
+            X = np.array(list(itertools.product(range(lo, hi + 1), repeat=n)))
+            largest = int(np.abs(n * X - X.sum(axis=1, keepdims=True)).sum(axis=1).max())
+            assert largest == hidden_bound(n, input_range, centred=True)
+
+    @pytest.mark.parametrize("n, bound", [(784, 78_368_640), (3072, 1_203_240_960)])
+    def test_mnist_and_cifar_widths_fit_int32_with_the_float64_kernel(self, n, bound):
+        assert hidden_bound(n, (0, 255), centred=True) == bound < INT32_MAX
+        model = centred_model(n)
+        assert model.kernel_weights.dtype == np.float64
+        X = np.tile([0, 255], (2, n // 2))
+        X[1, 0] = 7
+        np.testing.assert_array_equal(int_scores(model, X), int64_reference_scores(model, X))
+
+    def test_constant_rows_rejected_by_all_three_paths_and_scored_zero(self):
+        model = centred_model(4)
+        X = np.array([[3, 1, 4, 1], [9, 9, 9, 9], [0, 0, 0, 0]])
+        for row in (1, 2):
+            with pytest.raises(InputError, match="constant sample at row 0"):
+                classify_int(model, X[row])
+            with pytest.raises(InputError, match="constant sample at row 0"):
+                classify_int_counted(model, X[row], OpCounter())
+        with pytest.raises(InputError, match="constant sample at row 1"):
+            classify_int_batch(model, X)
+        assert int_scores(model, X)[1:].tolist() == [[0, 0], [0, 0]]
+        assert classify_int_batch(model, X[:1]).tolist() == [classify_int(model, X[0])]
+
+    def test_all_zero_rows_rejected_by_all_three_paths(self, rng):
+        model = random_quantized_model(rng)
+        X = rng.integers(1, 256, size=(3, model.n))
+        X[2] = 0
+        with pytest.raises(InputError, match="all-zero sample at row 2"):
+            classify_int_batch(model, X)
+        with pytest.raises(InputError, match="all-zero"):
+            classify_int_counted(model, X[2], OpCounter())
+        assert not int_scores(model, X[2]).any()
+
+    def test_audit_counts_the_centring_and_no_projection_multiply(self, rng):
+        model = random_quantized_model(rng, n=6, L=5, m=3, steps=["zero_mean"])
+        x = random_sample(rng, model)
+        z = reference_rows(model, x)
+        counter, projection = OpCounter(), OpCounter()
+        assert classify_int_counted(model, x, counter) == classify_int(model, x)
+        ternary_project_counted(model.ternary_weights, z, projection)
+        assert projection.int_muls == 0
+        assert counter.int_muls == model.n + model.L * model.m
+        assert counter.int_adds == 2 * model.n + projection.int_adds + model.L * model.m
+        assert counter.float_ops == 0
+
+    def test_steps_are_the_models_own_copy(self):
+        model = centred_model(4)
+        before = int_scores(model, np.array([3, 1, 4, 1]))
+        model.metadata["preprocessing"].remove("zero_mean")
+        model.metadata["preprocessing"] = ["whiten"]
+        assert model.steps == ("zero_mean", "l2_normalize") and model.centred
+        np.testing.assert_array_equal(int_scores(model, np.array([3, 1, 4, 1])), before)
+        with pytest.raises(FrozenInstanceError):
+            model.steps = ()
+
+    @pytest.mark.parametrize("steps", ["zero_mean", ["whiten"], 7, ["zero_mean", "zero_mean"], [["zero_mean"]]])
+    def test_hostile_steps_rejected_by_both_models(self, steps):
+        with pytest.raises(ValueError, match="preprocessing"):
+            QuantizedModel(np.eye(2, dtype=np.int8), IntegerBeta(values=np.eye(2, dtype=np.int64), tau=1.0),
+                           metadata={"preprocessing": steps})
+        with pytest.raises(ValueError, match="preprocessing"):
+            FloatModel(np.eye(2, dtype=np.int8), np.eye(2), 1.0, "ternary", 0, metadata={"preprocessing": steps})
+
+    def test_centred_headroom_is_proved_and_fitted(self):
+        # max |v| = 1e9 at rung 0: inside the i32 storage and the uncentred output limit at
+        # n=784, L=200, past the centred one.
+        n, L = 784, 200
+        assert output_beta_limit(n, L, (0, 255), True) < 10**9 < min(2**31, output_beta_limit(n, L, (0, 255)))
+        beta = np.full((L, 2), 1e-9)
+        beta[0, 0] = 1.0
+        W = np.tile(np.array([1, -1], dtype=np.int8), (n, L // 2))
+        for steps, fitted in (([], False), (["zero_mean"], True)):
+            fm = FloatModel(W, beta, 1.0, "ternary", 0, metadata={"preprocessing": steps})
+            qm = make_quantized(fm, (0, 255), fit_headroom=True)
+            assert (qm.int_beta.ladder_step > 0) == fitted
+            assert qm.int_beta.max_abs <= output_beta_limit(n, L, (0, 255), qm.centred)
+        with pytest.raises(HeadroomError, match="output accumulator"):
+            make_quantized(fm, (0, 255))
+        assert INT64_MAX // (L * hidden_bound(n, (0, 255), True)) == output_beta_limit(n, L, (0, 255), True)
 
 
 class TestOwnedWeights:
