@@ -64,9 +64,9 @@ class FloatModel:
 
     Bias is fixed at zero and the activation is ReLU; both are load-bearing
     for the raw-integer classification path, so neither is configurable.
-    metadata["preprocessing"] records the steps training applied (steps
-    reads and checks them); the scorer applies their integer row transform
-    to raw samples.
+    metadata["preprocessing"] records the steps training applied; steps is
+    that list, checked once here, and the scorer applies its integer row
+    transform to raw samples.
     solve_residual is the max-abs normal-equation residual of the solve
     that produced beta (None when the model was not trained in this
     process); it is never written to a model file.
@@ -80,6 +80,7 @@ class FloatModel:
     prng_id: str = PRNG_ID
     metadata: dict = field(default_factory=dict)
     solve_residual: float | None = field(default=None, repr=False, compare=False)
+    steps: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weight_kind not in WEIGHT_KINDS:
@@ -93,7 +94,7 @@ class FloatModel:
             )
         if not np.all(np.isfinite(self.beta)):
             raise ValueError("beta contains NaN or Inf")
-        check_steps(self.metadata.get("preprocessing", []))
+        self.steps = check_steps(self.metadata.get("preprocessing", []))
         if self.weight_kind in ("ternary", "pm1"):
             check_ternary(self.input_weights)
         elif np.issubdtype(self.input_weights.dtype, np.integer):
@@ -101,11 +102,6 @@ class FloatModel:
                 f"{self.weight_kind} weights must be floats, got {self.input_weights.dtype}; "
                 "pass the weight_kind the weights were generated with"
             )
-
-    @property
-    def steps(self) -> tuple[str, ...]:
-        """The recorded preprocessing steps, checked on every read."""
-        return check_steps(self.metadata.get("preprocessing", []))
 
     @property
     def n(self) -> int:

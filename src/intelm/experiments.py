@@ -12,8 +12,10 @@ model applies its own recorded preprocessing (data.integer_rows).
 from __future__ import annotations
 
 import csv
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,14 +63,6 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
-# The JSON types of the config keys; a JSON true or false is not a number.
-_KEY_TYPES = dict(
-    mode=str, dataset=dict, L_list=list, models_per_L=int, pairs=int, gamma=(int, float), seed=int,
-    selection_threshold=(int, float), split_fraction=(int, float), train_limit=(int, type(None)),
-    jobs=int, out_csv=(str, type(None)),
-)
-
-
 @dataclass
 class ExperimentConfig:
     mode: str
@@ -87,9 +81,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError("mode", f"invalid config key mode={self.mode!r}; one of {MODES}")
-        L_list = self.L_list
-        if not L_list or any(type(L) is not int for L in L_list) or sorted(L_list) != list(L_list):
-            raise ConfigError("L_list", f"L_list must be nonempty ascending integers, got {L_list}")
+        if any(isinstance(L, bool) or not isinstance(L, int) for L in self.L_list):
+            raise ConfigError("L_list", f"L_list must hold integers, got {self.L_list}")
+        if not self.L_list or sorted(self.L_list) != list(self.L_list):
+            raise ConfigError("L_list", f"L_list must be nonempty ascending, got {self.L_list}")
         if self.models_per_L < 1:
             raise ConfigError("models_per_L", f"models_per_L must be >= 1, got {self.models_per_L}")
         if not 0.0 < self.selection_threshold <= 1.0:
@@ -106,15 +101,24 @@ class ExperimentConfig:
         """A config from parsed JSON; an unknown key or a value of the wrong type names its key."""
         if not isinstance(raw, dict):
             raise ConfigError("config", f"config is a JSON {type(raw).__name__}, not an object")
+        known = {f.name for f in fields(cls)}
+        hints = typing.get_type_hints(cls)
         for key, value in raw.items():
-            if key not in _KEY_TYPES:
+            if key not in known:
                 raise ConfigError(key, f"invalid config key {key!r}")
-            if isinstance(value, bool) or not isinstance(value, _KEY_TYPES[key]):
+            if isinstance(value, bool) or not isinstance(value, _json_types(hints[key])):
                 raise ConfigError(key, f"config key {key} has the wrong type: {value!r}")
         if "mode" not in raw or "dataset" not in raw:
             missing = "mode" if "mode" not in raw else "dataset"
             raise ConfigError(missing, f"missing required config key {missing!r}")
         return cls(**raw)
+
+
+def _json_types(hint) -> tuple[type, ...]:
+    """The JSON value types a field annotation admits: int where it says float, None if optional."""
+    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    admitted = tuple(typing.get_origin(t) or t for t in options)
+    return admitted + (int,) if float in admitted else admitted
 
 
 @dataclass
@@ -162,16 +166,20 @@ def resolve_dataset(spec: dict) -> tuple[dat.RawDataset, dat.RawDataset, list[st
     except ValueError as e:
         raise ConfigError("dataset.preprocessing", str(e)) from None
     if kind == "textures":
-        _reject_unknown(spec, {"patch_size", "count", "seed", "size"}, "dataset")
+        allowed = {"patch_size", "count", "seed", "size"}
+        _reject_unknown(spec, allowed, "dataset")
         train_raw, test_raw = dat.synthetic_textures(**spec)
     elif kind == "mnist":
-        keys = {"train_images", "train_labels", "test_images", "test_labels"}
-        _reject_unknown(spec, keys, "dataset")
+        _reject_unknown(
+            spec, {"train_images", "train_labels", "test_images", "test_labels"}, "dataset"
+        )
         train_raw = dat.load_idx(spec["train_images"], spec["train_labels"])
         test_raw = dat.load_idx(spec["test_images"], spec["test_labels"])
     elif kind == "cifar10":
         _reject_unknown(spec, {"train_batches", "test_batches", "class_filter"}, "dataset")
-        class_filter = tuple(spec["class_filter"]) if spec.get("class_filter") is not None else None
+        class_filter = spec.get("class_filter")
+        if class_filter is not None:
+            class_filter = tuple(class_filter)
         train_raw = dat.load_cifar10(spec["train_batches"], class_filter)
         test_raw = dat.load_cifar10(spec["test_batches"], class_filter)
     else:
@@ -229,7 +237,9 @@ def make_quantized(
     """
     if model.weight_kind not in ("ternary", "pm1"):
         raise ValueError(f"integer path needs ternary weights, model has {model.weight_kind}")
-    meta = {**model.metadata, "gamma": model.gamma, "prng_id": model.prng_id}
+    meta = dict(model.metadata)
+    meta["gamma"] = model.gamma
+    meta["prng_id"] = model.prng_id
     ib = quantize_beta(model.beta)
     if fit_headroom:
         centred = "zero_mean" in model.steps
@@ -286,15 +296,18 @@ def run_weight_comparison(config: ExperimentConfig) -> SweepReport:
     seeds = split_seed(config.seed, config.pairs * 2)
 
     def job(args):
-        kind, seed = args
+        arm, kind, seed = args
         model = _train_one(train_norm, kind, L, config.gamma, seed)
-        return kind, seed, _accuracy(predict_float_batch(model, test_raw.samples), test_raw.labels)
+        acc = _accuracy(predict_float_batch(model, test_raw.samples), test_raw.labels)
+        return arm, seed, acc
 
-    arms = ("continuous", "ternary")  # each arm is named after its weight kind
-    tasks = [(kind, seeds[2 * i + j]) for i in range(config.pairs) for j, kind in enumerate(arms)]
+    tasks = []
+    for i in range(config.pairs):
+        tasks.append(("continuous", "continuous", seeds[2 * i]))
+        tasks.append(("ternary", "ternary", seeds[2 * i + 1]))
     results = _run_pool(job, tasks, config.jobs)
 
-    per_arm: dict[str, list[float]] = {arm: [] for arm in arms}
+    per_arm: dict[str, list[float]] = {"continuous": [], "ternary": []}
     for arm, seed, acc in results:
         per_arm[arm].append(acc)
         report.add(dataset=train_raw.source, arm=arm, L=L, seed=seed, test_accuracy=acc)
@@ -399,8 +412,9 @@ def run_size_sweep(config: ExperimentConfig) -> SweepReport:
                     qm = make_quantized(chosen, test_raw.value_range, fit_headroom=True)
                     pred = classify_int_batch(qm, test_raw.samples)
                     row["bit_width"] = bit_width(qm.int_beta)
-                    float_pred = predict_float_batch(chosen, test_raw.samples)
-                    row["agreement_with_float"] = _accuracy(pred, float_pred)
+                    row["agreement_with_float"] = _accuracy(
+                        pred, predict_float_batch(chosen, test_raw.samples)
+                    )
                 else:
                     pred = predict_float_batch(chosen, test_raw.samples)
                 test_acc = _accuracy(pred, test_raw.labels)

@@ -191,18 +191,18 @@ def relu_int(v) -> np.ndarray:
     return np.maximum(v, 0)
 
 
-def _classifiable(model: QuantizedModel, X) -> np.ndarray:
-    """Checked int64 samples X; a row whose integer row is all zero is an InputError.
+def _reject_zero_rows(model: QuantizedModel, X: np.ndarray) -> None:
+    """A sample whose integer row is all zero is an InputError.
 
-    That row is an all-zero sample, or a constant one when the model
-    centres: scale invariance of the raw path holds only for the rest.
+    That is an all-zero sample or, when the model centres, a constant one:
+    n*x_j - sum(x) is 0 for every j exactly when every x_j is equal. So the
+    check reads the raw samples and needs no transform. Scale invariance of
+    the raw path holds only for the other samples.
     """
-    X = _check_sample(model, X)
-    zero = ~integer_rows(X, model.steps).any(axis=-1)
+    zero = (X == X[..., :1]).all(axis=-1) if model.centred else ~X.any(axis=-1)
     if zero.any():
         kind = "constant" if model.centred else "all-zero"
         raise InputError(f"cannot classify the {kind} sample at row {int(np.argmax(zero))}")
-    return X
 
 
 def int_scores(model: QuantizedModel, X) -> np.ndarray:
@@ -216,12 +216,14 @@ def classify_int(model: QuantizedModel, x) -> int:
     x = np.asarray(x)
     if x.ndim != 1:
         raise DimensionError(f"classify_int takes one sample, got shape {x.shape}")
-    return int(np.argmax(int_scores(model, _classifiable(model, x))))
+    _reject_zero_rows(model, x)
+    return int(np.argmax(int_scores(model, x)))
 
 
 def classify_int_batch(model: QuantizedModel, X) -> np.ndarray:
     """Classify each row of an integer sample matrix."""
-    X = _classifiable(model, np.atleast_2d(np.asarray(X)))
+    X = np.atleast_2d(np.asarray(X))
+    _reject_zero_rows(model, X)
     return np.argmax(int_scores(model, X), axis=1)
 
 
@@ -254,7 +256,9 @@ def ternary_project_counted(W, x, counter: OpCounter) -> list[int]:
 
 
 def classify_int_counted(model: QuantizedModel, x, counter: OpCounter) -> int:
-    xs = [int(v) for v in _classifiable(model, x)]
+    x = _check_sample(model, x)
+    _reject_zero_rows(model, x)
+    xs = [int(v) for v in x]
     if model.centred:  # n*x - sum(x), one multiply per input
         total = 0
         for v in xs:

@@ -64,6 +64,10 @@ def save_model(model: FloatModel | QuantizedModel, path) -> None:
         beta_payload = np.ascontiguousarray(ib.values, dtype="<i4").tobytes()
         m = ib.values.shape[1]
         prng_id = str(model.metadata.get("prng_id", ""))
+        meta = model.metadata
+        if model.steps or "preprocessing" in meta:
+            # the steps the headroom proof used, whatever the metadata dict says now
+            meta = {**meta, "preprocessing": list(model.steps)}
     else:
         kind, beta_code = model.weight_kind, 0
         W = model.input_weights
@@ -72,12 +76,13 @@ def save_model(model: FloatModel | QuantizedModel, path) -> None:
         beta_payload = np.ascontiguousarray(model.beta, dtype="<f8").tobytes()
         m = model.m
         prng_id = model.prng_id
+        meta = model.metadata
     n, L = W.shape
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, n, L, m, gamma, _WEIGHT_CODES[kind], beta_code, model.seed
     )
     prng_bytes = prng_id.encode()
-    meta_bytes = json.dumps(model.metadata, sort_keys=True).encode()
+    meta_bytes = json.dumps(meta, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(extra)

@@ -28,6 +28,7 @@ from intelm.intinfer import (
     ternary_project_counted,
 )
 from intelm.linalg import DimensionError
+from intelm.modelio import load_model, save_model
 from intelm.quantize import IntegerBeta
 
 
@@ -187,10 +188,9 @@ class TestHeadroom:
 
 
 @st.composite
-def models_and_inputs(draw):
-    """A small ternary model, centred or not, a range whose bound is on either side of 2**24, and rows in it."""
+def models_and_inputs(draw, centred=False):
+    """A small ternary model, centred if asked, a range whose bound is on either side of 2**24, and rows in it."""
     n, L, m, rows = (draw(st.integers(1, k)) for k in (8, 6, 4, 4))
-    centred = draw(st.booleans())
     W = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n * L, max_size=n * L)))
     V = np.array(draw(st.lists(st.integers(-(2**20), 2**20), min_size=L * m, max_size=L * m)))
     # The largest span the int32 proof admits; 2**k - 1 is odd, so from k = 25 on float32 cannot hold it.
@@ -222,29 +222,37 @@ def int64_reference_scores(model, X):
     return H @ model.int_beta.values
 
 
+def check_scores_against_int64_reference_and_audit(model, X):
+    bound = hidden_bound(model.n, model.input_range, model.centred)
+    Z = reference_rows(model, X)
+    np.testing.assert_array_equal(integer_rows(X, model.steps), Z)
+    assert (np.abs(Z).sum(axis=1) <= bound).all()
+    reference = Z @ model.ternary_weights.astype(np.int64)
+    np.testing.assert_array_equal(ternary_project(model.kernel_weights, Z), reference)
+    np.testing.assert_array_equal(int_scores(model, X), int64_reference_scores(model, X))
+    twin = float_twin(model)
+    for x, z in zip(X, Z):
+        if not z.any():
+            for classify in (classify_int, lambda m, x: classify_int_counted(m, x, OpCounter())):
+                with pytest.raises(InputError, match="constant" if model.centred else "all-zero"):
+                    classify(model, x)
+            continue
+        label = classify_int(model, x)
+        assert label == classify_int_counted(model, x, OpCounter())
+        if model.int_beta.max_abs * model.L * bound < 2**53:  # the float64 scores are exact
+            assert label == predict_float(twin, x)
+
+
 class TestKernelExactness:
     @settings(max_examples=300, deadline=None, database=None)
     @given(models_and_inputs())
     def test_scores_match_int64_reference_and_audit(self, case):
-        model, X = case
-        bound = hidden_bound(model.n, model.input_range, model.centred)
-        Z = reference_rows(model, X)
-        np.testing.assert_array_equal(integer_rows(X, model.steps), Z)
-        assert (np.abs(Z).sum(axis=1) <= bound).all()
-        reference = Z @ model.ternary_weights.astype(np.int64)
-        np.testing.assert_array_equal(ternary_project(model.kernel_weights, Z), reference)
-        np.testing.assert_array_equal(int_scores(model, X), int64_reference_scores(model, X))
-        twin = float_twin(model)
-        for x, z in zip(X, Z):
-            if not z.any():
-                for classify in (classify_int, lambda m, x: classify_int_counted(m, x, OpCounter())):
-                    with pytest.raises(InputError, match="constant" if model.centred else "all-zero"):
-                        classify(model, x)
-                continue
-            label = classify_int(model, x)
-            assert label == classify_int_counted(model, x, OpCounter())
-            if model.int_beta.max_abs * model.L * bound < 2**53:  # the float64 scores are exact
-                assert label == predict_float(twin, x)
+        check_scores_against_int64_reference_and_audit(*case)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(models_and_inputs(centred=True))
+    def test_centred_scores_match_int64_reference_and_audit(self, case):
+        check_scores_against_int64_reference_and_audit(*case)
 
     @pytest.mark.parametrize(
         "n, input_range, dtype",
@@ -365,15 +373,23 @@ class TestCentredRows:
         assert counter.int_adds == 2 * model.n + projection.int_adds + model.L * model.m
         assert counter.float_ops == 0
 
-    def test_steps_are_the_models_own_copy(self):
+    def test_steps_are_the_models_own_copy(self, tmp_path):
         model = centred_model(4)
-        before = int_scores(model, np.array([3, 1, 4, 1]))
+        x = np.array([3, 1, 4, 1])
+        before = int_scores(model, x)
         model.metadata["preprocessing"].remove("zero_mean")
-        model.metadata["preprocessing"] = ["whiten"]
         assert model.steps == ("zero_mean", "l2_normalize") and model.centred
-        np.testing.assert_array_equal(int_scores(model, np.array([3, 1, 4, 1])), before)
+        np.testing.assert_array_equal(int_scores(model, x), before)
         with pytest.raises(FrozenInstanceError):
             model.steps = ()
+        # The file records the steps the model was proved against, not the edited dict.
+        for edited in (["l2_normalize"], [], ["whiten"]):
+            model.metadata["preprocessing"] = edited
+            save_model(model, tmp_path / "m.ielm")
+            loaded = load_model(tmp_path / "m.ielm")
+            assert loaded.steps == model.steps
+            assert loaded.metadata == {**model.metadata, "preprocessing": list(model.steps)}
+            np.testing.assert_array_equal(int_scores(loaded, x), before)
 
     @pytest.mark.parametrize("steps", ["zero_mean", ["whiten"], 7, ["zero_mean", "zero_mean"], [["zero_mean"]]])
     def test_hostile_steps_rejected_by_both_models(self, steps):
