@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -213,7 +214,12 @@ def cmd_select(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use and shared by every main call.
+
+    Callers must not modify it.
+    """
     parser = argparse.ArgumentParser(prog="intelm", description=__doc__)
     parser.add_argument("--verbose", "-v", action="count", default=0)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -234,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-limit", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("quantize", help="integer output weights from a trained model")
     p.add_argument("--model", required=True)
@@ -242,14 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ladder-steps", type=int, default=0)
     p.add_argument("--input-range", default="0,255")
     p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("classify", help="classify samples from a file")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("auto", "idx", "csv"), default="auto")
     p.add_argument("--scores", action="store_true")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sweep", help="run an experiment config, emit CSV")
     p.add_argument("--config", required=True)
@@ -257,20 +260,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("select", help="pick the best model from candidates")
     add_dataset_args(p)
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--threshold", type=float, default=0.95)
-    p.set_defaults(func=cmd_select)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Resolved per call, not bound into the cached parser, so a later
+    # rebinding of a module-level cmd_* name takes effect.
+    command = globals()[f"cmd_{args.subcommand}"]
     try:
-        return args.func(args)
+        return command(args)
     except CliError as e:
         _fail_line(args.subcommand, e.code, **e.fields)
         return e.code

@@ -12,6 +12,7 @@ model applies its own recorded preprocessing (data.integer_rows).
 from __future__ import annotations
 
 import csv
+import math
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -92,6 +93,18 @@ class ExperimentConfig:
                 "selection_threshold",
                 f"selection_threshold must be in (0, 1], got {self.selection_threshold}",
             )
+        if self.pairs < 1:
+            raise ConfigError("pairs", f"pairs must be >= 1, got {self.pairs}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigError("gamma", f"gamma must be finite and positive, got {self.gamma}")
+        if not 0.0 < self.split_fraction < 1.0:
+            raise ConfigError(
+                "split_fraction", f"split_fraction must be in (0, 1), got {self.split_fraction}"
+            )
+        if self.jobs < 1:
+            raise ConfigError("jobs", f"jobs must be >= 1, got {self.jobs}")
+        if self.train_limit is not None and self.train_limit < 1:
+            raise ConfigError("train_limit", f"train_limit must be >= 1, got {self.train_limit}")
         kind = self.dataset.get("kind")
         if kind not in DATASET_KINDS:
             raise ConfigError("dataset.kind", f"unknown dataset kind {kind!r}")
@@ -166,24 +179,21 @@ def resolve_dataset(spec: dict) -> tuple[dat.RawDataset, dat.RawDataset, list[st
     except ValueError as e:
         raise ConfigError("dataset.preprocessing", str(e)) from None
     if kind == "textures":
-        allowed = {"patch_size", "count", "seed", "size"}
-        _reject_unknown(spec, allowed, "dataset")
+        _check_keys(spec, optional={"patch_size", "count", "seed", "size"})
         train_raw, test_raw = dat.synthetic_textures(**spec)
     elif kind == "mnist":
-        _reject_unknown(
-            spec, {"train_images", "train_labels", "test_images", "test_labels"}, "dataset"
-        )
+        _check_keys(spec, required=("train_images", "train_labels", "test_images", "test_labels"))
         train_raw = dat.load_idx(spec["train_images"], spec["train_labels"])
         test_raw = dat.load_idx(spec["test_images"], spec["test_labels"])
     elif kind == "cifar10":
-        _reject_unknown(spec, {"train_batches", "test_batches", "class_filter"}, "dataset")
+        _check_keys(spec, required=("train_batches", "test_batches"), optional={"class_filter"})
         class_filter = spec.get("class_filter")
         if class_filter is not None:
             class_filter = tuple(class_filter)
         train_raw = dat.load_cifar10(spec["train_batches"], class_filter)
         test_raw = dat.load_cifar10(spec["test_batches"], class_filter)
     else:
-        _reject_unknown(spec, {"train_path", "test_path", "label_column"}, "dataset")
+        _check_keys(spec, required=("train_path", "test_path", "label_column"))
         train_raw = dat.load_csv(spec["train_path"], spec["label_column"])
         test_raw = dat.load_csv(spec["test_path"], spec["label_column"])
     train_raw.check_all_classes_present()
@@ -191,10 +201,14 @@ def resolve_dataset(spec: dict) -> tuple[dat.RawDataset, dat.RawDataset, list[st
     return train_raw, test_raw, steps
 
 
-def _reject_unknown(spec: dict, allowed: set, prefix: str) -> None:
+def _check_keys(spec: dict, required: tuple = (), optional: set = frozenset()) -> None:
+    """Name the first unknown, then the first missing, key of a dataset spec."""
     for key in spec:
-        if key not in allowed:
-            raise ConfigError(f"{prefix}.{key}", f"invalid config key {prefix}.{key}")
+        if key not in required and key not in optional:
+            raise ConfigError(f"dataset.{key}", f"invalid config key dataset.{key}")
+    for key in required:
+        if key not in spec:
+            raise ConfigError(f"dataset.{key}", f"missing required config key dataset.{key}")
 
 
 # --- model selection ---------------------------------------------------------

@@ -83,12 +83,23 @@ class SpdSystem:
             raise ValueError(f"gamma must be positive, got {gamma}")
         self.gram[np.diag_indices(self.size)] += 1.0 / gamma
 
-    def check(self, rtol: float = 1e-12) -> None:
-        scale = max(1.0, float(np.abs(self.gram).max()))
-        if np.abs(self.gram - self.gram.T).max() > rtol * scale:
+    def symmetrized(self, rtol: float = 1e-12) -> np.ndarray:
+        """(gram + gram.T) / 2, once gram is symmetric to rtol and its diagonal positive.
+
+        Exact symmetry keeps dpotrf's result independent of which triangle
+        it reads. The asymmetry max |gram - gram.T| is twice max |gram - sym|.
+        """
+        gram = self.gram
+        sym = np.add(gram, gram.T)
+        sym *= 0.5
+        deviation = np.subtract(gram, sym)
+        np.abs(deviation, out=deviation)
+        scale = max(1.0, float(gram.max()), -float(gram.min()))
+        if 2.0 * deviation.max() > rtol * scale:
             raise ValueError("gram matrix is not symmetric")
-        if np.any(np.diag(self.gram) <= 0):
+        if np.any(np.diag(gram) <= 0):
             raise ValueError("gram diagonal has non-positive entries (missing ridge shift?)")
+        return sym
 
 
 def accumulate_gram(row_block, acc: SpdSystem, target_block) -> SpdSystem:
@@ -123,9 +134,7 @@ def solve_spd(system: SpdSystem) -> np.ndarray:
     positive definite. The max-abs residual |gram @ beta - rhs| is checked
     against 1e-8 * max(1, max |rhs|) and kept as system.residual.
     """
-    system.check()
-    # Exact symmetry keeps dpotrf's result independent of which triangle it reads.
-    gram = 0.5 * (system.gram + system.gram.T)
+    gram = system.symmetrized()
     factor, info = lapack.dpotrf(gram, lower=1)
     if info > 0:
         raise CholeskyError(pivot_index=info - 1)

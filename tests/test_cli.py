@@ -1,14 +1,20 @@
 import contextlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import intelm
 from conftest import near_zero_beta_model
+from intelm import cli
 from intelm.cli import main
 from intelm.data import load_idx, preprocess, write_idx
 from intelm.elm import hidden_features, one_hot, predict_float_batch, training_residual
@@ -444,6 +450,125 @@ class TestRecordedPreprocessing:
             main([*args, "--models", str(tmp_path / "m.ielm")])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --preprocess" in capsys.readouterr().err
+
+
+class TestDatasetKeys:
+    @pytest.mark.parametrize(
+        "dataset, key",
+        [
+            ({"kind": "mnist"}, "train_images"),
+            ({"kind": "mnist", "train_images": "a", "train_labels": "b", "test_images": "c"}, "test_labels"),
+            ({"kind": "cifar10", "train_batches": ["a"]}, "test_batches"),
+            ({"kind": "csv", "train_path": "a", "test_path": "b"}, "label_column"),
+        ],
+        ids=["mnist", "mnist_test_labels", "cifar10", "csv"],
+    )
+    def test_missing_dataset_key_exit_4_naming_it(self, tmp_path, capsys, dataset, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"mode": "size_sweep", "dataset": dataset}))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 4
+        assert f"key=dataset.{key}" in capsys.readouterr().err.split()
+        assert not (tmp_path / "r.csv").exists()
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('"pairs": 0', "pairs"),
+            ('"gamma": -1', "gamma"),
+            ('"gamma": 0', "gamma"),
+            ('"gamma": NaN', "gamma"),
+            ('"gamma": Infinity', "gamma"),
+            ('"split_fraction": 1.5', "split_fraction"),
+            ('"split_fraction": 0', "split_fraction"),
+            ('"split_fraction": 1', "split_fraction"),
+            ('"jobs": 0', "jobs"),
+            ('"train_limit": 0', "train_limit"),
+        ],
+    )
+    def test_out_of_range_exit_4_naming_the_key(self, tmp_path, capsys, text, key):
+        path = tmp_path / "config.json"
+        path.write_text('{"mode": "weight_comparison", "dataset": {"kind": "textures"}, ' + text + "}")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 4
+        err = capsys.readouterr().err
+        assert "reason=invalid_config_key" in err.split() and f"key={key}" in err.split()
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_jobs_override_checked_too(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"mode": "weight_comparison", "dataset": {"kind": "textures"}}')
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv"), "--jobs", "0"]
+        assert main(argv) == 4
+        assert "key=jobs" in capsys.readouterr().err.split()
+
+
+class TestRepeatedMain:
+    """main may be called many times in one process; each call acts as a fresh one."""
+
+    @pytest.fixture
+    def classify_argv(self, idx_dataset, tmp_path):
+        model_path, qpath = tmp_path / "float.ielm", tmp_path / "quant.ielm"
+        assert main(train_args(idx_dataset, model_path)) == 0
+        assert main(["quantize", "--model", str(model_path), "--out", str(qpath)]) == 0
+        return ["classify", "--model", str(qpath), "--input", str(idx_dataset[0]), "--scores"]
+
+    def test_parser_built_once(self, classify_argv, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert main(classify_argv) == 0
+        with pytest.raises(SystemExit):
+            main(["classify"])
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_rebound_subcommand_takes_effect_on_the_next_call(self, classify_argv, capsys, monkeypatch):
+        assert main(classify_argv) == 0
+        seen = []
+
+        def wrapper(args):
+            seen.append(args.subcommand)
+            return cli.EXIT_ERROR
+
+        monkeypatch.setattr(cli, "cmd_classify", wrapper)
+        assert main(classify_argv) == cli.EXIT_ERROR
+        assert seen == ["classify"]
+
+    def test_usage_error_then_valid_call_prints_as_a_fresh_process(self, classify_argv, capsys):
+        env = dict(os.environ, PYTHONPATH=str(Path(intelm.__file__).parents[1]))
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from intelm.cli import main; sys.exit(main(sys.argv[1:]))",
+             *classify_argv],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main([*classify_argv, "--no-such-option"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert main(classify_argv) == 0
+        assert capsys.readouterr().out == fresh
+
+    def test_verbose_count_does_not_leak(self, classify_argv, capsys, monkeypatch):
+        counts = []
+
+        def wrapper(args):
+            counts.append(args.verbose)
+            return cli.EXIT_OK
+
+        monkeypatch.setattr(cli, "cmd_classify", wrapper)
+        main(["-v", "-v", *classify_argv])
+        main(classify_argv)
+        main(["-v", *classify_argv])
+        assert counts == [2, 0, 1]
+
+    def test_repeated_scores_byte_identical(self, classify_argv, capsysbinary):
+        outputs = []
+        for _ in range(3):
+            capsysbinary.readouterr()
+            assert main(classify_argv) == 0
+            outputs.append(capsysbinary.readouterr().out)
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
 
 
 # --- damaged inputs through main ---------------------------------------------
