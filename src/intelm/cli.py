@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -107,11 +108,18 @@ def _load_inputs(args, expect_n: int) -> np.ndarray:
 # --- subcommands -------------------------------------------------------------
 
 
+def _check_option(ok: bool, option: str) -> None:
+    """An option value outside its range exits 4 naming the option, before any work starts."""
+    if not ok:
+        raise CliError(EXIT_BAD_CONFIG, reason="invalid_option", option=option)
+
+
 def cmd_train(args) -> int:
+    _check_option(math.isfinite(args.gamma) and args.gamma > 0, "--gamma")
+    _check_option(args.train_limit is None or args.train_limit >= 1, "--train-limit")
     raw = _load_dataset(args)
     steps = [s for s in args.preprocess.split(",") if s]
-    if args.train_limit:
-        raw = exp._limit(raw, args.train_limit, args.seed)
+    raw = exp._limit(raw, args.train_limit, args.seed)
     norm = dat.preprocess(raw, steps)
     W = GENERATORS[args.weight_kind](norm.n, args.L, args.seed)
     out = _check_output(args.out, args.force)
@@ -136,10 +144,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    _check_option(args.ladder_steps >= 0, "--ladder-steps")
+    try:
+        lo, hi = (int(v) for v in args.input_range.split(","))
+    except ValueError:
+        lo, hi = 1, 0  # not two integers, as invalid as lo > hi
+    _check_option(lo <= hi, "--input-range")
     model = load_model(_resolve(args.model))
     if not isinstance(model, FloatModel):
         raise CliError(EXIT_ERROR, reason="already_quantized", path=args.model)
-    lo, hi = (int(v) for v in args.input_range.split(","))
     out = _check_output(args.out, args.force)
     qm = exp.make_quantized(model, (lo, hi), fit_headroom=True)
     ib = qm.int_beta

@@ -43,6 +43,10 @@ class DataFormatError(ValueError):
     pass
 
 
+class InputError(ValueError):
+    """Sample violates the model's input contract."""
+
+
 @dataclass
 class RawDataset:
     """Integer samples with class labels in [0, class_count)."""
@@ -451,6 +455,22 @@ def integer_rows(X, steps) -> np.ndarray:
     if centred:
         rows = n * rows - rows.sum(axis=-1, keepdims=True)
     return rows
+
+
+def reject_blank_rows(X, steps) -> None:
+    """A sample whose integer row is all zero is an InputError: it has no normalized form.
+
+    That is an all-zero sample or, under zero_mean, a constant one:
+    n*x_j - sum(x) is 0 for every j exactly when every x_j is equal. So the
+    check reads the raw samples and needs no transform. Scale invariance of
+    the raw path holds only for the other samples.
+    """
+    X = np.asarray(X)
+    centred = "zero_mean" in steps
+    blank = (X == X[..., :1]).all(axis=-1) if centred else ~X.any(axis=-1)
+    if blank.any():
+        kind = "constant" if centred else "all-zero"
+        raise InputError(f"cannot classify the {kind} sample at row {int(np.argmax(blank))}")
 
 
 def preprocess(raw: RawDataset, steps: list[str]) -> NormalizedDataset:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from intelm.data import check_steps, integer_rows, max_abs
+from intelm.data import check_steps, integer_rows, max_abs, reject_blank_rows
 from intelm.linalg import (
     DimensionError,
     SpdSystem,
@@ -277,14 +277,14 @@ def scores_float(model: FloatModel, X) -> np.ndarray:
 
 def predict_float(model: FloatModel, x) -> int:
     """Predicted class index of one sample; ties break to the lowest index."""
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise DimensionError(f"predict_float takes one sample, got shape {x.shape}")
-    return int(np.argmax(scores_float(model, x[None, :])[0]))
+    return int(predict_float_batch(model, np.asarray(x)[None])[0])
 
 
 def predict_float_batch(model: FloatModel, X) -> np.ndarray:
-    return np.argmax(scores_float(model, X), axis=1)
+    """Predicted class of each row of X; a blank row is an InputError (data.reject_blank_rows)."""
+    labels = np.argmax(scores_float(model, X), axis=1)
+    reject_blank_rows(X, model.steps)
+    return labels
 
 
 def training_residual(

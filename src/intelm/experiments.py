@@ -82,8 +82,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError("mode", f"invalid config key mode={self.mode!r}; one of {MODES}")
-        if any(isinstance(L, bool) or not isinstance(L, int) for L in self.L_list):
-            raise ConfigError("L_list", f"L_list must hold integers, got {self.L_list}")
         if not self.L_list or sorted(self.L_list) != list(self.L_list):
             raise ConfigError("L_list", f"L_list must be nonempty ascending, got {self.L_list}")
         if self.models_per_L < 1:
@@ -119,7 +117,7 @@ class ExperimentConfig:
         for key, value in raw.items():
             if key not in known:
                 raise ConfigError(key, f"invalid config key {key!r}")
-            if isinstance(value, bool) or not isinstance(value, _json_types(hints[key])):
+            if not _has_json_type(value, hints[key]):
                 raise ConfigError(key, f"config key {key} has the wrong type: {value!r}")
         if "mode" not in raw or "dataset" not in raw:
             missing = "mode" if "mode" not in raw else "dataset"
@@ -132,6 +130,16 @@ def _json_types(hint) -> tuple[type, ...]:
     options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
     admitted = tuple(typing.get_origin(t) or t for t in options)
     return admitted + (int,) if float in admitted else admitted
+
+
+def _has_json_type(value, hint) -> bool:
+    """Whether value fits hint: _json_types, with no bool a number; tuple[T, T] is a JSON list of two."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        return isinstance(value, list) and len(value) == len(args) and all(map(_has_json_type, value, args))
+    if isinstance(value, bool) or not isinstance(value, _json_types(hint)):
+        return False
+    return origin is not list or all(_has_json_type(v, args[0]) for v in value)
 
 
 @dataclass
@@ -171,41 +179,44 @@ def resolve_dataset(spec: dict) -> tuple[dat.RawDataset, dat.RawDataset, list[st
     """Build (train_raw, test_raw, preprocessing steps) from a config dict."""
     spec = dict(spec)
     kind = spec.pop("kind")
-    steps = spec.pop("preprocessing", None)
-    if steps is None:
-        steps = ["zero_mean", "l2_normalize"] if kind == "mnist" else ["l2_normalize"]
+    default_steps = ["zero_mean", "l2_normalize"] if kind == "mnist" else ["l2_normalize"]
+    steps = spec.pop("preprocessing", default_steps)
     try:
         steps = list(dat.check_steps(steps))
     except ValueError as e:
         raise ConfigError("dataset.preprocessing", str(e)) from None
     if kind == "textures":
-        _check_keys(spec, optional={"patch_size", "count", "seed", "size"})
+        _check_keys(spec, required={}, optional=dict.fromkeys(("patch_size", "count", "seed", "size"), int))
         train_raw, test_raw = dat.synthetic_textures(**spec)
     elif kind == "mnist":
-        _check_keys(spec, required=("train_images", "train_labels", "test_images", "test_labels"))
+        idx_keys = ("train_images", "train_labels", "test_images", "test_labels")
+        _check_keys(spec, required=dict.fromkeys(idx_keys, str), optional={})
         train_raw = dat.load_idx(spec["train_images"], spec["train_labels"])
         test_raw = dat.load_idx(spec["test_images"], spec["test_labels"])
     elif kind == "cifar10":
-        _check_keys(spec, required=("train_batches", "test_batches"), optional={"class_filter"})
-        class_filter = spec.get("class_filter")
-        if class_filter is not None:
-            class_filter = tuple(class_filter)
+        batch_keys = dict.fromkeys(("train_batches", "test_batches"), list[str])
+        _check_keys(spec, required=batch_keys, optional={"class_filter": tuple[str, str]})
+        class_filter = tuple(spec["class_filter"]) if "class_filter" in spec else None
         train_raw = dat.load_cifar10(spec["train_batches"], class_filter)
         test_raw = dat.load_cifar10(spec["test_batches"], class_filter)
     else:
-        _check_keys(spec, required=("train_path", "test_path", "label_column"))
-        train_raw = dat.load_csv(spec["train_path"], spec["label_column"])
-        test_raw = dat.load_csv(spec["test_path"], spec["label_column"])
+        _check_keys(spec, required={"train_path": str, "test_path": str}, optional={"label_column": str})
+        label_column = spec.get("label_column", "label")
+        train_raw = dat.load_csv(spec["train_path"], label_column)
+        test_raw = dat.load_csv(spec["test_path"], label_column)
     train_raw.check_all_classes_present()
     test_raw.check_all_classes_present()
     return train_raw, test_raw, steps
 
 
-def _check_keys(spec: dict, required: tuple = (), optional: set = frozenset()) -> None:
-    """Name the first unknown, then the first missing, key of a dataset spec."""
-    for key in spec:
-        if key not in required and key not in optional:
+def _check_keys(spec: dict, required: dict, optional: dict) -> None:
+    """Name a dataset spec's first unknown key or key of the wrong type, then its first missing key."""
+    for key, value in spec.items():
+        hint = required.get(key, optional.get(key))
+        if hint is None:
             raise ConfigError(f"dataset.{key}", f"invalid config key dataset.{key}")
+        if not _has_json_type(value, hint):
+            raise ConfigError(f"dataset.{key}", f"config key dataset.{key} has the wrong type: {value!r}")
     for key in required:
         if key not in spec:
             raise ConfigError(f"dataset.{key}", f"missing required config key dataset.{key}")
@@ -375,9 +386,11 @@ def run_bit_sweep_config(config: ExperimentConfig) -> SweepReport:
     L = config.L_list[0]
     seeds = split_seed(config.seed, config.models_per_L)
     merged = SweepReport(notes=[f"bit sweep: {config.models_per_L} classifiers, L={L}"])
-    for seed in seeds:
-        model = _train_one(train_norm, "ternary", L, config.gamma, seed)
-        merged.rows.extend(run_bit_sweep(model, test_raw).rows)
+
+    def job(seed):
+        return run_bit_sweep(_train_one(train_norm, "ternary", L, config.gamma, seed), test_raw).rows
+
+    merged.rows.extend(row for rows in _run_pool(job, seeds, config.jobs) for row in rows)
     merged.rows.sort(key=lambda r: (-_num(r["bit_width"]), _num(r["seed"])))
     return merged
 

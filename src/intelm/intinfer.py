@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from intelm.data import check_steps, integer_rows
+from intelm.data import InputError, check_steps, integer_rows, reject_blank_rows
 from intelm.elm import check_ternary
 from intelm.linalg import DimensionError, exact_dtype
 from intelm.quantize import IntegerBeta
@@ -55,10 +55,6 @@ def output_beta_limit(n: int, L: int, input_range: tuple[int, int], centred: boo
 
 class HeadroomError(ValueError):
     """Declared input range could overflow the fixed accumulator widths."""
-
-
-class InputError(ValueError):
-    """Sample violates the model's input contract."""
 
 
 @dataclass
@@ -191,20 +187,6 @@ def relu_int(v) -> np.ndarray:
     return np.maximum(v, 0)
 
 
-def _reject_zero_rows(model: QuantizedModel, X: np.ndarray) -> None:
-    """A sample whose integer row is all zero is an InputError.
-
-    That is an all-zero sample or, when the model centres, a constant one:
-    n*x_j - sum(x) is 0 for every j exactly when every x_j is equal. So the
-    check reads the raw samples and needs no transform. Scale invariance of
-    the raw path holds only for the other samples.
-    """
-    zero = (X == X[..., :1]).all(axis=-1) if model.centred else ~X.any(axis=-1)
-    if zero.any():
-        kind = "constant" if model.centred else "all-zero"
-        raise InputError(f"cannot classify the {kind} sample at row {int(np.argmax(zero))}")
-
-
 def int_scores(model: QuantizedModel, X) -> np.ndarray:
     """Exact integer class scores, (m,) for one raw sample or (N, m) for the rows of X."""
     Z = integer_rows(_check_sample(model, X), model.steps)
@@ -216,15 +198,15 @@ def classify_int(model: QuantizedModel, x) -> int:
     x = np.asarray(x)
     if x.ndim != 1:
         raise DimensionError(f"classify_int takes one sample, got shape {x.shape}")
-    _reject_zero_rows(model, x)
-    return int(np.argmax(int_scores(model, x)))
+    return int(classify_int_batch(model, x[None])[0])
 
 
 def classify_int_batch(model: QuantizedModel, X) -> np.ndarray:
-    """Classify each row of an integer sample matrix."""
+    """Classify each row of an integer sample matrix; a blank row is an InputError."""
     X = np.atleast_2d(np.asarray(X))
-    _reject_zero_rows(model, X)
-    return np.argmax(int_scores(model, X), axis=1)
+    labels = np.argmax(int_scores(model, X), axis=1)
+    reject_blank_rows(X, model.steps)
+    return labels
 
 
 # --- audited reference path ------------------------------------------------
@@ -257,7 +239,7 @@ def ternary_project_counted(W, x, counter: OpCounter) -> list[int]:
 
 def classify_int_counted(model: QuantizedModel, x, counter: OpCounter) -> int:
     x = _check_sample(model, x)
-    _reject_zero_rows(model, x)
+    reject_blank_rows(x, model.steps)
     xs = [int(v) for v in x]
     if model.centred:  # n*x - sum(x), one multiply per input
         total = 0

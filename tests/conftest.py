@@ -7,6 +7,7 @@ independent of the library code paths they check.
 import numpy as np
 import pytest
 
+from intelm.data import synthetic_textures
 from intelm.elm import FloatModel, gen_weights_ternary
 from intelm.intinfer import QuantizedModel
 from intelm.quantize import IntegerBeta
@@ -100,3 +101,16 @@ def random_quantized_model(rng, n=8, L=6, m=3, beta_max=50, input_range=(0, 255)
 @pytest.fixture
 def rng():
     return make_rng(12345)
+
+
+def write_texture_csvs(tmp_path, blank_test_row=None):
+    """The texture task as labeled CSV files; a dataset spec without label_column reads them."""
+    paths = {}
+    for name, raw in zip(("train_path", "test_path"), synthetic_textures(count=30, size=64, seed=4)):
+        rows = np.column_stack([raw.samples, raw.labels])
+        if name == "test_path" and blank_test_row is not None:
+            rows[blank_test_row, :-1] = 0
+        header = ",".join([f"p{j}" for j in range(raw.n)] + ["label"])
+        paths[name] = str(tmp_path / f"{name}.csv")
+        np.savetxt(paths[name], rows, fmt="%d", delimiter=",", header=header, comments="")
+    return {"kind": "csv", **paths}

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intelm
-from conftest import near_zero_beta_model
+from conftest import near_zero_beta_model, write_texture_csvs
 from intelm import cli
 from intelm.cli import main
 from intelm.data import load_idx, preprocess, write_idx
@@ -345,8 +345,18 @@ class TestSweepConfigTypes:
             ('{"mode": "size_sweep", "dataset": {"kind": "textures"}, "L_list": [10, true]}', "L_list"),
             ('{"mode": "size_sweep", "dataset": {"kind": "textures", "preprocessing": "zero_mean"}}',
              "dataset.preprocessing"),
+            ('{"mode": "size_sweep", "dataset": {"kind": "textures", "count": "5"}}', "dataset.count"),
+            ('{"mode": "size_sweep", "dataset": {"kind": "textures", "size": 64.0}}', "dataset.size"),
+            ('{"mode": "size_sweep", "dataset": {"kind": "cifar10", "train_batches": "a.bin", "test_batches": []}}',
+             "dataset.train_batches"),
+            ('{"mode": "size_sweep", "dataset": {"kind": "cifar10", "train_batches": [], "test_batches": [], '
+             '"class_filter": ["cat"]}}', "dataset.class_filter"),
+            ('{"mode": "size_sweep", "dataset": {"kind": "mnist", "train_images": 3}}', "dataset.train_images"),
+            ('{"mode": "size_sweep", "dataset": {"kind": "csv", "label_column": 0}}', "dataset.label_column"),
         ],
-        ids=["null", "dataset_list", "string_count", "string_L_list", "bool_in_L_list", "string_steps"],
+        ids=["null", "dataset_list", "string_count", "string_L_list", "bool_in_L_list", "string_steps",
+             "string_textures_count", "float_textures_size", "string_batches", "one_class", "fd_images",
+             "int_label_column"],
     )
     def test_wrong_type_exit_4_naming_the_key(self, tmp_path, capsys, text, key):
         path = tmp_path / "config.json"
@@ -404,11 +414,24 @@ class TestRecordedPreprocessing:
         assert main(train_args(idx_dataset, fpath, extra=("--preprocess", "zero_mean"))) == 0
         assert main(["quantize", "--model", str(fpath), "--out", str(qpath)]) == 0
         (tmp_path / "x.csv").write_text(",".join(["3"] * 15 + ["4"]) + "\n" + ",".join(["7"] * 16) + "\n")
-        capsys.readouterr()
-        assert main(["classify", "--model", str(qpath), "--input", str(tmp_path / "x.csv")]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "reason=InputError" in captured.err
-        assert "constant_sample_at_row_1" in captured.err
+        for path in (qpath, fpath):
+            capsys.readouterr()
+            assert main(["classify", "--model", str(path), "--input", str(tmp_path / "x.csv")]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "reason=InputError" in captured.err
+            assert "constant_sample_at_row_1" in captured.err
+
+    def test_all_zero_sample_exit_1_for_float_and_integer_models(self, idx_dataset, tmp_path, capsys):
+        fpath, qpath = tmp_path / "f.ielm", tmp_path / "q.ielm"
+        assert main(train_args(idx_dataset, fpath)) == 0
+        assert main(["quantize", "--model", str(fpath), "--out", str(qpath)]) == 0
+        (tmp_path / "x.csv").write_text("\n".join([",".join(["9"] * 16), ",".join(["0"] * 16)] * 2) + "\n")
+        for path in (fpath, qpath):
+            capsys.readouterr()
+            assert main(["classify", "--model", str(path), "--input", str(tmp_path / "x.csv"), "--scores"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+            assert "reason=InputError" in captured.err and "all-zero_sample_at_row_1" in captured.err
 
     @pytest.mark.parametrize("steps", ['"zero_mean"', '["whiten"]', "7", '["zero_mean", "zero_mean"]'])
     @pytest.mark.parametrize("quantized", [False, True], ids=["float", "integer"])
@@ -459,7 +482,7 @@ class TestDatasetKeys:
             ({"kind": "mnist"}, "train_images"),
             ({"kind": "mnist", "train_images": "a", "train_labels": "b", "test_images": "c"}, "test_labels"),
             ({"kind": "cifar10", "train_batches": ["a"]}, "test_batches"),
-            ({"kind": "csv", "train_path": "a", "test_path": "b"}, "label_column"),
+            ({"kind": "csv", "train_path": "a"}, "test_path"),
         ],
         ids=["mnist", "mnist_test_labels", "cifar10", "csv"],
     )
@@ -469,6 +492,13 @@ class TestDatasetKeys:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 4
         assert f"key=dataset.{key}" in capsys.readouterr().err.split()
         assert not (tmp_path / "r.csv").exists()
+
+    def test_csv_label_column_defaults_to_label(self, tmp_path, capsys):
+        config = {"mode": "bit_sweep", "dataset": write_texture_csvs(tmp_path), "L_list": [12], "models_per_L": 1}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "r.csv")]) == 0
+        assert "bit sweep: 1 classifiers" in (tmp_path / "r.csv").read_text()
+        assert "rows=" in capsys.readouterr().out
 
 
 class TestConfigRanges:
@@ -501,6 +531,93 @@ class TestConfigRanges:
         argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv"), "--jobs", "0"]
         assert main(argv) == 4
         assert "key=jobs" in capsys.readouterr().err.split()
+
+
+# A valid value of each dataset key by kind, and a test of whether a value has the type a key takes.
+DATASET_SPECS = {
+    "textures": {"patch_size": 12, "count": 5, "seed": 0, "size": 64},
+    "mnist": {"train_images": "a", "train_labels": "b", "test_images": "c", "test_labels": "d"},
+    "cifar10": {"train_batches": ["a"], "test_batches": ["b"], "class_filter": ["cat", "dog"]},
+    "csv": {"train_path": "a", "test_path": "b", "label_column": "label"},
+}
+
+
+def _strings(v):
+    return type(v) is list and all(type(s) is str for s in v)
+
+
+KEY_TAKES = {
+    **dict.fromkeys(("kind", "train_images", "train_labels", "test_images", "test_labels",
+                     "train_path", "test_path", "label_column"), lambda v: type(v) is str),
+    **dict.fromkeys(("patch_size", "count", "seed", "size"), lambda v: type(v) is int),
+    **dict.fromkeys(("train_batches", "test_batches", "preprocessing"), _strings),
+    "class_filter": lambda v: _strings(v) and len(v) == 2,
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats(-10, 10) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_dataset_key_of_the_wrong_type_exits_4_naming_it(tmp_path_factory, data):
+    kind = data.draw(st.sampled_from(sorted(DATASET_SPECS)))
+    spec = {"kind": kind, "preprocessing": ["l2_normalize"], **DATASET_SPECS[kind]}
+    key = data.draw(st.sampled_from(sorted(spec)))
+    spec[key] = data.draw(json_values.filter(lambda v: not KEY_TAKES[key](v)))
+    path = tmp_path_factory.getbasetemp() / "dataset-types.json"
+    path.write_text(json.dumps({"mode": "size_sweep", "dataset": spec}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["sweep", "--config", str(path), "--out", str(path.with_suffix(".csv")), "--force"])
+    assert code == 4 and len(err.getvalue().splitlines()) == 1, err.getvalue()
+    assert f"key=dataset.{key}" in err.getvalue().split(), err.getvalue()
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--train-limit", "0"), ("--train-limit", "-2"), ("--gamma", "nan"), ("--gamma", "inf"),
+         ("--gamma", "0"), ("--gamma", "-1")],
+    )
+    def test_train_option_out_of_range_exit_4(self, idx_dataset, tmp_path, capsys, option, value):
+        out = tmp_path / "m.ielm"
+        assert main(train_args(idx_dataset, out, extra=(option, value))) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert {"reason=invalid_option", f"option={option}"} <= set(captured.err.split())
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--ladder-steps", "-3"), ("--input-range", "5"), ("--input-range", "5,1"), ("--input-range", "a,b"),
+         ("--input-range", "0,1,2"), ("--input-range", "0.5,9")],
+    )
+    def test_quantize_option_out_of_range_exit_4(self, idx_dataset, tmp_path, capsys, option, value):
+        fpath, out = tmp_path / "f.ielm", tmp_path / "q.ielm"
+        assert main(train_args(idx_dataset, fpath)) == 0
+        capsys.readouterr()
+        assert main(["quantize", "--model", str(fpath), "--out", str(out), f"{option}={value}"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert {"reason=invalid_option", f"option={option}"} <= set(captured.err.split())
+        assert not out.exists()
+
+    def test_checked_before_any_work_starts(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        argv = ["train", "--images", missing, "--labels", missing, "--L", "4", "--out", missing, "--gamma", "nan"]
+        assert main(argv) == 4
+        assert main(["quantize", "--model", missing, "--out", missing, "--ladder-steps", "-1"]) == 4
+
+    def test_in_range_values_accepted(self, idx_dataset, tmp_path, capsys):
+        fpath = tmp_path / "f.ielm"
+        assert main(train_args(idx_dataset, fpath, extra=("--train-limit", "30", "--gamma", "0.5"))) == 0
+        argv = ["quantize", "--model", str(fpath), "--ladder-steps", "0", "--input-range", " 0, 255"]
+        assert main([*argv, "--out", str(tmp_path / "q.ielm")]) == 0
+        assert main([*argv[:-1], "255,255", "--out", str(tmp_path / "q1.ielm")]) == 0
 
 
 class TestRepeatedMain:

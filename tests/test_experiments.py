@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import near_zero_beta_model, random_float_model
-from intelm.data import RawDataset, synthetic_textures
+from conftest import near_zero_beta_model, random_float_model, write_texture_csvs
+from intelm import experiments
+from intelm.data import InputError, RawDataset, synthetic_textures
 from intelm.elm import gen_weights_ternary, one_hot, train
 from intelm.quantize import bit_width, precision_ladder
 from intelm.seeding import make_rng
@@ -13,6 +14,7 @@ from intelm.experiments import (
     SweepReport,
     beta_energy,
     run_bit_sweep,
+    run_bit_sweep_config,
     run_size_sweep,
     run_weight_comparison,
     select_model,
@@ -160,6 +162,20 @@ class TestBitSweep:
         assert len(steps) == len(precision_ladder(fitted.int_beta))
         assert int(report.rows[0]["bit_width"]) == bit_width(fitted.int_beta) <= 32
 
+    def test_parallel_matches_serial(self, monkeypatch):
+        pool_jobs, run_pool = [], experiments._run_pool
+
+        def recording_pool(fn, tasks, jobs):
+            pool_jobs.append(jobs)
+            return run_pool(fn, tasks, jobs)
+
+        monkeypatch.setattr(experiments, "_run_pool", recording_pool)
+        config = dict(mode="bit_sweep", L_list=[16], models_per_L=3)
+        serial = run_bit_sweep_config(texture_config(jobs=1, **config))
+        parallel = run_bit_sweep_config(texture_config(jobs=2, **config))
+        assert pool_jobs == [1, 2] and len({r["seed"] for r in serial.rows}) == 3
+        assert serial.rows == parallel.rows
+
     def test_rung0_agreement_counts_float_matches(self):
         model, test_raw = self._trained_texture_model()
         report = run_bit_sweep(model, test_raw)
@@ -207,6 +223,21 @@ class TestSizeSweep:
             for col in ("val_accuracy", "test_accuracy", "agreement_with_float"):
                 if row[col] != "":
                     assert 0.0 <= float(row[col]) <= 1.0
+
+
+class TestBlankTestRows:
+    """A test set with a row that has no normalized form fails both arms, as intelm classify does."""
+
+    def test_size_sweep_gives_an_error_row_per_arm(self, tmp_path):
+        report = run_size_sweep(texture_config(dataset=write_texture_csvs(tmp_path, blank_test_row=5)))
+        notes = {r["arm"]: r["note"] for r in report.rows}
+        assert set(notes) == {"original", "proposed"}
+        assert all(note == "error: cannot classify the all-zero sample at row 5" for note in notes.values())
+
+    def test_weight_comparison_raises_input_error(self, tmp_path):
+        config = texture_config(mode="weight_comparison", dataset=write_texture_csvs(tmp_path, blank_test_row=0))
+        with pytest.raises(InputError, match="all-zero sample at row 0"):
+            run_weight_comparison(config)
 
 
 class TestReportCsv:

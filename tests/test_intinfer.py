@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_float_model, random_quantized_model
+from intelm import data
 from intelm.data import integer_rows
-from intelm.elm import FloatModel, check_ternary, predict_float
+from intelm.elm import FloatModel, check_ternary, predict_float, predict_float_batch, scores_float
 from intelm.experiments import make_quantized
 from intelm.intinfer import (
     INT32_MAX,
@@ -318,6 +319,51 @@ def centred_model(n, L=2, m=2, input_range=(0, 255), values=None):
         input_range=input_range,
         metadata={"preprocessing": ["zero_mean", "l2_normalize"]},
     )
+
+
+class TestBlankRowRule:
+    """data.reject_blank_rows, applied by both paths' classifiers after their sample checks."""
+
+    def test_input_error_is_defined_once(self):
+        assert InputError is data.InputError
+
+    @pytest.mark.parametrize("steps", [(), ("l2_normalize",), ("zero_mean",), ("zero_mean", "l2_normalize")])
+    def test_float_path_refuses_exactly_the_rows_the_integer_path_refuses(self, rng, steps):
+        model = random_quantized_model(rng, steps=steps)
+        twin = float_twin(model)
+        X = rng.integers(1, 256, size=(5, model.n))
+        X[2], X[3], X[4] = 0, 7, 9
+        X[4, 0] = 10  # constant but for one value: blank under no steps
+        blank = [False, False, True, "zero_mean" in steps, False]
+        kind = "constant" if "zero_mean" in steps else "all-zero"
+        for row, x in enumerate(X):
+            if blank[row]:
+                for classify in (classify_int, lambda m, x: predict_float(twin, x)):
+                    with pytest.raises(InputError, match=f"cannot classify the {kind} sample at row 0"):
+                        classify(model, x)
+            else:
+                assert classify_int(model, x) == predict_float(twin, x)
+        with pytest.raises(InputError, match=f"{kind} sample at row 2"):
+            classify_int_batch(model, X)
+        with pytest.raises(InputError, match=f"{kind} sample at row 2"):
+            predict_float_batch(twin, X)
+        assert not int_scores(model, X)[blank].any() and not scores_float(twin, X)[blank].any()
+
+    def test_sample_checks_come_before_the_rule(self, rng):
+        model = random_quantized_model(rng, input_range=(1, 255))
+        for classify in (classify_int, classify_int_batch):
+            with pytest.raises(DimensionError):
+                classify(model, np.zeros(model.n + 1, dtype=np.int64))
+            with pytest.raises(InputError, match="integer samples"):
+                classify(model, np.zeros(model.n))
+            with pytest.raises(InputError, match="declared range"):
+                classify(model, np.zeros(model.n, dtype=np.int64))
+        twin = float_twin(model)
+        for classify in (predict_float, predict_float_batch):
+            with pytest.raises(DimensionError):
+                classify(twin, np.zeros(model.n + 1))
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            predict_float_batch(twin, np.where(np.arange(model.n) == 0, np.nan, 0.0)[None])
 
 
 class TestCentredRows:
