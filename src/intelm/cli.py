@@ -4,7 +4,7 @@ Only train takes --preprocess: a model records its steps, and classify and
 select give it raw samples, to which it applies those steps itself.
 Errors are reported as a single machine-parseable key=value line on
 stderr. Exit codes: 0 success, 2 missing input file, 3 input/model shape
-mismatch, 4 invalid config key, 1 anything else.
+mismatch, 4 invalid config key or option value, 1 anything else.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -115,8 +114,10 @@ def _check_option(ok: bool, option: str) -> None:
 
 
 def cmd_train(args) -> int:
-    _check_option(math.isfinite(args.gamma) and args.gamma > 0, "--gamma")
-    _check_option(args.train_limit is None or args.train_limit >= 1, "--train-limit")
+    _check_option(exp.in_range("L", args.L), "--L")
+    _check_option(exp.in_range("gamma", args.gamma), "--gamma")
+    _check_option(exp.in_range("seed", args.seed), "--seed")
+    _check_option(exp.in_range("train_limit", args.train_limit), "--train-limit")
     raw = _load_dataset(args)
     steps = [s for s in args.preprocess.split(",") if s]
     raw = exp._limit(raw, args.train_limit, args.seed)
@@ -208,6 +209,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_select(args) -> int:
+    _check_option(exp.in_range("selection_threshold", args.threshold), "--threshold")
     raw = _load_dataset(args)
     candidates = []
     for path in args.models:

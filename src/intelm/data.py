@@ -1,10 +1,9 @@
 """Dataset loading, patch extraction, preprocessing, and splitting.
 
-Parsers cover the IDX container (MNIST), CIFAR-10 binary batches, a
-generic labeled CSV, and a raw u8 matrix format for texture images. Every
-parser has a matching writer so fixtures round-trip at byte level. A
-synthetic two-texture generator stands in for texture images that cannot
-be shipped with the repository.
+Parsers cover the IDX container (MNIST), CIFAR-10 binary batches and a
+generic labeled CSV; the binary formats have matching writers so fixtures
+round-trip at byte level. A synthetic two-texture generator stands in for
+texture images that cannot be shipped with the repository.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ CIFAR10_CLASSES = (
     "truck",
 )
 CIFAR10_RECORD = 3073  # 1 label byte + 32*32*3 pixels
-
-RAW_MATRIX_MAGIC = b"IMG0"
 
 
 class DataFormatError(ValueError):
@@ -225,30 +222,6 @@ def write_cifar10_batch(samples: np.ndarray, labels: np.ndarray, path) -> None:
     Path(path).write_bytes(records.tobytes())
 
 
-# --- raw u8 texture matrices ------------------------------------------------
-
-
-def load_raw_matrix(path) -> np.ndarray:
-    """Read the raw grayscale format: "IMG0", u32 rows, u32 cols (LE), u8 data."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != RAW_MATRIX_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise DataFormatError(f"{path}: {len(blob)} bytes, shorter than the 12-byte header")
-    rows, cols = struct.unpack("<2I", blob[4:12])
-    if len(blob) != 12 + rows * cols:
-        raise DataFormatError(f"{path}: expected {12 + rows * cols} bytes, got {len(blob)}")
-    return np.frombuffer(blob[12:], dtype=np.uint8).reshape(rows, cols)
-
-
-def write_raw_matrix(image: np.ndarray, path) -> None:
-    image = np.asarray(image, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(RAW_MATRIX_MAGIC)
-        fh.write(struct.pack("<2I", *image.shape))
-        fh.write(image.tobytes())
-
-
 # --- texture patches --------------------------------------------------------
 
 
@@ -259,27 +232,19 @@ def extract_patches(
     region: str = "left",
     seed: int = 0,
 ) -> np.ndarray:
-    """Random patches from one half of a grayscale image, flattened to rows.
+    """Random patches from the left or right half of a grayscale image, flattened to rows.
 
     Positions are drawn uniformly with replacement, so patches may overlap;
-    the left/right (or top/bottom) halves are spatially disjoint, which is
-    what keeps train and test patches from sharing pixels.
+    the two halves are spatially disjoint, which is what keeps train and
+    test patches from sharing pixels.
     """
-    image = np.asarray(image)
-    rows, cols = image.shape
-    if region in ("left", "right"):
-        half = cols // 2
-        sub = image[:, :half] if region == "left" else image[:, half:]
-    elif region in ("top", "bottom"):
-        half = rows // 2
-        sub = image[:half, :] if region == "top" else image[half:, :]
-    else:
+    if region not in ("left", "right"):
         raise ValueError(f"unknown region {region!r}")
+    image = np.asarray(image)
+    half = image.shape[1] // 2
+    sub = image[:, :half] if region == "left" else image[:, half:]
     if sub.shape[0] < patch_size or sub.shape[1] < patch_size:
-        raise DataFormatError(
-            f"{region} half of shape {sub.shape} cannot fit a "
-            f"{patch_size}x{patch_size} patch"
-        )
+        raise DataFormatError(f"{region} half of shape {sub.shape} cannot fit a {patch_size}x{patch_size} patch")
     rng = make_rng(seed)
     out = np.empty((count, patch_size * patch_size), dtype=np.int64)
     for k in range(count):

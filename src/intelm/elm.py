@@ -38,16 +38,8 @@ class ScoreOverflowError(ArithmeticError):
     """A float class score is not finite: the model's weights overflow float64 on the input."""
 
 
-@dataclass
-class LabeledTargets:
-    """Class labels and their one-hot {0,1} encoding."""
-
-    labels: np.ndarray  # (N,) int
-    onehot: np.ndarray  # (N, m) float64
-    class_count: int
-
-
-def one_hot(labels, class_count: int) -> LabeledTargets:
+def one_hot(labels, class_count: int) -> np.ndarray:
+    """The (N, class_count) float64 target matrix: row i is 1 at labels[i] and 0 elsewhere."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
@@ -55,7 +47,7 @@ def one_hot(labels, class_count: int) -> LabeledTargets:
         raise ValueError(f"labels outside [0, {class_count})")
     onehot = np.zeros((labels.size, class_count))
     onehot[np.arange(labels.size), labels] = 1.0
-    return LabeledTargets(labels=labels, onehot=onehot, class_count=class_count)
+    return onehot
 
 
 @dataclass
@@ -212,7 +204,7 @@ def hidden_features(W, X, row_scale=None) -> np.ndarray:
 
 def train(
     X_norm,
-    targets: LabeledTargets,
+    targets,
     W,
     gamma: float = 1.0,
     *,
@@ -226,24 +218,24 @@ def train(
 
     The training samples are the rows of X_norm, each times its entry of
     row_scale when given (data.preprocess's rows and row_scale); integer
-    rows take hidden_features's exact projection.
+    rows take hidden_features's exact projection. targets is the (N, m)
+    target matrix, one_hot's for class labels.
     Peak memory stays at O(L^2 + block_size * L): blocks of hidden features
     are folded into the normal-equation accumulator and discarded.
     """
     X = _sample_rows(X_norm, "X_norm")
+    targets = as_matrix(targets, "targets")
     W = np.asarray(W)
     if row_scale is not None:
         row_scale = np.asarray(row_scale, dtype=np.float64)
-    if X.shape[0] != targets.labels.shape[0]:
-        raise DimensionError(
-            f"{X.shape[0]} samples but {targets.labels.shape[0]} labels"
-        )
+    if X.shape[0] != targets.shape[0]:
+        raise DimensionError(f"{X.shape[0]} samples but {targets.shape[0]} target rows")
     L = W.shape[1]
-    acc = SpdSystem.zeros(L, targets.class_count)
+    acc = SpdSystem.zeros(L, targets.shape[1])
     for start in range(0, X.shape[0], block_size):
         rows = slice(start, start + block_size)
         block = hidden_features(W, X[rows], None if row_scale is None else row_scale[rows])
-        accumulate_gram(block, acc, targets.onehot[rows])
+        accumulate_gram(block, acc, targets[rows])
     acc.add_ridge(gamma)
     beta = solve_spd(acc)
     meta = dict(metadata or {})
@@ -287,13 +279,11 @@ def predict_float_batch(model: FloatModel, X) -> np.ndarray:
     return labels
 
 
-def training_residual(
-    model: FloatModel, X_norm, targets: LabeledTargets, row_scale=None
-) -> float:
+def training_residual(model: FloatModel, X_norm, targets, row_scale=None) -> float:
     """Max-abs residual of the normal equations, recomputed from the data, for tests.
 
     Training keeps the residual of its own solve as model.solve_residual.
     """
     H = hidden_features(model.input_weights, X_norm, row_scale)
     gram = H.T @ H + np.eye(model.L) / model.gamma
-    return float(np.abs(gram @ model.beta - H.T @ targets.onehot).max())
+    return float(np.abs(gram @ model.beta - H.T @ targets).max())

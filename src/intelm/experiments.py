@@ -12,7 +12,7 @@ model applies its own recorded preprocessing (data.integer_rows).
 from __future__ import annotations
 
 import csv
-import math
+import sys
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -64,6 +64,29 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
+# The range of each numeric parameter, shared by the config keys, the
+# textures keys and the CLI options. A seed is stored as u64 in model files;
+# gamma compares as is, so a JSON integer beyond float64 is refused, not cast.
+RANGES = {
+    **dict.fromkeys(("L", "models_per_L", "pairs", "jobs", "count", "patch_size", "train_limit"),
+                    (lambda v: v >= 1, ">= 1")),
+    "seed": (lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
+    "gamma": (lambda v: 0 < v <= sys.float_info.max, "finite and > 0"),
+    "selection_threshold": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "split_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+}
+
+
+def in_range(param: str, value) -> bool:
+    """Whether value lies in param's range; an absent (None) value always does."""
+    return value is None or RANGES[param][0](value)
+
+
+def _check_range(key: str, param: str, value) -> None:
+    if not in_range(param, value):
+        raise ConfigError(key, f"{key} must be {RANGES[param][1]}, got {value}")
+
+
 @dataclass
 class ExperimentConfig:
     mode: str
@@ -84,25 +107,11 @@ class ExperimentConfig:
             raise ConfigError("mode", f"invalid config key mode={self.mode!r}; one of {MODES}")
         if not self.L_list or sorted(self.L_list) != list(self.L_list):
             raise ConfigError("L_list", f"L_list must be nonempty ascending, got {self.L_list}")
-        if self.models_per_L < 1:
-            raise ConfigError("models_per_L", f"models_per_L must be >= 1, got {self.models_per_L}")
-        if not 0.0 < self.selection_threshold <= 1.0:
-            raise ConfigError(
-                "selection_threshold",
-                f"selection_threshold must be in (0, 1], got {self.selection_threshold}",
-            )
-        if self.pairs < 1:
-            raise ConfigError("pairs", f"pairs must be >= 1, got {self.pairs}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigError("gamma", f"gamma must be finite and positive, got {self.gamma}")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError(
-                "split_fraction", f"split_fraction must be in (0, 1), got {self.split_fraction}"
-            )
-        if self.jobs < 1:
-            raise ConfigError("jobs", f"jobs must be >= 1, got {self.jobs}")
-        if self.train_limit is not None and self.train_limit < 1:
-            raise ConfigError("train_limit", f"train_limit must be >= 1, got {self.train_limit}")
+        for L in self.L_list:
+            _check_range("L_list", "L", L)
+        for f in fields(self):
+            if f.name in RANGES:
+                _check_range(f.name, f.name, getattr(self, f.name))
         kind = self.dataset.get("kind")
         if kind not in DATASET_KINDS:
             raise ConfigError("dataset.kind", f"unknown dataset kind {kind!r}")
@@ -210,13 +219,15 @@ def resolve_dataset(spec: dict) -> tuple[dat.RawDataset, dat.RawDataset, list[st
 
 
 def _check_keys(spec: dict, required: dict, optional: dict) -> None:
-    """Name a dataset spec's first unknown key or key of the wrong type, then its first missing key."""
+    """Name a spec's first unknown key, key of the wrong type or value out of RANGES, then first missing key."""
     for key, value in spec.items():
         hint = required.get(key, optional.get(key))
         if hint is None:
             raise ConfigError(f"dataset.{key}", f"invalid config key dataset.{key}")
         if not _has_json_type(value, hint):
             raise ConfigError(f"dataset.{key}", f"config key dataset.{key} has the wrong type: {value!r}")
+        if key in RANGES:
+            _check_range(f"dataset.{key}", key, value)
     for key in required:
         if key not in spec:
             raise ConfigError(f"dataset.{key}", f"missing required config key dataset.{key}")

@@ -166,7 +166,7 @@ def test_criterion_04_training_matches_dense_oracle():
         gamma = float(rng.random() * 5 + 0.2)
         model = train(X, targets, W, gamma, block_size=int(rng.integers(1, N + 1)))
         H = naive_hidden(W, X)
-        expected = gauss_solve(np.eye(L) / gamma + H.T @ H, H.T @ targets.onehot)
+        expected = gauss_solve(np.eye(L) / gamma + H.T @ H, H.T @ targets)
         worst = max(worst, float(np.abs(model.beta - expected).max()))
     report("criterion 4 (closed-form training oracle)", worst <= 1e-8, f"max |diff| = {worst:.2e}")
 

@@ -515,6 +515,11 @@ class TestConfigRanges:
             ('"split_fraction": 1', "split_fraction"),
             ('"jobs": 0', "jobs"),
             ('"train_limit": 0', "train_limit"),
+            ('"L_list": [0]', "L_list"),
+            ('"L_list": [0, 5]', "L_list"),
+            ('"seed": -1', "seed"),
+            ('"seed": 18446744073709551616', "seed"),
+            pytest.param('"gamma": 1' + "0" * 400, "gamma", id="gamma-integer-beyond-float64"),
         ],
     )
     def test_out_of_range_exit_4_naming_the_key(self, tmp_path, capsys, text, key):
@@ -523,6 +528,17 @@ class TestConfigRanges:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 4
         err = capsys.readouterr().err
         assert "reason=invalid_config_key" in err.split() and f"key={key}" in err.split()
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("count", -5), ("count", 0), ("patch_size", 0)])
+    def test_textures_key_out_of_range_exit_4_naming_it(self, tmp_path, capsys, key, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"mode": "size_sweep", "dataset": {"kind": "textures", key: value}}))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert {"reason=invalid_config_key", f"key=dataset.{key}"} <= set(captured.err.split())
         assert not (tmp_path / "r.csv").exists()
 
     def test_jobs_override_checked_too(self, tmp_path, capsys):
@@ -531,6 +547,15 @@ class TestConfigRanges:
         argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv"), "--jobs", "0"]
         assert main(argv) == 4
         assert "key=jobs" in capsys.readouterr().err.split()
+
+    def test_seed_override_checked_too(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"mode": "weight_comparison", "dataset": {"kind": "textures"}}')
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv"), "--seed", "-3"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "key=seed" in err.split() and len(err.splitlines()) == 1
+        assert not (tmp_path / "r.csv").exists()
 
 
 # A valid value of each dataset key by kind, and a test of whether a value has the type a key takes.
@@ -581,7 +606,8 @@ class TestOptionRanges:
     @pytest.mark.parametrize(
         "option, value",
         [("--train-limit", "0"), ("--train-limit", "-2"), ("--gamma", "nan"), ("--gamma", "inf"),
-         ("--gamma", "0"), ("--gamma", "-1")],
+         ("--gamma", "0"), ("--gamma", "-1"), ("--L", "0"), ("--L", "-3"), ("--seed", "-1"),
+         ("--seed", "18446744073709551616")],
     )
     def test_train_option_out_of_range_exit_4(self, idx_dataset, tmp_path, capsys, option, value):
         out = tmp_path / "m.ielm"
@@ -606,11 +632,24 @@ class TestOptionRanges:
         assert {"reason=invalid_option", f"option={option}"} <= set(captured.err.split())
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "0", "1.5"])
+    def test_select_threshold_out_of_range_exit_4(self, idx_dataset, tmp_path, capsys, value):
+        fpath = tmp_path / "f.ielm"
+        assert main(train_args(idx_dataset, fpath)) == 0
+        capsys.readouterr()
+        imgs, lbls = idx_dataset
+        argv = ["select", "--images", str(imgs), "--labels", str(lbls), "--models", str(fpath)]
+        assert main([*argv, "--threshold", value]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert {"reason=invalid_option", "option=--threshold"} <= set(captured.err.split())
+
     def test_checked_before_any_work_starts(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")
         argv = ["train", "--images", missing, "--labels", missing, "--L", "4", "--out", missing, "--gamma", "nan"]
         assert main(argv) == 4
         assert main(["quantize", "--model", missing, "--out", missing, "--ladder-steps", "-1"]) == 4
+        assert main(["select", "--images", missing, "--labels", missing, "--models", missing, "--threshold", "0"]) == 4
 
     def test_in_range_values_accepted(self, idx_dataset, tmp_path, capsys):
         fpath = tmp_path / "f.ielm"
@@ -618,6 +657,11 @@ class TestOptionRanges:
         argv = ["quantize", "--model", str(fpath), "--ladder-steps", "0", "--input-range", " 0, 255"]
         assert main([*argv, "--out", str(tmp_path / "q.ielm")]) == 0
         assert main([*argv[:-1], "255,255", "--out", str(tmp_path / "q1.ielm")]) == 0
+        assert main(train_args(idx_dataset, tmp_path / "s.ielm", seed=2**64 - 1, L=1)) == 0
+        assert load_model(tmp_path / "s.ielm").seed == 2**64 - 1
+        imgs, lbls = idx_dataset
+        assert main(["select", "--images", str(imgs), "--labels", str(lbls), "--models", str(fpath),
+                     "--threshold", "1"]) == 0
 
 
 class TestRepeatedMain:

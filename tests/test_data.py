@@ -13,14 +13,12 @@ from intelm.data import (
     load_csv,
     load_csv_samples,
     load_idx,
-    load_raw_matrix,
     preprocess,
     split_train_val,
     synthetic_texture_image,
     synthetic_textures,
     write_cifar10_batch,
     write_idx,
-    write_raw_matrix,
 )
 from intelm.seeding import make_rng
 
@@ -113,13 +111,6 @@ class TestCifar10:
             load_cifar10([tmp_path / "b.bin"], class_filter=("deer", "unicorn"))
 
 
-class TestRawMatrix:
-    def test_roundtrip(self, rng, tmp_path):
-        image = rng.integers(0, 256, size=(17, 23)).astype(np.uint8)
-        write_raw_matrix(image, tmp_path / "tex.img0")
-        np.testing.assert_array_equal(load_raw_matrix(tmp_path / "tex.img0"), image)
-
-
 class TestPatches:
     def test_left_half_containment(self, rng):
         # paint the right half with a sentinel; left-half patches never see it
@@ -135,8 +126,8 @@ class TestPatches:
 
     def test_deterministic(self, rng):
         image = rng.integers(0, 256, size=(40, 40)).astype(np.uint8)
-        a = extract_patches(image, 12, 25, "top", seed=9)
-        b = extract_patches(image, 12, 25, "top", seed=9)
+        a = extract_patches(image, 12, 25, "left", seed=9)
+        b = extract_patches(image, 12, 25, "left", seed=9)
         np.testing.assert_array_equal(a, b)
 
     def test_too_small_half_rejected(self):
@@ -328,7 +319,6 @@ PARSERS = {
     "idx_images": ("img.idx", lambda p, d: load_idx(p, d / "lbl.idx")),
     "idx_labels": ("lbl.idx", lambda p, d: load_idx(d / "img.idx", p)),
     "cifar10": ("batch.bin", lambda p, d: load_cifar10([p])),
-    "raw_matrix": ("tex.raw", lambda p, d: load_raw_matrix(p)),
     "csv": ("labeled.csv", lambda p, d: load_csv(p, "label")),
     "csv_samples": ("samples.csv", lambda p, d: load_csv_samples(p)),
 }
@@ -341,7 +331,6 @@ def valid_inputs(tmp_path_factory):
     rng = make_rng(21)
     write_idx(rng.integers(0, 256, size=(3, 4, 4)), [0, 2, 1], d / "img.idx", d / "lbl.idx")
     write_cifar10_batch(rng.integers(0, 256, size=(2, 3072)), [3, 9], d / "batch.bin")
-    write_raw_matrix(rng.integers(0, 256, size=(5, 6)), d / "tex.raw")
     (d / "labeled.csv").write_text("a,b,label\n12,250,0\n7,0,1\n\n-3,44,2\n")
     (d / "samples.csv").write_text("12,250,3\n7,0,1\n-3,44,2\n")
     for name, (file, parse) in PARSERS.items():

@@ -99,7 +99,7 @@ class TestTrain:
 
     def test_zero_targets_give_zero_beta(self, rng):
         targets = one_hot(np.zeros(10, dtype=int), 2)
-        targets.onehot[:] = 0.0
+        targets[:] = 0.0
         model = train(rng.standard_normal((10, 4)), targets, rng.random((4, 6)))
         np.testing.assert_array_equal(model.beta, np.zeros((6, 2)))
 
@@ -110,7 +110,7 @@ class TestTrain:
         model = train(X, targets, W, gamma=1.0, block_size=7)
         H = naive_hidden(W, X)
         gram = np.eye(4) / 1.0 + H.T @ H
-        expected = gauss_solve(gram, H.T @ targets.onehot)
+        expected = gauss_solve(gram, H.T @ targets)
         np.testing.assert_allclose(model.beta, expected, atol=1e-8)
 
     def test_blocking_does_not_change_result(self, rng):
@@ -128,7 +128,7 @@ class TestTrain:
             targets = one_hot(rng.integers(0, 3, 25), 3)
             model = train(X, targets, W, gamma=float(rng.random() * 10 + 0.1))
             H = naive_hidden(W, X)
-            bound = 1e-8 * max(1.0, np.abs(H.T @ targets.onehot).max())
+            bound = 1e-8 * max(1.0, np.abs(H.T @ targets).max())
             assert training_residual(model, X, targets) <= bound
 
     def test_integer_weights_need_their_kind(self, rng):
@@ -181,8 +181,8 @@ class TestOneHot:
     def test_rows_sum_to_one_and_argmax_is_label(self, rng):
         labels = rng.integers(0, 4, 30)
         t = one_hot(labels, 4)
-        np.testing.assert_array_equal(t.onehot.sum(axis=1), np.ones(30))
-        np.testing.assert_array_equal(np.argmax(t.onehot, axis=1), labels)
+        np.testing.assert_array_equal(t.sum(axis=1), np.ones(30))
+        np.testing.assert_array_equal(np.argmax(t, axis=1), labels)
 
     def test_out_of_range_label(self):
         with pytest.raises(ValueError):
@@ -277,12 +277,13 @@ class TestExactHiddenLayer:
         # rounds to 1.1e-16 on row 0.
         X = np.array([[40, 6, 46], [3, 4, 7], [10, 20, 30], [1, 2, 9], [5, 0, 8], [2, 7, 12]])
         W = np.array([[1, 1, 0], [1, -1, 1], [-1, 0, 1]], dtype=np.int8)
-        targets = one_hot([0, 1, 0, 1, 0, 1], 2)
+        labels = [0, 1, 0, 1, 0, 1]
+        targets = one_hot(labels, 2)
         float_rows = X / np.linalg.norm(X, axis=1)[:, None]
         assert hidden_features(W, float_rows)[0, 0] > 0
         assert np.any(train(float_rows, targets, W, weight_kind="ternary").beta[0] != 0)
 
-        norm = preprocess(RawDataset(X, targets.labels, 2, value_range=(0, 255)), ["l2_normalize"])
+        norm = preprocess(RawDataset(X, labels, 2, value_range=(0, 255)), ["l2_normalize"])
         H = hidden_features(W, norm.rows, norm.row_scale)
         assert np.all(H[:, 0] == 0)
         model = train(norm.rows, targets, W, weight_kind="ternary", row_scale=norm.row_scale)
@@ -313,8 +314,9 @@ class TestExactHiddenLayer:
 
     def test_solve_residual_matches_recomputed_residual(self, rng):
         X = rng.integers(0, 256, size=(50, 10))
-        targets = one_hot(np.arange(50) % 2, 2)
-        norm = preprocess(RawDataset(X, targets.labels, 2), ["l2_normalize"])
+        labels = np.arange(50) % 2
+        targets = one_hot(labels, 2)
+        norm = preprocess(RawDataset(X, labels, 2), ["l2_normalize"])
         model = train(norm.rows, targets, gen_weights_ternary(10, 8, seed=1), weight_kind="ternary",
                       row_scale=norm.row_scale, block_size=16)
         recomputed = training_residual(model, norm.rows, targets, norm.row_scale)
