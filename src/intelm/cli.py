@@ -85,8 +85,6 @@ def _load_dataset(args) -> dat.RawDataset:
         raw = dat.load_csv(_resolve(args.csv), args.label_column)
     else:
         raise CliError(EXIT_ERROR, reason="no_input_dataset", hint="pass --images/--labels or --csv")
-    if raw.N == 0:
-        raise dat.DataFormatError("the dataset has no samples")
     return raw
 
 

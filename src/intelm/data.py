@@ -61,9 +61,10 @@ class RawDataset:
             raise DataFormatError(
                 f"{self.samples.shape[0]} samples but {self.labels.shape[0]} labels"
             )
-        if self.labels.size:
-            if self.labels.min() < 0 or self.labels.max() >= self.class_count:
-                raise DataFormatError(f"labels outside [0, {self.class_count})")
+        if self.samples.shape[0] == 0:
+            raise DataFormatError("the dataset has no samples")
+        if self.labels.min() < 0 or self.labels.max() >= self.class_count:
+            raise DataFormatError(f"labels outside [0, {self.class_count})")
         lo, hi = self.value_range
         if self.samples.size and (self.samples.min() < lo or self.samples.max() > hi):
             raise DataFormatError(

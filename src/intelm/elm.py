@@ -27,7 +27,8 @@ from intelm.linalg import (
 )
 from intelm.seeding import PRNG_ID, make_rng
 
-WEIGHT_KINDS = ("continuous", "ternary", "pm1", "symmetric")
+# The weight kinds whose weights are integer codes in {-1, 0, 1}.
+INTEGER_WEIGHT_KINDS = ("ternary", "pm1")
 
 # One-hot target rows use {0, 1}; recorded in model metadata so reported
 # accuracies are tied to a concrete encoding.
@@ -75,7 +76,7 @@ class FloatModel:
     steps: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.weight_kind not in WEIGHT_KINDS:
+        if self.weight_kind not in GENERATORS:
             raise ValueError(f"unknown weight kind {self.weight_kind!r}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
@@ -87,7 +88,7 @@ class FloatModel:
         if not np.all(np.isfinite(self.beta)):
             raise ValueError("beta contains NaN or Inf")
         self.steps = check_steps(self.metadata.get("preprocessing", []))
-        if self.weight_kind in ("ternary", "pm1"):
+        if self.weight_kind in INTEGER_WEIGHT_KINDS:
             check_ternary(self.input_weights)
         elif np.issubdtype(self.input_weights.dtype, np.integer):
             raise ValueError(
@@ -186,14 +187,11 @@ def hidden_features(W, X, row_scale=None) -> np.ndarray:
         raise DimensionError(
             f"X has {X.shape[1]} features, weights expect {W.shape[0]}"
         )
-    dtype = None
+    dtype = np.float64
     if np.issubdtype(X.dtype, np.integer) and np.issubdtype(W.dtype, np.integer):
-        dtype = exact_dtype(X.shape[1] * max_abs(X) * max_abs(W))
-    if dtype is None:
-        H = np.maximum(X @ W.astype(np.float64, copy=False), 0.0)
-    else:
-        P = X.astype(dtype, copy=False) @ W.astype(dtype, copy=False)
-        H = np.maximum(P, 0, out=P).astype(np.float64, copy=False)
+        dtype = exact_dtype(X.shape[1] * max_abs(X) * max_abs(W)) or np.float64
+    P = X.astype(dtype, copy=False) @ W.astype(dtype, copy=False)
+    H = np.maximum(P, 0, out=P).astype(np.float64, copy=False)
     if row_scale is not None:
         scale = np.asarray(row_scale, dtype=np.float64)
         if scale.shape != (X.shape[0],):

@@ -1,10 +1,9 @@
 """Evaluation harness: model selection, accuracy sweeps, CSV reports.
 
-Three experiment modes are supported: continuous-vs-ternary weight
-comparison at fixed hidden size, bit-precision sweeps over the output
-weight ladder, and hidden-size sweeps comparing the original float
-pipeline against the integer-only pipeline with the 80/20 selection
-protocol.
+Three experiment modes, each run at every hidden size L of the config's
+L_list: continuous-vs-ternary weight comparison, bit-precision sweeps over
+the output weight ladder, and the original float pipeline against the
+integer-only pipeline with the 80/20 selection protocol.
 Every evaluation, float or integer, scores raw samples, to which each
 model applies its own recorded preprocessing (data.integer_rows).
 """
@@ -12,6 +11,7 @@ model applies its own recorded preprocessing (data.integer_rows).
 from __future__ import annotations
 
 import csv
+import inspect
 import sys
 import types
 import typing
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from intelm import data as dat
-from intelm.elm import GENERATORS, FloatModel, one_hot, predict_float_batch, train
+from intelm.elm import GENERATORS, INTEGER_WEIGHT_KINDS, FloatModel, one_hot, predict_float_batch, train
 from intelm.intinfer import QuantizedModel, classify_int_batch, output_beta_limit
 from intelm.modelio import BETA_STORAGE_MAX
 from intelm.quantize import bit_width, precision_ladder, quantize_beta, reduce_precision_step
@@ -42,8 +42,6 @@ REPORT_COLUMNS = [
     "summary",
     "note",
 ]
-
-MODES = ("size_sweep", "bit_sweep", "weight_comparison")
 
 DATASET_KINDS = ("textures", "mnist", "cifar10", "csv")
 
@@ -104,7 +102,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigError("mode", f"invalid config key mode={self.mode!r}; one of {MODES}")
+            raise ConfigError("mode", f"invalid config key mode={self.mode!r}; one of {tuple(MODES)}")
         if not self.L_list or sorted(self.L_list) != list(self.L_list):
             raise ConfigError("L_list", f"L_list must be nonempty ascending, got {self.L_list}")
         for L in self.L_list:
@@ -163,7 +161,10 @@ class SweepReport:
         self.rows.append({c: kwargs.get(c, "") for c in REPORT_COLUMNS})
 
     def sort(self) -> None:
-        self.rows.sort(key=lambda r: (str(r["dataset"]), str(r["arm"]), _num(r["L"]), _num(r["seed"])))
+        """By dataset, arm and L, then widest bit width first, then seed."""
+        self.rows.sort(
+            key=lambda r: (str(r["dataset"]), str(r["arm"]), _num(r["L"]), -_num(r["bit_width"]), _num(r["seed"]))
+        )
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -184,9 +185,9 @@ def _num(v):
 # --- dataset resolution ------------------------------------------------------
 
 
-def resolve_dataset(spec: dict) -> tuple[dat.RawDataset, dat.RawDataset, list[str]]:
-    """Build (train_raw, test_raw, preprocessing steps) from a config dict."""
-    spec = dict(spec)
+def resolve_dataset(config: ExperimentConfig) -> tuple[dat.RawDataset, dat.RawDataset, list[str]]:
+    """Build (train_raw, test_raw, preprocessing steps) from config.dataset, train_raw cut to config.train_limit."""
+    spec = dict(config.dataset)
     kind = spec.pop("kind")
     default_steps = ["zero_mean", "l2_normalize"] if kind == "mnist" else ["l2_normalize"]
     steps = spec.pop("preprocessing", default_steps)
@@ -196,6 +197,11 @@ def resolve_dataset(spec: dict) -> tuple[dat.RawDataset, dat.RawDataset, list[st
         raise ConfigError("dataset.preprocessing", str(e)) from None
     if kind == "textures":
         _check_keys(spec, required={}, optional=dict.fromkeys(("patch_size", "count", "seed", "size"), int))
+        used = inspect.signature(dat.synthetic_textures).bind(**spec)
+        used.apply_defaults()
+        size, patch_size = used.arguments["size"], used.arguments["patch_size"]
+        if size < 2 * patch_size:  # each half of the image must fit one patch
+            raise ConfigError("dataset.size", f"dataset.size must be >= 2 * patch_size, got {size}")
         train_raw, test_raw = dat.synthetic_textures(**spec)
     elif kind == "mnist":
         idx_keys = ("train_images", "train_labels", "test_images", "test_labels")
@@ -215,7 +221,7 @@ def resolve_dataset(spec: dict) -> tuple[dat.RawDataset, dat.RawDataset, list[st
         test_raw = dat.load_csv(spec["test_path"], label_column)
     train_raw.check_all_classes_present()
     test_raw.check_all_classes_present()
-    return train_raw, test_raw, steps
+    return _limit(train_raw, config.train_limit, config.seed), test_raw, steps
 
 
 def _check_keys(spec: dict, required: dict, optional: dict) -> None:
@@ -271,7 +277,7 @@ def make_quantized(
     the 64-bit output accumulator and the file's 32-bit beta storage; a
     near-zero beta entry can otherwise make min-magnitude scaling explode it.
     """
-    if model.weight_kind not in ("ternary", "pm1"):
+    if model.weight_kind not in INTEGER_WEIGHT_KINDS:
         raise ValueError(f"integer path needs ternary weights, model has {model.weight_kind}")
     meta = dict(model.metadata)
     meta["gamma"] = model.gamma
@@ -316,50 +322,9 @@ def _limit(raw: dat.RawDataset, limit: int | None, seed: int) -> dat.RawDataset:
 
 
 # --- experiment modes --------------------------------------------------------
-
-
-def run_weight_comparison(config: ExperimentConfig) -> SweepReport:
-    """Continuous vs ternary input weights at fixed hidden size.
-
-    Trains config.pairs independent (continuous, ternary) pairs and reports
-    per-pair test accuracies plus one aggregate mean/sd row per arm.
-    """
-    train_raw, test_raw, steps = resolve_dataset(config.dataset)
-    train_raw = _limit(train_raw, config.train_limit, config.seed)
-    train_norm = dat.preprocess(train_raw, steps)
-    L = config.L_list[0]
-    report = SweepReport(notes=[PAIR_COUNT_NOTE, f"pairs={config.pairs} L={L}"])
-    seeds = split_seed(config.seed, config.pairs * 2)
-
-    def job(args):
-        arm, kind, seed = args
-        model = _train_one(train_norm, kind, L, config.gamma, seed)
-        acc = _accuracy(predict_float_batch(model, test_raw.samples), test_raw.labels)
-        return arm, seed, acc
-
-    tasks = []
-    for i in range(config.pairs):
-        tasks.append(("continuous", "continuous", seeds[2 * i]))
-        tasks.append(("ternary", "ternary", seeds[2 * i + 1]))
-    results = _run_pool(job, tasks, config.jobs)
-
-    per_arm: dict[str, list[float]] = {"continuous": [], "ternary": []}
-    for arm, seed, acc in results:
-        per_arm[arm].append(acc)
-        report.add(dataset=train_raw.source, arm=arm, L=L, seed=seed, test_accuracy=acc)
-    for arm, accs in per_arm.items():
-        mean = float(np.mean(accs))
-        sd = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
-        report.add(
-            dataset=train_raw.source,
-            arm=arm,
-            L=L,
-            test_accuracy=mean,
-            summary=f"{100 * mean:.2f} ({100 * sd:.2f})",
-            note="aggregate",
-        )
-    report.sort()
-    return report
+# A mode prepares its training data once per sweep and returns the function
+# that runs it at one hidden size L; run_experiment calls that function at
+# each L of L_list and adds its rows with the dataset name and L.
 
 
 def run_bit_sweep(model: FloatModel, test_raw: dat.RawDataset) -> SweepReport:
@@ -389,95 +354,117 @@ def run_bit_sweep(model: FloatModel, test_raw: dat.RawDataset) -> SweepReport:
     return report
 
 
-def run_bit_sweep_config(config: ExperimentConfig) -> SweepReport:
-    """Config-driven bit sweep: train models_per_L classifiers, sweep each."""
-    train_raw, test_raw, steps = resolve_dataset(config.dataset)
-    train_raw = _limit(train_raw, config.train_limit, config.seed)
+def _weight_comparison(config: ExperimentConfig, train_raw, test_raw, steps, notes: list[str]):
+    """Continuous vs ternary input weights: config.pairs independent
+    (continuous, ternary) pairs, per-pair test accuracies plus one
+    aggregate mean/sd row per arm."""
     train_norm = dat.preprocess(train_raw, steps)
-    L = config.L_list[0]
+    notes.append(PAIR_COUNT_NOTE)
+    seeds = split_seed(config.seed, config.pairs * 2)
+    tasks = list(zip(("continuous", "ternary") * config.pairs, seeds))  # (kind, seed), pair by pair
+
+    def at(L: int) -> list[dict]:
+        notes.append(f"pairs={config.pairs} L={L}")
+
+        def job(task):
+            kind, seed = task
+            model = _train_one(train_norm, kind, L, config.gamma, seed)
+            return _accuracy(predict_float_batch(model, test_raw.samples), test_raw.labels)
+
+        accs = _run_pool(job, tasks, config.jobs)
+        rows = [dict(arm=kind, seed=seed, test_accuracy=acc) for (kind, seed), acc in zip(tasks, accs)]
+        for arm in ("continuous", "ternary"):
+            arm_accs = [acc for (kind, _), acc in zip(tasks, accs) if kind == arm]
+            mean = float(np.mean(arm_accs))
+            sd = float(np.std(arm_accs, ddof=1)) if len(arm_accs) > 1 else 0.0
+            summary = f"{100 * mean:.2f} ({100 * sd:.2f})"
+            rows.append(dict(arm=arm, test_accuracy=mean, summary=summary, note="aggregate"))
+        return rows
+
+    return at
+
+
+def _bit_sweep(config: ExperimentConfig, train_raw, test_raw, steps, notes: list[str]):
+    """run_bit_sweep on each of config.models_per_L ternary classifiers."""
+    train_norm = dat.preprocess(train_raw, steps)
     seeds = split_seed(config.seed, config.models_per_L)
-    merged = SweepReport(notes=[f"bit sweep: {config.models_per_L} classifiers, L={L}"])
 
-    def job(seed):
-        return run_bit_sweep(_train_one(train_norm, "ternary", L, config.gamma, seed), test_raw).rows
+    def at(L: int) -> list[dict]:
+        notes.append(f"bit sweep: {config.models_per_L} classifiers, L={L}")
 
-    merged.rows.extend(row for rows in _run_pool(job, seeds, config.jobs) for row in rows)
-    merged.rows.sort(key=lambda r: (-_num(r["bit_width"]), _num(r["seed"])))
-    return merged
+        def job(seed):
+            return run_bit_sweep(_train_one(train_norm, "ternary", L, config.gamma, seed), test_raw).rows
+
+        return [row for rows in _run_pool(job, seeds, config.jobs) for row in rows]
+
+    return at
 
 
-def run_size_sweep(config: ExperimentConfig) -> SweepReport:
+def _predict(model: FloatModel, raw: dat.RawDataset, integer: bool):
+    """Labels of raw's samples from the integer pipeline or the float model, and the QuantizedModel or None."""
+    if not integer:
+        return predict_float_batch(model, raw.samples), None
+    qm = make_quantized(model, raw.value_range, fit_headroom=True)
+    return classify_int_batch(qm, raw.samples), qm
+
+
+def _size_sweep(config: ExperimentConfig, train_raw, test_raw, steps, notes: list[str]):
     """Original (continuous W, float beta) vs proposed (ternary W, integer
-    beta) over the hidden-size grid, with the 80/20 selection protocol.
+    beta) with the 80/20 selection protocol, plus their accuracy delta.
 
-    Per-(L, arm) failures become error rows and the sweep continues.
+    A failing arm becomes an error row and the sweep continues.
     """
-    train_raw, test_raw, steps = resolve_dataset(config.dataset)
-    train_raw = _limit(train_raw, config.train_limit, config.seed)
-    report = SweepReport(notes=[f"selection: threshold={config.selection_threshold}, "
-                                f"models_per_L={config.models_per_L}"])
+    notes.append(f"selection: threshold={config.selection_threshold}, models_per_L={config.models_per_L}")
     split_seeds = split_seed(config.seed, 2)
     fit_raw, val_raw = dat.split_train_val(train_raw, config.split_fraction, split_seeds[0])
     fit_norm = dat.preprocess(fit_raw, steps)
-    arm_specs = [("original", "continuous"), ("proposed", "ternary")]
-    results: dict[tuple[str, int], float] = {}
 
-    for L in config.L_list:
+    def at(L: int) -> list[dict]:
         cand_seeds = split_seed(split_seeds[1] + L, config.models_per_L)
-        for arm, kind in arm_specs:
+        rows = []
+        for arm, kind, integer in (("original", "continuous", False), ("proposed", "ternary", True)):
             try:
                 def job(seed):
                     model = _train_one(fit_norm, kind, L, config.gamma, seed)
-                    if arm == "proposed":
-                        qm = make_quantized(model, val_raw.value_range, fit_headroom=True)
-                        pred = classify_int_batch(qm, val_raw.samples)
-                    else:
-                        pred = predict_float_batch(model, val_raw.samples)
-                    return model, _accuracy(pred, val_raw.labels)
+                    return model, _accuracy(_predict(model, val_raw, integer)[0], val_raw.labels)
 
                 candidates = _run_pool(job, cand_seeds, config.jobs)
                 chosen = select_model(candidates, config.selection_threshold)
-                val_acc = dict((m.seed, a) for m, a in candidates)[chosen.seed]
+                pred, qm = _predict(chosen, test_raw, integer)
                 row = dict(
-                    dataset=train_raw.source,
                     arm=arm,
-                    L=L,
                     seed=chosen.seed,
-                    val_accuracy=val_acc,
+                    val_accuracy=dict((m.seed, a) for m, a in candidates)[chosen.seed],
                     beta_energy=beta_energy(chosen),
+                    test_accuracy=_accuracy(pred, test_raw.labels),
                 )
-                if arm == "proposed":
-                    qm = make_quantized(chosen, test_raw.value_range, fit_headroom=True)
-                    pred = classify_int_batch(qm, test_raw.samples)
+                if qm is not None:
                     row["bit_width"] = bit_width(qm.int_beta)
-                    row["agreement_with_float"] = _accuracy(
-                        pred, predict_float_batch(chosen, test_raw.samples)
-                    )
-                else:
-                    pred = predict_float_batch(chosen, test_raw.samples)
-                test_acc = _accuracy(pred, test_raw.labels)
-                row["test_accuracy"] = test_acc
-                results[(arm, L)] = test_acc
-                report.add(**row)
+                    row["agreement_with_float"] = _accuracy(pred, _predict(chosen, test_raw, False)[0])
+                rows.append(row)
             except Exception as exc:  # noqa: BLE001 - error rows keep the sweep alive
-                report.add(dataset=train_raw.source, arm=arm, L=L, note=f"error: {exc}")
-        if ("original", L) in results and ("proposed", L) in results:
-            report.add(
-                dataset=train_raw.source,
-                arm="delta",
-                L=L,
-                accuracy_delta=results[("original", L)] - results[("proposed", L)],
-            )
-    report.sort()
-    return report
+                rows.append(dict(arm=arm, note=f"error: {exc}"))
+        accs = [row["test_accuracy"] for row in rows if "test_accuracy" in row]
+        if len(accs) == 2:
+            rows.append(dict(arm="delta", accuracy_delta=accs[0] - accs[1]))
+        return rows
+
+    return at
+
+
+MODES = {"size_sweep": _size_sweep, "bit_sweep": _bit_sweep, "weight_comparison": _weight_comparison}
 
 
 def run_experiment(config: ExperimentConfig) -> SweepReport:
-    if config.mode == "weight_comparison":
-        return run_weight_comparison(config)
-    if config.mode == "bit_sweep":
-        return run_bit_sweep_config(config)
-    return run_size_sweep(config)
+    """Run config.mode at each L of config.L_list, on one resolved dataset."""
+    train_raw, test_raw, steps = resolve_dataset(config)
+    report = SweepReport()
+    at = MODES[config.mode](config, train_raw, test_raw, steps, report.notes)
+    for L in config.L_list:
+        for row in at(L):
+            report.add(**{**row, "dataset": train_raw.source, "L": L})
+    report.sort()
+    return report
 
 
 def _run_pool(fn, tasks, jobs: int):

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from intelm.elm import FloatModel
+from intelm.elm import INTEGER_WEIGHT_KINDS, FloatModel
 from intelm.intinfer import QuantizedModel
 from intelm.quantize import IntegerBeta
 
@@ -37,7 +37,6 @@ BETA_STORAGE_MAX = 2**31 - 1  # integer beta is stored as i32
 
 _WEIGHT_CODES = {"continuous": 0, "ternary": 1, "pm1": 2, "symmetric": 3}
 _WEIGHT_KINDS = {v: k for k, v in _WEIGHT_CODES.items()}
-_INT8_KINDS = ("ternary", "pm1")
 
 _HEADER = struct.Struct("<4sIIIIdBBQ")
 _INT_EXTRA = struct.Struct("<dIqq")
@@ -48,7 +47,7 @@ class ModelFormatError(ValueError):
 
 
 def _weight_dtype(kind: str) -> np.dtype:
-    return np.dtype(np.int8 if kind in _INT8_KINDS else "<f8")
+    return np.dtype(np.int8 if kind in INTEGER_WEIGHT_KINDS else "<f8")
 
 
 def save_model(model: FloatModel | QuantizedModel, path) -> None:

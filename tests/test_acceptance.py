@@ -33,7 +33,7 @@ from intelm.elm import (
     predict_float,
     train,
 )
-from intelm.experiments import ExperimentConfig, make_quantized, run_bit_sweep, run_size_sweep, run_weight_comparison
+from intelm.experiments import ExperimentConfig, make_quantized, run_bit_sweep, run_experiment
 from intelm.intinfer import OpCounter, classify_int, classify_int_counted, ternary_project_counted
 from intelm.quantize import precision_ladder, quantize_beta, bit_width
 from intelm.seeding import make_rng
@@ -250,7 +250,7 @@ def test_criterion_08_weight_comparison_mnist():
             )
         )
         lo, hi, max_gap = 0.92, 1.0, 0.015
-    rep = run_weight_comparison(config)
+    rep = run_experiment(config)
     means = {
         r["arm"]: float(r["test_accuracy"]) for r in rep.rows if r["note"] == "aggregate"
     }
@@ -308,7 +308,7 @@ def test_criterion_10_size_sweep_bounded_gap_textures():
             seed=10,
         )
     )
-    rep = run_size_sweep(config)
+    rep = run_experiment(config)
     errors = [r for r in rep.rows if str(r["note"]).startswith("error")]
     ok, gaps = _size_sweep_gap_ok(rep.rows, min_L=250, max_drop=0.03)
     report(
@@ -335,7 +335,7 @@ def test_criterion_10_size_sweep_bounded_gap_mnist_subset():
             seed=10,
         )
     )
-    rep = run_size_sweep(config)
+    rep = run_experiment(config)
     ok, gaps = _size_sweep_gap_ok(rep.rows, min_L=250, max_drop=0.03)
     report("criterion 10 (size sweep gap, MNIST subset)", ok, f"gaps: {gaps}")
 

@@ -299,6 +299,15 @@ class TestSweep:
         assert main(["sweep", "--config", str(config), "--force"]) == 0
         assert (tmp_path / "report.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("empty", ["train_path", "test_path"])
+    def test_header_only_csv_exit_1(self, tmp_path, capsys, empty):
+        dataset = write_texture_csvs(tmp_path)
+        csv_path = Path(dataset[empty])
+        csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
+        assert main(["sweep", "--config", str(self._config(tmp_path, dataset=dataset))]) == 1
+        assert {"reason=DataFormatError", "detail=the_dataset_has_no_samples"} <= set(capsys.readouterr().err.split())
+        assert not (tmp_path / "report.csv").exists()
+
     def test_bit_sweep_descending_widths(self, tmp_path, capsys):
         config = self._config(
             tmp_path, mode="bit_sweep", L_list=[24], models_per_L=1
@@ -531,7 +540,11 @@ class TestConfigRanges:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "r.csv").exists()
 
-    @pytest.mark.parametrize("key, value", [("seed", -1), ("count", -5), ("count", 0), ("patch_size", 0)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", -1), ("count", -5), ("count", 0), ("patch_size", 0),
+         ("size", 1), ("size", 0), ("size", -4), ("size", 23)],
+    )
     def test_textures_key_out_of_range_exit_4_naming_it(self, tmp_path, capsys, key, value):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"mode": "size_sweep", "dataset": {"kind": "textures", key: value}}))

@@ -14,9 +14,7 @@ from intelm.experiments import (
     SweepReport,
     beta_energy,
     run_bit_sweep,
-    run_bit_sweep_config,
-    run_size_sweep,
-    run_weight_comparison,
+    run_experiment,
     select_model,
 )
 
@@ -89,7 +87,7 @@ class TestSelectModel:
 
 class TestWeightComparison:
     def test_report_shape_and_aggregates(self):
-        report = run_weight_comparison(texture_config(mode="weight_comparison", pairs=2))
+        report = run_experiment(texture_config(mode="weight_comparison", pairs=2))
         aggregates = [r for r in report.rows if r["note"] == "aggregate"]
         assert len(aggregates) == 2
         assert {r["arm"] for r in aggregates} == {"continuous", "ternary"}
@@ -99,14 +97,14 @@ class TestWeightComparison:
             assert 0.0 <= float(row["test_accuracy"]) <= 1.0
 
     def test_summary_format(self):
-        report = run_weight_comparison(texture_config(mode="weight_comparison", pairs=2))
+        report = run_experiment(texture_config(mode="weight_comparison", pairs=2))
         for row in report.rows:
             if row["note"] == "aggregate":
                 assert "(" in row["summary"] and row["summary"].endswith(")")
 
     def test_deterministic(self):
-        a = run_weight_comparison(texture_config(mode="weight_comparison", pairs=2))
-        b = run_weight_comparison(texture_config(mode="weight_comparison", pairs=2))
+        a = run_experiment(texture_config(mode="weight_comparison", pairs=2))
+        b = run_experiment(texture_config(mode="weight_comparison", pairs=2))
         assert a.rows == b.rows
 
 
@@ -171,8 +169,8 @@ class TestBitSweep:
 
         monkeypatch.setattr(experiments, "_run_pool", recording_pool)
         config = dict(mode="bit_sweep", L_list=[16], models_per_L=3)
-        serial = run_bit_sweep_config(texture_config(jobs=1, **config))
-        parallel = run_bit_sweep_config(texture_config(jobs=2, **config))
+        serial = run_experiment(texture_config(jobs=1, **config))
+        parallel = run_experiment(texture_config(jobs=2, **config))
         assert pool_jobs == [1, 2] and len({r["seed"] for r in serial.rows}) == 3
         assert serial.rows == parallel.rows
 
@@ -183,14 +181,21 @@ class TestBitSweep:
         assert 0.0 <= agreement <= 1.0
 
 
+@pytest.mark.parametrize("mode", ["bit_sweep", "weight_comparison"])
+def test_every_L_of_L_list_gives_rows_and_one_note(mode):
+    report = run_experiment(texture_config(mode=mode, L_list=[5, 12]))
+    assert {r["L"] for r in report.rows} == {5, 12}
+    assert [note.rsplit("L=", 1)[1] for note in report.notes if "L=" in note] == ["5", "12"]
+
+
 class TestSizeSweep:
     def test_shape_one_L_two_arms_plus_delta(self):
-        report = run_size_sweep(texture_config())
+        report = run_experiment(texture_config())
         arms = sorted(r["arm"] for r in report.rows)
         assert arms == ["delta", "original", "proposed"]
 
     def test_delta_equals_difference_exactly(self):
-        report = run_size_sweep(texture_config(L_list=[10, 25]))
+        report = run_experiment(texture_config(L_list=[10, 25]))
         rows = {(r["arm"], r["L"]): r for r in report.rows}
         for L in (10, 25):
             delta = float(rows[("delta", L)]["accuracy_delta"])
@@ -199,26 +204,26 @@ class TestSizeSweep:
             assert delta == orig - prop
 
     def test_deterministic_reports(self):
-        a = run_size_sweep(texture_config())
-        b = run_size_sweep(texture_config())
+        a = run_experiment(texture_config())
+        b = run_experiment(texture_config())
         assert a.rows == b.rows
 
     def test_parallel_matches_serial(self):
-        serial = run_size_sweep(texture_config(jobs=1))
-        parallel = run_size_sweep(texture_config(jobs=4))
+        serial = run_experiment(texture_config(jobs=1))
+        parallel = run_experiment(texture_config(jobs=4))
         assert serial.rows == parallel.rows
 
     @pytest.mark.parametrize("steps", [["zero_mean", "l2_normalize"], ["zero_mean"]])
     def test_both_arms_score_raw_samples_through_the_recorded_steps(self, steps):
         dataset = {"kind": "textures", "count": 60, "size": 64, "preprocessing": steps}
-        report = run_size_sweep(texture_config(dataset=dataset, L_list=[40], seed=5))
+        report = run_experiment(texture_config(dataset=dataset, L_list=[40], seed=5))
         rows = {r["arm"]: r for r in report.rows}
         assert rows["original"]["test_accuracy"] == rows["proposed"]["test_accuracy"] == 1.0
         assert rows["proposed"]["agreement_with_float"] == 1.0
         assert not any("zero-mean" in note for note in report.notes)
 
     def test_accuracies_in_unit_interval(self):
-        report = run_size_sweep(texture_config())
+        report = run_experiment(texture_config())
         for row in report.rows:
             for col in ("val_accuracy", "test_accuracy", "agreement_with_float"):
                 if row[col] != "":
@@ -229,7 +234,7 @@ class TestBlankTestRows:
     """A test set with a row that has no normalized form fails both arms, as intelm classify does."""
 
     def test_size_sweep_gives_an_error_row_per_arm(self, tmp_path):
-        report = run_size_sweep(texture_config(dataset=write_texture_csvs(tmp_path, blank_test_row=5)))
+        report = run_experiment(texture_config(dataset=write_texture_csvs(tmp_path, blank_test_row=5)))
         notes = {r["arm"]: r["note"] for r in report.rows}
         assert set(notes) == {"original", "proposed"}
         assert all(note == "error: cannot classify the all-zero sample at row 5" for note in notes.values())
@@ -237,7 +242,7 @@ class TestBlankTestRows:
     def test_weight_comparison_raises_input_error(self, tmp_path):
         config = texture_config(mode="weight_comparison", dataset=write_texture_csvs(tmp_path, blank_test_row=0))
         with pytest.raises(InputError, match="all-zero sample at row 0"):
-            run_weight_comparison(config)
+            run_experiment(config)
 
 
 class TestReportCsv:
