@@ -116,9 +116,12 @@ def cmd_train(args) -> int:
     _check_option(exp.in_range("gamma", args.gamma), "--gamma")
     _check_option(exp.in_range("seed", args.seed), "--seed")
     _check_option(exp.in_range("train_limit", args.train_limit), "--train-limit")
-    raw = _load_dataset(args)
     steps = [s for s in args.preprocess.split(",") if s]
-    raw = exp._limit(raw, args.train_limit, args.seed)
+    try:
+        dat.check_steps(steps)
+    except ValueError:
+        _check_option(False, "--preprocess")
+    raw = dat.limit_rows(_load_dataset(args), args.train_limit, args.seed)
     norm = dat.preprocess(raw, steps)
     W = GENERATORS[args.weight_kind](norm.n, args.L, args.seed)
     out = _check_output(args.out, args.force)

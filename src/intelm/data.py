@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +472,14 @@ def preprocess(raw: RawDataset, steps: list[str]) -> NormalizedDataset:
     )
 
 
+def limit_rows(raw: RawDataset, limit: int | None, seed: int) -> RawDataset:
+    """The first limit rows of one seeded permutation of raw, in file order; raw itself if it has no more."""
+    if limit is None or raw.N <= limit:
+        return raw
+    idx = np.sort(make_rng(seed).permutation(raw.N)[:limit])
+    return replace(raw, samples=raw.samples[idx], labels=raw.labels[idx])
+
+
 def split_train_val(dataset: RawDataset, fraction: float = 0.8, seed: int = 0):
     """Stratified random split of a RawDataset into (train, val), deterministic per seed."""
     if not 0.0 < fraction < 1.0:
@@ -491,9 +499,6 @@ def split_train_val(dataset: RawDataset, fraction: float = 0.8, seed: int = 0):
 
     def take(parts):
         idx = np.sort(np.concatenate(parts))
-        return RawDataset(
-            dataset.samples[idx], dataset.labels[idx], dataset.class_count, dataset.source,
-            dataset.value_range,
-        )
+        return replace(dataset, samples=dataset.samples[idx], labels=dataset.labels[idx])
 
     return take(train_idx), take(val_idx)

@@ -43,7 +43,14 @@ REPORT_COLUMNS = [
     "note",
 ]
 
-DATASET_KINDS = ("textures", "mnist", "cifar10", "csv")
+# The required and the optional keys of each dataset kind, each with the JSON type it takes.
+DATASET_KEYS = {
+    "textures": ({}, dict.fromkeys(("patch_size", "count", "seed", "size"), int)),
+    "mnist": (dict.fromkeys(("train_images", "train_labels", "test_images", "test_labels"), str), {}),
+    "cifar10": (dict.fromkeys(("train_batches", "test_batches"), list[str]), {"class_filter": tuple[str, str]}),
+    "csv": ({"train_path": str, "test_path": str}, {"label_column": str}),
+}
+DATASET_KINDS = tuple(DATASET_KEYS)
 
 # Defaults mirror the published protocol at desk scale; counts are
 # configurable up to the original values (96 models, 50 pairs).
@@ -62,9 +69,9 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
-# The range of each numeric parameter, shared by the config keys, the
-# textures keys and the CLI options. A seed is stored as u64 in model files;
-# gamma compares as is, so a JSON integer beyond float64 is refused, not cast.
+# The range of each parameter, shared by the config keys, the dataset keys
+# and the CLI options. A seed is stored as u64 in model files; gamma
+# compares as is, so a JSON integer beyond float64 is refused, not cast.
 RANGES = {
     **dict.fromkeys(("L", "models_per_L", "pairs", "jobs", "count", "patch_size", "train_limit"),
                     (lambda v: v >= 1, ">= 1")),
@@ -72,6 +79,7 @@ RANGES = {
     "gamma": (lambda v: 0 < v <= sys.float_info.max, "finite and > 0"),
     "selection_threshold": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "split_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "class_filter": (lambda v: v[0] != v[1] and set(v) <= set(dat.CIFAR10_CLASSES), "two different CIFAR-10 classes"),
 }
 
 
@@ -103,8 +111,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError("mode", f"invalid config key mode={self.mode!r}; one of {tuple(MODES)}")
-        if not self.L_list or sorted(self.L_list) != list(self.L_list):
-            raise ConfigError("L_list", f"L_list must be nonempty ascending, got {self.L_list}")
+        if not self.L_list or sorted(set(self.L_list)) != list(self.L_list):
+            raise ConfigError("L_list", f"L_list must be nonempty strictly ascending, got {self.L_list}")
         for L in self.L_list:
             _check_range("L_list", "L", L)
         for f in fields(self):
@@ -116,19 +124,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """A config from parsed JSON; an unknown key or a value of the wrong type names its key."""
+        """A config from parsed JSON, whose keys _check_keys walks with mode and dataset required."""
         if not isinstance(raw, dict):
             raise ConfigError("config", f"config is a JSON {type(raw).__name__}, not an object")
-        known = {f.name for f in fields(cls)}
         hints = typing.get_type_hints(cls)
-        for key, value in raw.items():
-            if key not in known:
-                raise ConfigError(key, f"invalid config key {key!r}")
-            if not _has_json_type(value, hints[key]):
-                raise ConfigError(key, f"config key {key} has the wrong type: {value!r}")
-        if "mode" not in raw or "dataset" not in raw:
-            missing = "mode" if "mode" not in raw else "dataset"
-            raise ConfigError(missing, f"missing required config key {missing!r}")
+        _check_keys(raw, required={key: hints.pop(key) for key in ("mode", "dataset")}, optional=hints)
         return cls(**raw)
 
 
@@ -195,8 +195,8 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[dat.RawDataset, dat.RawDa
         steps = list(dat.check_steps(steps))
     except ValueError as e:
         raise ConfigError("dataset.preprocessing", str(e)) from None
+    _check_keys(spec, *DATASET_KEYS[kind], prefix="dataset.")
     if kind == "textures":
-        _check_keys(spec, required={}, optional=dict.fromkeys(("patch_size", "count", "seed", "size"), int))
         used = inspect.signature(dat.synthetic_textures).bind(**spec)
         used.apply_defaults()
         size, patch_size = used.arguments["size"], used.arguments["patch_size"]
@@ -204,39 +204,36 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[dat.RawDataset, dat.RawDa
             raise ConfigError("dataset.size", f"dataset.size must be >= 2 * patch_size, got {size}")
         train_raw, test_raw = dat.synthetic_textures(**spec)
     elif kind == "mnist":
-        idx_keys = ("train_images", "train_labels", "test_images", "test_labels")
-        _check_keys(spec, required=dict.fromkeys(idx_keys, str), optional={})
         train_raw = dat.load_idx(spec["train_images"], spec["train_labels"])
         test_raw = dat.load_idx(spec["test_images"], spec["test_labels"])
     elif kind == "cifar10":
-        batch_keys = dict.fromkeys(("train_batches", "test_batches"), list[str])
-        _check_keys(spec, required=batch_keys, optional={"class_filter": tuple[str, str]})
         class_filter = tuple(spec["class_filter"]) if "class_filter" in spec else None
         train_raw = dat.load_cifar10(spec["train_batches"], class_filter)
         test_raw = dat.load_cifar10(spec["test_batches"], class_filter)
     else:
-        _check_keys(spec, required={"train_path": str, "test_path": str}, optional={"label_column": str})
         label_column = spec.get("label_column", "label")
         train_raw = dat.load_csv(spec["train_path"], label_column)
         test_raw = dat.load_csv(spec["test_path"], label_column)
+    train_raw = dat.limit_rows(train_raw, config.train_limit, config.seed)
     train_raw.check_all_classes_present()
     test_raw.check_all_classes_present()
-    return _limit(train_raw, config.train_limit, config.seed), test_raw, steps
+    return train_raw, test_raw, steps
 
 
-def _check_keys(spec: dict, required: dict, optional: dict) -> None:
-    """Name a spec's first unknown key, key of the wrong type or value out of RANGES, then first missing key."""
-    for key, value in spec.items():
+def _check_keys(obj: dict, required: dict, optional: dict, prefix: str = "") -> None:
+    """Name prefix + the first key that is unknown, of the wrong type or out of RANGES, then the first missing one."""
+    for key, value in obj.items():
+        name = f"{prefix}{key}"
         hint = required.get(key, optional.get(key))
         if hint is None:
-            raise ConfigError(f"dataset.{key}", f"invalid config key dataset.{key}")
+            raise ConfigError(name, f"invalid config key {name}")
         if not _has_json_type(value, hint):
-            raise ConfigError(f"dataset.{key}", f"config key dataset.{key} has the wrong type: {value!r}")
+            raise ConfigError(name, f"config key {name} has the wrong type: {value!r}")
         if key in RANGES:
-            _check_range(f"dataset.{key}", key, value)
+            _check_range(name, key, value)
     for key in required:
-        if key not in spec:
-            raise ConfigError(f"dataset.{key}", f"missing required config key dataset.{key}")
+        if key not in obj:
+            raise ConfigError(f"{prefix}{key}", f"missing required config key {prefix}{key}")
 
 
 # --- model selection ---------------------------------------------------------
@@ -314,13 +311,6 @@ def _train_one(
     )
 
 
-def _limit(raw: dat.RawDataset, limit: int | None, seed: int) -> dat.RawDataset:
-    if limit is None or raw.N <= limit:
-        return raw
-    kept, _ = dat.split_train_val(raw, fraction=limit / raw.N, seed=seed)
-    return kept
-
-
 # --- experiment modes --------------------------------------------------------
 # A mode prepares its training data once per sweep and returns the function
 # that runs it at one hidden size L; run_experiment calls that function at
@@ -350,7 +340,6 @@ def run_bit_sweep(model: FloatModel, test_raw: dat.RawDataset) -> SweepReport:
             agreement_with_float=_accuracy(pred, float_pred),
             note=f"ladder_step={rung.ladder_step}",
         )
-    report.rows.sort(key=lambda r: -_num(r["bit_width"]))
     return report
 
 

@@ -16,7 +16,7 @@ import intelm
 from conftest import near_zero_beta_model, write_texture_csvs
 from intelm import cli
 from intelm.cli import main
-from intelm.data import load_idx, preprocess, write_idx
+from intelm.data import load_idx, preprocess, write_cifar10_batch, write_idx
 from intelm.elm import hidden_features, one_hot, predict_float_batch, training_residual
 from intelm.experiments import select_model
 from intelm.modelio import ModelFormatError, load_model, save_model
@@ -84,6 +84,16 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert "error subcommand=train" in err and "nope.idx" in err
+
+    def test_train_limit_below_a_class_size(self, rng, tmp_path, capsys):
+        # 21 rows whose class 2 has one sample: the limit need not keep every class
+        labels = np.array([0, 1] * 10 + [2], dtype=np.uint8)
+        images = rng.integers(1, 255, size=(21, 4, 4)).astype(np.uint8)
+        write_idx(images, labels, tmp_path / "imgs.idx", tmp_path / "lbls.idx")
+        out = tmp_path / "m.ielm"
+        extra = ("--train-limit", "10")
+        assert main(train_args((tmp_path / "imgs.idx", tmp_path / "lbls.idx"), out, extra=extra)) == 0
+        assert out.exists()
 
     def test_deterministic_byte_identical(self, idx_dataset, tmp_path):
         a, b = tmp_path / "a.ielm", tmp_path / "b.ielm"
@@ -308,6 +318,12 @@ class TestSweep:
         assert {"reason=DataFormatError", "detail=the_dataset_has_no_samples"} <= set(capsys.readouterr().err.split())
         assert not (tmp_path / "report.csv").exists()
 
+    def test_train_limit_that_drops_a_class_exit_1(self, tmp_path, capsys):
+        assert main(["sweep", "--config", str(self._config(tmp_path, train_limit=1))]) == 1
+        err = capsys.readouterr().err
+        assert "reason=DataFormatError" in err.split() and "detail=classes_with_no_samples:_[" in err
+        assert not (tmp_path / "report.csv").exists()
+
     def test_bit_sweep_descending_widths(self, tmp_path, capsys):
         config = self._config(
             tmp_path, mode="bit_sweep", L_list=[24], models_per_L=1
@@ -362,10 +378,12 @@ class TestSweepConfigTypes:
              '"class_filter": ["cat"]}}', "dataset.class_filter"),
             ('{"mode": "size_sweep", "dataset": {"kind": "mnist", "train_images": 3}}', "dataset.train_images"),
             ('{"mode": "size_sweep", "dataset": {"kind": "csv", "label_column": 0}}', "dataset.label_column"),
+            ('{"dataset": {"kind": "textures"}}', "mode"),
+            ('{"mode": "size_sweep"}', "dataset"),
         ],
         ids=["null", "dataset_list", "string_count", "string_L_list", "bool_in_L_list", "string_steps",
              "string_textures_count", "float_textures_size", "string_batches", "one_class", "fd_images",
-             "int_label_column"],
+             "int_label_column", "no_mode", "no_dataset"],
     )
     def test_wrong_type_exit_4_naming_the_key(self, tmp_path, capsys, text, key):
         path = tmp_path / "config.json"
@@ -492,8 +510,13 @@ class TestDatasetKeys:
             ({"kind": "mnist", "train_images": "a", "train_labels": "b", "test_images": "c"}, "test_labels"),
             ({"kind": "cifar10", "train_batches": ["a"]}, "test_batches"),
             ({"kind": "csv", "train_path": "a"}, "test_path"),
+            ({"kind": "csv", "train_path": "a", "test_path": "b", "wat": 1}, "wat"),
+            ({"kind": "cifar10", "train_batches": ["a"], "test_batches": ["b"], "class_filter": ["cat", "cat"]},
+             "class_filter"),
+            ({"kind": "cifar10", "train_batches": ["a"], "test_batches": ["b"], "class_filter": ["cat", "kitten"]},
+             "class_filter"),
         ],
-        ids=["mnist", "mnist_test_labels", "cifar10", "csv"],
+        ids=["mnist", "mnist_test_labels", "cifar10", "csv", "unknown_key", "repeated_class", "unknown_class"],
     )
     def test_missing_dataset_key_exit_4_naming_it(self, tmp_path, capsys, dataset, key):
         path = tmp_path / "config.json"
@@ -508,6 +531,69 @@ class TestDatasetKeys:
         assert main(["sweep", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "r.csv")]) == 0
         assert "bit sweep: 1 classifiers" in (tmp_path / "r.csv").read_text()
         assert "rows=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["mnist", "cifar10"])
+    def test_file_kind_sweep(self, rng, tmp_path, capsys, kind):
+        def images(labels, n):  # odd labels bright, even labels dark
+            return (rng.integers(10, 80, size=(labels.size, n)) + 140 * (labels[:, None] % 2)).astype(np.uint8)
+
+        if kind == "mnist":
+            dataset = {"kind": "mnist"}
+            for name, count in (("train", 40), ("test", 20)):
+                labels = (np.arange(count) % 2).astype(np.uint8)
+                paths = [str(tmp_path / f"{name}_{part}.idx") for part in ("images", "labels")]
+                write_idx(images(labels, 16).reshape(-1, 4, 4), labels, *paths)
+                dataset.update({f"{name}_images": paths[0], f"{name}_labels": paths[1]})
+        else:
+            batches = {name: str(tmp_path / f"{name}.bin") for name in ("train_1", "train_2", "test")}
+            for path in batches.values():
+                labels = np.resize(np.array([0, 3, 6], dtype=np.uint8), 18)  # airplane, cat, frog
+                write_cifar10_batch(images(labels, 3072), labels, path)
+            dataset = {"kind": "cifar10", "train_batches": [batches["train_1"], batches["train_2"]],
+                       "test_batches": [batches["test"]], "class_filter": ["cat", "frog"]}
+        config = {"mode": "size_sweep", "dataset": dataset, "L_list": [8], "models_per_L": 2}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "r.csv")]) == 0
+        lines = [l for l in (tmp_path / "r.csv").read_text().splitlines() if not l.startswith("#")]
+        assert [row.split(",")[:2] for row in lines[1:]] == [[kind, "delta"], [kind, "original"], [kind, "proposed"]]
+        assert "arm=delta" in capsys.readouterr().out
+
+
+class TestErrorReasons:
+    """Exit code and reason of each failure main reports that no other test reaches."""
+
+    @pytest.mark.parametrize(
+        "argv, code, fields",
+        [
+            ("quantize --model {q} --out {out}", 1, "reason=already_quantized"),
+            ("select --images {imgs} --labels {lbls} --models {q}", 1, "reason=select_requires_float_models"),
+            ("select --images {imgs} --models {f}", 1, "reason=labels_required_with_images"),
+            ("train --L 4 --out {out}", 1, "reason=no_input_dataset"),
+            ("select --images {wide} --labels {lbls} --models {f}", 3, "reason=shape_mismatch"),
+            ("sweep --config {unparsable}", 4, "reason=config_parse_error"),
+            ("sweep --config {no_out_csv}", 4, "reason=invalid_config_key key=out_csv"),
+            ("sweep --config {no_images} --out {out}", 2, "reason=missing_file"),
+        ],
+        ids=["already_quantized", "select_requires_float_models", "labels_required_with_images",
+             "no_input_dataset", "shape_mismatch", "config_parse_error", "no_out_csv", "missing_file"],
+    )
+    def test_exit_code_and_reason(self, idx_dataset, rng, tmp_path, capsys, argv, code, fields):
+        imgs, lbls = idx_dataset
+        paths = {name: tmp_path / name for name in ("f", "q", "out", "wide", "unparsable", "no_out_csv", "no_images")}
+        assert main(train_args(idx_dataset, paths["f"])) == 0
+        assert main(["quantize", "--model", str(paths["f"]), "--out", str(paths["q"])]) == 0
+        wide_images = rng.integers(1, 255, size=(40, 5, 5)).astype(np.uint8)
+        write_idx(wide_images, load_idx(imgs, lbls).labels.astype(np.uint8), paths["wide"], tmp_path / "wide_labels")
+        paths["unparsable"].write_text("{")
+        paths["no_out_csv"].write_text('{"mode": "size_sweep", "dataset": {"kind": "textures"}}')
+        missing = dict.fromkeys(("train_images", "train_labels", "test_images", "test_labels"), str(tmp_path / "absent"))
+        paths["no_images"].write_text(json.dumps({"mode": "size_sweep", "dataset": {"kind": "mnist", **missing}}))
+        capsys.readouterr()
+        assert main([arg.format(imgs=imgs, lbls=lbls, **paths) for arg in argv.split()]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert {f"code={code}", *fields.split()} <= set(captured.err.split())
+        assert not paths["out"].exists()
 
 
 class TestConfigRanges:
@@ -526,6 +612,7 @@ class TestConfigRanges:
             ('"train_limit": 0', "train_limit"),
             ('"L_list": [0]', "L_list"),
             ('"L_list": [0, 5]', "L_list"),
+            ('"L_list": [5, 5]', "L_list"),
             ('"seed": -1', "seed"),
             ('"seed": 18446744073709551616', "seed"),
             pytest.param('"gamma": 1' + "0" * 400, "gamma", id="gamma-integer-beyond-float64"),
@@ -620,7 +707,8 @@ class TestOptionRanges:
         "option, value",
         [("--train-limit", "0"), ("--train-limit", "-2"), ("--gamma", "nan"), ("--gamma", "inf"),
          ("--gamma", "0"), ("--gamma", "-1"), ("--L", "0"), ("--L", "-3"), ("--seed", "-1"),
-         ("--seed", "18446744073709551616")],
+         ("--seed", "18446744073709551616"), ("--preprocess", "bogus"),
+         ("--preprocess", "l2_normalize,l2_normalize")],
     )
     def test_train_option_out_of_range_exit_4(self, idx_dataset, tmp_path, capsys, option, value):
         out = tmp_path / "m.ielm"
@@ -661,6 +749,7 @@ class TestOptionRanges:
         missing = str(tmp_path / "missing")
         argv = ["train", "--images", missing, "--labels", missing, "--L", "4", "--out", missing, "--gamma", "nan"]
         assert main(argv) == 4
+        assert main([*argv[:-2], "--preprocess", "whiten"]) == 4
         assert main(["quantize", "--model", missing, "--out", missing, "--ladder-steps", "-1"]) == 4
         assert main(["select", "--images", missing, "--labels", missing, "--models", missing, "--threshold", "0"]) == 4
 

@@ -9,6 +9,7 @@ from intelm.data import (
     check_steps,
     extract_patches,
     integer_rows,
+    limit_rows,
     load_cifar10,
     load_csv,
     load_csv_samples,
@@ -275,6 +276,25 @@ class TestSplit:
         ds = RawDataset(rng.integers(0, 256, size=(3, 2)), [0, 0, 1], class_count=2)
         with pytest.raises(DataFormatError, match="class 1"):
             split_train_val(ds, 0.8, seed=0)
+
+
+class TestLimitRows:
+    @pytest.mark.parametrize("limit", [1, 3, 7, 25, 59])
+    def test_keeps_exactly_limit_rows(self, limit):
+        train, _ = synthetic_textures(count=30, size=64)
+        assert train.N == 60
+        kept = limit_rows(train, limit, seed=4)
+        assert kept.N == limit
+        np.testing.assert_array_equal(kept.samples, limit_rows(train, limit, seed=4).samples)
+        # the same cut of a dataset whose samples are their own row numbers: distinct rows, in file order
+        numbered = RawDataset(np.arange(60)[:, None], train.labels, train.class_count)
+        idx = limit_rows(numbered, limit, seed=4).samples[:, 0]
+        assert idx.tolist() == sorted(set(idx.tolist()))
+        np.testing.assert_array_equal(kept.samples, train.samples[idx])
+
+    def test_no_limit_or_a_larger_one_keeps_the_dataset(self):
+        train, _ = synthetic_textures(count=30, size=64)
+        assert limit_rows(train, None, seed=0) is train and limit_rows(train, 60, seed=0) is train
 
 
 class TestCsv:
