@@ -88,18 +88,11 @@ def _load_dataset(args) -> dat.RawDataset:
     return raw
 
 
-def _load_inputs(args, expect_n: int) -> np.ndarray:
+def _load_inputs(args) -> np.ndarray:
+    """The samples to classify; the scorers check their width (DimensionError, exit 3)."""
     path = _resolve(args.input)
     is_csv = args.format == "csv" or (args.format == "auto" and path.suffix == ".csv")
-    samples = dat.load_csv_samples(path) if is_csv else dat.load_idx_images(path)
-    if samples.size and samples.shape[1] != expect_n:
-        raise CliError(
-            EXIT_SHAPE_MISMATCH,
-            reason="feature_mismatch",
-            input_features=samples.shape[1],
-            model_features=expect_n,
-        )
-    return samples
+    return dat.load_csv_samples(path) if is_csv else dat.load_idx_images(path)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -170,7 +163,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_classify(args) -> int:
     model = load_model(_resolve(args.model))
-    samples = _load_inputs(args, model.n)
+    samples = _load_inputs(args)
     if samples.size == 0:
         return EXIT_OK
     if isinstance(model, QuantizedModel):

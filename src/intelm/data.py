@@ -97,7 +97,7 @@ class NormalizedDataset:
     scales the hidden layer afterwards; samples is the float matrix.
     """
 
-    rows: np.ndarray  # (N, n) int64 (raw int64 samples themselves when unchanged); float64 on overflow
+    rows: np.ndarray  # (N, n) integer_rows(samples, steps): int64, or float64 where those leave int64
     row_scale: np.ndarray  # (N,) float64, positive
     labels: np.ndarray
     class_count: int
@@ -423,45 +423,46 @@ def integer_rows(X, steps) -> np.ndarray:
     return rows
 
 
-def reject_blank_rows(X, steps) -> None:
-    """A sample whose integer row is all zero is an InputError: it has no normalized form.
+def blank_rows(X, steps) -> np.ndarray:
+    """Which samples of X have an all-zero integer row: no normalized form.
 
     That is an all-zero sample or, under zero_mean, a constant one:
     n*x_j - sum(x) is 0 for every j exactly when every x_j is equal. So the
-    check reads the raw samples and needs no transform. Scale invariance of
-    the raw path holds only for the other samples.
+    predicate reads the raw samples, exactly, and needs no transform.
     """
     X = np.asarray(X)
-    centred = "zero_mean" in steps
-    blank = (X == X[..., :1]).all(axis=-1) if centred else ~X.any(axis=-1)
+    return (X == X[..., :1]).all(axis=-1) if "zero_mean" in steps else ~X.any(axis=-1)
+
+
+def reject_blank_rows(X, steps) -> None:
+    """A blank sample (blank_rows) is an InputError; scale invariance holds only for the others."""
+    blank = blank_rows(X, steps)
     if blank.any():
-        kind = "constant" if centred else "all-zero"
+        kind = "constant" if "zero_mean" in steps else "all-zero"
         raise InputError(f"cannot classify the {kind} sample at row {int(np.argmax(blank))}")
 
 
 def preprocess(raw: RawDataset, steps: list[str]) -> NormalizedDataset:
     """Integer rows (integer_rows) and a positive float64 scale per row.
 
-    The scale is 1/|row| under l2_normalize, from the exact integer sum of
-    squares, else 1/n under zero_mean (the centred signal), else 1; the
-    steps therefore act as a set, centring before normalizing. Integer
-    samples stay int64 while that sum of squares fits in 64 bits
-    (n * (2n * max|x|)**2 < 2**63); otherwise the rows are float64.
+    The scale is 1/|row| under l2_normalize, else 1/n under zero_mean (the
+    centred signal), else 1; the steps therefore act as a set, centring
+    before normalizing. The sum of squares is taken in float64, exact while
+    it stays below 2**53 (every u8 width up to n = 3072, centred). A blank
+    row (blank_rows), or one that float64 rows round to all zero, cannot be
+    l2-normalized.
     """
     steps = check_steps(steps)
-    X = raw.samples
-    n = X.shape[1]
-    if not (np.issubdtype(X.dtype, np.integer) and n * (2 * n * max_abs(X)) ** 2 < 2**63):
-        X = X.astype(np.float64)
-    rows = integer_rows(X, steps)
+    rows = integer_rows(raw.samples, steps)
     if "l2_normalize" in steps:
-        sumsq = np.einsum("ij,ij->i", rows, rows)
-        zero_rows = np.flatnonzero(sumsq == 0)
-        if zero_rows.size:
-            raise DataFormatError(f"cannot l2-normalize all-zero rows: {zero_rows[:10].tolist()}")
-        scale = 1.0 / np.sqrt(sumsq.astype(np.float64))
+        sumsq = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
+        # sumsq is 0 on a row that is not blank only where float64 rows rounded it away
+        blank = np.flatnonzero(blank_rows(raw.samples, steps) | (sumsq == 0))
+        if blank.size:
+            raise DataFormatError(f"cannot l2-normalize all-zero rows: {blank[:10].tolist()}")
+        scale = 1.0 / np.sqrt(sumsq)
     else:
-        scale = np.full(rows.shape[0], 1.0 / n if "zero_mean" in steps else 1.0)
+        scale = np.full(rows.shape[0], 1.0 / rows.shape[1] if "zero_mean" in steps else 1.0)
     return NormalizedDataset(
         rows=rows,
         row_scale=scale,

@@ -24,6 +24,7 @@ import numpy as np
 from intelm import data as dat
 from intelm.elm import GENERATORS, INTEGER_WEIGHT_KINDS, FloatModel, one_hot, predict_float_batch, train
 from intelm.intinfer import QuantizedModel, classify_int_batch, output_beta_limit
+from intelm.linalg import DimensionError
 from intelm.modelio import BETA_STORAGE_MAX
 from intelm.quantize import bit_width, precision_ladder, quantize_beta, reduce_precision_step
 from intelm.seeding import split_seed
@@ -186,7 +187,10 @@ def _num(v):
 
 
 def resolve_dataset(config: ExperimentConfig) -> tuple[dat.RawDataset, dat.RawDataset, list[str]]:
-    """Build (train_raw, test_raw, preprocessing steps) from config.dataset, train_raw cut to config.train_limit."""
+    """Build (train_raw, test_raw, preprocessing steps) from config.dataset, train_raw cut to config.train_limit.
+
+    A test set whose width differs from the training set's is a DimensionError, before any training.
+    """
     spec = dict(config.dataset)
     kind = spec.pop("kind")
     default_steps = ["zero_mean", "l2_normalize"] if kind == "mnist" else ["l2_normalize"]
@@ -214,6 +218,8 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[dat.RawDataset, dat.RawDa
         label_column = spec.get("label_column", "label")
         train_raw = dat.load_csv(spec["train_path"], label_column)
         test_raw = dat.load_csv(spec["test_path"], label_column)
+    if train_raw.n != test_raw.n:
+        raise DimensionError(f"training samples have {train_raw.n} values, test samples {test_raw.n}")
     train_raw = dat.limit_rows(train_raw, config.train_limit, config.seed)
     train_raw.check_all_classes_present()
     test_raw.check_all_classes_present()

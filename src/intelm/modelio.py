@@ -63,10 +63,6 @@ def save_model(model: FloatModel | QuantizedModel, path) -> None:
         beta_payload = np.ascontiguousarray(ib.values, dtype="<i4").tobytes()
         m = ib.values.shape[1]
         prng_id = str(model.metadata.get("prng_id", ""))
-        meta = model.metadata
-        if model.steps or "preprocessing" in meta:
-            # the steps the headroom proof used, whatever the metadata dict says now
-            meta = {**meta, "preprocessing": list(model.steps)}
     else:
         kind, beta_code = model.weight_kind, 0
         W = model.input_weights
@@ -75,7 +71,8 @@ def save_model(model: FloatModel | QuantizedModel, path) -> None:
         beta_payload = np.ascontiguousarray(model.beta, dtype="<f8").tobytes()
         m = model.m
         prng_id = model.prng_id
-        meta = model.metadata
+    # the steps the model scores with, whatever its metadata dict says now
+    meta = {**model.metadata, "preprocessing": list(model.steps)}
     n, L = W.shape
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, n, L, m, gamma, _WEIGHT_CODES[kind], beta_code, model.seed

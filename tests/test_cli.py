@@ -221,15 +221,23 @@ class TestQuantizeAndClassify:
 
     def test_feature_mismatch_exit_3(self, idx_dataset, rng, tmp_path, capsys):
         model_path = self._trained(idx_dataset, tmp_path)
+        assert main(["quantize", "--model", str(model_path), "--out", str(tmp_path / "q.ielm")]) == 0
         write_idx(
             rng.integers(0, 256, size=(2, 5, 5)).astype(np.uint8),
             np.zeros(2, dtype=np.uint8),
             tmp_path / "wide.idx",
             tmp_path / "widelbl.idx",
         )
-        code = main(["classify", "--model", str(model_path), "--input", str(tmp_path / "wide.idx")])
-        assert code == 3
-        assert "code=3" in capsys.readouterr().err
+        (tmp_path / "narrow.csv").write_text("1,2,3\n4,5,6\n")
+        for model in (model_path, tmp_path / "q.ielm"):
+            for inputs in ("wide.idx", "narrow.csv"):
+                capsys.readouterr()
+                argv = ["classify", "--model", str(model), "--input", str(tmp_path / inputs)]
+                for scores in ([], ["--scores"]):
+                    assert main(argv + scores) == 3
+                    captured = capsys.readouterr()
+                    assert captured.out == "" and len(captured.err.splitlines()) == 1
+                    assert {"code=3", "reason=shape_mismatch"} <= set(captured.err.split())
 
     def test_empty_input_exit_0(self, idx_dataset, tmp_path, capsys):
         model_path = self._trained(idx_dataset, tmp_path)
@@ -322,6 +330,22 @@ class TestSweep:
         assert main(["sweep", "--config", str(self._config(tmp_path, train_limit=1))]) == 1
         err = capsys.readouterr().err
         assert "reason=DataFormatError" in err.split() and "detail=classes_with_no_samples:_[" in err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["size_sweep", "bit_sweep", "weight_comparison"])
+    def test_test_set_of_another_width_exit_3(self, rng, tmp_path, capsys, mode):
+        dataset = {"kind": "mnist"}
+        for name, side in (("train", 8), ("test", 4)):
+            labels = (np.arange(20) % 2).astype(np.uint8)
+            paths = [str(tmp_path / f"{name}_{part}.idx") for part in ("images", "labels")]
+            write_idx(rng.integers(1, 255, size=(20, side, side)).astype(np.uint8), labels, *paths)
+            dataset.update({f"{name}_images": paths[0], f"{name}_labels": paths[1]})
+        config = self._config(tmp_path, mode=mode, dataset=dataset)
+        assert main(["sweep", "--config", str(config)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert {"code=3", "reason=shape_mismatch"} <= set(captured.err.split())
+        assert "64_values,_test_samples_16" in captured.err
         assert not (tmp_path / "report.csv").exists()
 
     def test_bit_sweep_descending_widths(self, tmp_path, capsys):
@@ -842,7 +866,7 @@ TYPED_ERRORS = {
     "DataFormatError", "ModelFormatError", "InputError", "HeadroomError", "QuantizationError",
     "ScoreOverflowError",
 }
-DOCUMENTED_REASONS = {"feature_mismatch", "shape_mismatch", "missing_file"}
+DOCUMENTED_REASONS = {"shape_mismatch", "missing_file"}
 
 # file name of each valid input, and the intelm command that reads it from a directory
 COMMANDS = {

@@ -190,12 +190,28 @@ class TestPreprocess:
     def test_constant_row_rejected_by_l2_after_zero_mean(self):
         with pytest.raises(DataFormatError, match=r"all-zero rows: \[1\]"):
             preprocess(self._raw([[1, 2], [7, 7]]), ["zero_mean", "l2_normalize"])
+        # Beyond 2**53 a float64 copy of a constant row centres to rounding noise, not to 0.
+        big = 108086391056904249
+        for n in (11, 100):
+            samples = np.array([np.arange(n), np.full(n, big)])
+            raw = RawDataset(samples, [0, 1], class_count=2, value_range=(0, big))
+            with pytest.raises(DataFormatError, match=r"all-zero rows: \[1\]"):
+                preprocess(raw, ["zero_mean", "l2_normalize"])
 
-    def test_values_too_large_for_exact_integers_take_float64(self):
+    def test_non_blank_row_that_float64_rows_round_to_zero_rejected(self):
+        # 2n * max|x| passes 2**63, so integer_rows centres in float64, where 2**62 + 1 is 2**62.
+        n = 100
+        samples = np.array([np.arange(n), [2**62] * (n - 1) + [2**62 + 1]])
+        raw = RawDataset(samples, [0, 1], class_count=2, value_range=(0, 2**62 + 1))
+        with pytest.raises(DataFormatError, match=r"all-zero rows: \[1\]"):
+            preprocess(raw, ["zero_mean", "l2_normalize"])
+
+    def test_values_beyond_u8_keep_the_integer_rows(self):
         big = 2**40
         raw = RawDataset(np.array([[big, 1], [3, big]]), [0, 1], class_count=2, value_range=(0, big))
         ds = preprocess(raw, ["zero_mean", "l2_normalize"])
-        assert ds.rows.dtype == np.float64
+        assert ds.rows.dtype == np.int64
+        np.testing.assert_array_equal(ds.rows, integer_rows(raw.samples, ["zero_mean", "l2_normalize"]))
         np.testing.assert_allclose(ds.samples, [[2**-0.5, -(2**-0.5)], [-(2**-0.5), 2**-0.5]])
 
     def test_unknown_step(self):
@@ -224,6 +240,12 @@ class TestPreprocess:
         centred = "zero_mean" in steps
         expected = 7 * samples.astype(np.int64) - samples.sum(axis=1, keepdims=True) if centred else samples
         np.testing.assert_array_equal(rows, expected)
+        assert rows.dtype == np.int64
+        # beyond u8: the int64 sum of squares would overflow, the rows stay integer_rows
+        big = samples.astype(np.int64) * 2**40 + 1
+        raw = RawDataset(big, np.arange(20) % 2, class_count=2, value_range=(0, 2**48))
+        rows = preprocess(raw, steps).rows
+        np.testing.assert_array_equal(rows, integer_rows(big, steps))
         assert rows.dtype == np.int64
 
     def test_integer_rows_leave_int64_only_when_centring_would_overflow(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -21,6 +22,7 @@ from intelm.elm import (
     one_hot,
     predict_float,
     predict_float_batch,
+    scores_float,
     train,
     training_residual,
 )
@@ -192,7 +194,7 @@ class TestOneHot:
 class TestModelFile:
     def test_float_model_roundtrip_bitwise(self, rng, tmp_path):
         model = random_float_model(rng, weight_kind="continuous")
-        model.metadata["preprocessing"] = ["l2_normalize"]
+        model = dataclasses.replace(model, metadata={"preprocessing": ["l2_normalize"]})
         p1, p2 = tmp_path / "a.ielm", tmp_path / "b.ielm"
         save_model(model, p1)
         loaded = load_model(p1)
@@ -203,6 +205,19 @@ class TestModelFile:
         assert loaded.metadata == model.metadata
         save_model(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_float_model_saves_the_steps_it_scores_with(self, rng, tmp_path):
+        model = random_float_model(rng, weight_kind="ternary")
+        model = dataclasses.replace(model, metadata={"preprocessing": ["zero_mean", "l2_normalize"]})
+        X = rng.integers(0, 256, size=(40, model.n))
+        before = scores_float(model, X)
+        for edited in (["l2_normalize"], [], ["whiten"]):
+            model.metadata["preprocessing"] = edited
+            save_model(model, tmp_path / "m.ielm")
+            loaded = load_model(tmp_path / "m.ielm")
+            assert loaded.steps == model.steps == ("zero_mean", "l2_normalize")
+            assert loaded.metadata == {**model.metadata, "preprocessing": list(model.steps)}
+            np.testing.assert_array_equal(scores_float(loaded, X), before)
 
     def test_ternary_model_roundtrip(self, rng, tmp_path):
         model = random_float_model(rng, weight_kind="ternary")
