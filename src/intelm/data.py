@@ -403,6 +403,11 @@ def max_abs(X: np.ndarray) -> int:
     return max(-int(X.min(initial=0)), int(X.max(initial=0)))
 
 
+def centred_rows_fit_int64(n: int, bound: int) -> bool:
+    """Whether n*x - sum(x) is exact in int64 for every x of n values with max |x| <= bound."""
+    return 2 * n * bound < 2**63
+
+
 def integer_rows(X, steps) -> np.ndarray:
     """The rows that steps make of samples X (one sample, or one per row of X).
 
@@ -416,7 +421,7 @@ def integer_rows(X, steps) -> np.ndarray:
     X = np.asarray(X)
     n = X.shape[-1]
     centred = "zero_mean" in steps
-    exact = np.can_cast(X.dtype, np.int64) and not (centred and 2 * n * max_abs(X) >= 2**63)
+    exact = np.can_cast(X.dtype, np.int64) and (not centred or centred_rows_fit_int64(n, max_abs(X)))
     rows = X.astype(np.int64 if exact else np.float64, copy=False)
     if centred:
         rows = n * rows - rows.sum(axis=-1, keepdims=True)

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from intelm.data import check_steps, integer_rows, max_abs, reject_blank_rows
+from intelm.data import InputError, check_steps, integer_rows, max_abs, reject_blank_rows
 from intelm.linalg import (
     DimensionError,
     SpdSystem,
     accumulate_gram,
     as_matrix,
     exact_dtype,
+    load_lapack,
     solve_spd,
 )
 from intelm.seeding import PRNG_ID, make_rng
@@ -136,9 +137,13 @@ def gen_weights_continuous(n: int, L: int, seed: int) -> np.ndarray:
 
 
 def gen_weights_ternary(n: int, L: int, seed: int) -> np.ndarray:
-    """i.i.d. uniform over {-1, 0, 1}, stored as int8."""
+    """i.i.d. uniform over {-1, 0, 1}, stored as int8.
+
+    numpy draws int32 and int64 values below 2**32 from one 32-bit stream,
+    so the int32 draw gives the weights of the default int64 one, faster.
+    """
     _check_size(n, L)
-    return make_rng(seed).integers(-1, 2, size=(n, L)).astype(np.int8)
+    return make_rng(seed).integers(-1, 2, size=(n, L), dtype=np.int32).astype(np.int8)
 
 
 def gen_weights_pm1(n: int, L: int, seed: int) -> np.ndarray:
@@ -228,6 +233,7 @@ def train(
         row_scale = np.asarray(row_scale, dtype=np.float64)
     if X.shape[0] != targets.shape[0]:
         raise DimensionError(f"{X.shape[0]} samples but {targets.shape[0]} target rows")
+    load_lapack()  # for solve_spd; before the hidden layer exists, so not on top of its peak
     L = W.shape[1]
     acc = SpdSystem.zeros(L, targets.shape[1])
     for start in range(0, X.shape[0], block_size):
@@ -258,8 +264,12 @@ def scores_float(model: FloatModel, X) -> np.ndarray:
     only weights far beyond any trained model's can cause, raises
     ScoreOverflowError instead of yielding an arbitrary argmax.
     """
+    return _row_scores(model, integer_rows(X, model.steps))
+
+
+def _row_scores(model: FloatModel, rows) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        S = hidden_features(model.input_weights, integer_rows(X, model.steps)) @ model.beta
+        S = hidden_features(model.input_weights, rows) @ model.beta
     if not np.isfinite(S).all():
         raise ScoreOverflowError("float class scores overflow float64 on this input")
     return S
@@ -271,9 +281,20 @@ def predict_float(model: FloatModel, x) -> int:
 
 
 def predict_float_batch(model: FloatModel, X) -> np.ndarray:
-    """Predicted class of each row of X; a blank row is an InputError (data.reject_blank_rows)."""
-    labels = np.argmax(scores_float(model, X), axis=1)
+    """Predicted class of each row of X; a blank row is an InputError (data.reject_blank_rows).
+
+    So is a sample that is not blank but whose float64 integer row (where
+    int64 would overflow) rounds to all zero: its scores would all be 0.
+    """
+    rows = integer_rows(X, model.steps)
+    labels = np.argmax(_row_scores(model, rows), axis=1)
     reject_blank_rows(X, model.steps)
+    rounded = ~rows.any(axis=-1)
+    if rounded.any():
+        raise InputError(
+            f"cannot classify the sample at row {int(np.argmax(rounded))}: "
+            "its float64 integer row rounds to all zero"
+        )
     return labels
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from intelm.data import InputError, check_steps, integer_rows, reject_blank_rows
+from intelm.data import InputError, centred_rows_fit_int64, check_steps, integer_rows, reject_blank_rows
 from intelm.elm import check_ternary
 from intelm.linalg import DimensionError, exact_dtype
 from intelm.quantize import IntegerBeta
@@ -72,8 +72,9 @@ class QuantizedModel:
 
     input_range is the declared (lo, hi) of raw sample values, and
     metadata["preprocessing"] the steps training applied; the headroom
-    check below proves the 32-bit hidden accumulator and the 64-bit output
-    accumulator cannot overflow for the integer rows of in-range inputs.
+    check below proves that the integer rows of in-range inputs are exact
+    int64 and that the 32-bit hidden accumulator and the 64-bit output
+    accumulator cannot overflow for them.
     ternary_weights, int_beta.values and steps are kept as private copies
     (read-only int8 and int64, and a tuple), so no caller can change W,
     beta or the rows behind the proof; kernel_weights is W's read-only
@@ -134,6 +135,12 @@ class QuantizedModel:
             raise HeadroomError(
                 f"hidden accumulator can reach {hidden} > {INT32_MAX} "
                 f"(n={self.n}, input range {self.input_range}, steps {list(self.steps)})"
+            )
+        lo, hi = self.input_range
+        if self.centred and not centred_rows_fit_int64(self.n, max(abs(lo), abs(hi))):
+            # integer_rows would centre such inputs in float64, which can round a row to zero.
+            raise HeadroomError(
+                f"centred rows of inputs in {self.input_range} can leave int64 (n={self.n})"
             )
         max_beta = self.int_beta.max_abs
         if max_beta > output_beta_limit(self.n, self.L, self.input_range, self.centred):

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import gauss_solve, naive_hidden, random_float_model
-from intelm.data import RawDataset, preprocess
+from intelm.data import InputError, RawDataset, preprocess
 from intelm.elm import (
     FloatModel,
     gen_weights_continuous,
@@ -28,6 +28,7 @@ from intelm.elm import (
 )
 from intelm.linalg import DimensionError
 from intelm.modelio import load_model, save_model
+from intelm.seeding import make_rng
 
 
 class TestWeightGeneration:
@@ -52,6 +53,15 @@ class TestWeightGeneration:
         np.testing.assert_array_equal(
             gen_weights_ternary(100, 100, seed=5), gen_weights_ternary(100, 100, seed=5)
         )
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 33), (784, 500)])
+    def test_ternary_stream_is_the_default_integer_draw(self, shape):
+        # Every saved ternary model was drawn from this stream; its W must not change.
+        for seed in (0, 1, 17, 2**31 - 1, 2**63 + 5):
+            np.testing.assert_array_equal(
+                gen_weights_ternary(*shape, seed=seed),
+                make_rng(seed).integers(-1, 2, shape).astype(np.int8),
+            )
 
     def test_ternary_symbol_frequencies(self):
         w = gen_weights_ternary(300, 300, seed=42)
@@ -170,6 +180,18 @@ class TestPredict:
         X = rng.standard_normal((15, model.n))
         batch = predict_float_batch(model, X)
         assert [predict_float(model, x) for x in X] == batch.tolist()
+
+    def test_row_that_float64_rounds_to_zero_rejected(self, rng):
+        # 2n * max|x| passes 2**63, so integer_rows centres in float64, where 2**62 + 1 is 2**62.
+        n = 100
+        model = FloatModel(
+            input_weights=gen_weights_ternary(n, 6, seed=0), beta=rng.standard_normal((6, 3)),
+            gamma=1.0, weight_kind="ternary", seed=0, metadata={"preprocessing": ["zero_mean"]},
+        )
+        for row in ([2**62] * (n - 1) + [2**62 + 1], [2**62 + 7] + [2**62] * (n - 1)):
+            X = np.array([np.arange(n), row])
+            with pytest.raises(InputError, match="sample at row 1: its float64 integer row rounds"):
+                predict_float_batch(model, X)
 
     def test_length_mismatch(self, rng):
         model = random_float_model(rng)

@@ -178,6 +178,15 @@ class TestHeadroom:
                 input_range=(0, 255),
             )
 
+    def test_centred_rows_beyond_int64_refused(self):
+        # A narrow range near 2**62 passes the hidden bound, but 2n * max|x| passes 2**63:
+        # integer_rows would centre in float64, where [2**62] * 99 + [2**62 + 1] rounds to zero.
+        beta = IntegerBeta(values=np.ones((2, 2), dtype=np.int64), tau=1.0)
+        centred = {"preprocessing": ["zero_mean"]}
+        with pytest.raises(HeadroomError, match=r"centred rows of inputs in .* can leave int64 \(n=100\)"):
+            QuantizedModel(np.ones((100, 2), dtype=np.int8), beta, (2**62, 2**62 + 7), metadata=centred)
+        QuantizedModel(np.ones((100, 2), dtype=np.int8), beta, (2**55, 2**55 + 7), metadata=centred)
+
     def test_mnist_scale_model_passes(self, rng):
         QuantizedModel(
             ternary_weights=rng.integers(-1, 2, size=(784, 400)).astype(np.int8),

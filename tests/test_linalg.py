@@ -100,6 +100,25 @@ class TestSolveSpd:
         with pytest.raises(CholeskyError, match="pivot at index 1"):
             solve_spd(SpdSystem(gram, np.ones((2, 1))))
 
+    def test_exactly_symmetric_gram_is_factored_as_is_and_left_unchanged(self, rng):
+        acc = SpdSystem.zeros(6, 2)
+        accumulate_gram(rng.standard_normal((9, 6)), acc, rng.standard_normal((9, 2)))
+        acc.add_ridge(1.0)
+        assert np.array_equal(acc.gram, acc.gram.T)
+        assert acc.symmetrized() is acc.gram
+        before = acc.gram.copy()
+        beta = solve_spd(acc)
+        np.testing.assert_array_equal(acc.gram, before)
+        assert acc.residual == np.abs(before @ beta - acc.rhs).max()
+
+    def test_nearly_symmetric_gram_is_averaged(self, rng):
+        A = rng.standard_normal((6, 4))
+        gram = A.T @ A + np.eye(4)
+        gram[0, 1] = np.nextafter(gram[0, 1], np.inf)
+        sym = SpdSystem(gram, np.ones((4, 1))).symmetrized()
+        np.testing.assert_array_equal(sym, (gram + gram.T) / 2)
+        assert np.array_equal(sym, sym.T)
+
     def test_asymmetric_gram_rejected(self):
         gram = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
