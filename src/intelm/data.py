@@ -97,7 +97,7 @@ class NormalizedDataset:
     scales the hidden layer afterwards; samples is the float matrix.
     """
 
-    rows: np.ndarray  # (N, n) integer_rows(samples, steps): int64, or float64 where those leave int64
+    rows: np.ndarray  # (N, n) integer_rows(samples, steps): the samples' dtype, int64 centred, or float64
     row_scale: np.ndarray  # (N,) float64, positive
     labels: np.ndarray
     class_count: int
@@ -147,14 +147,14 @@ def _read_idx(path, magic: int, ndim: int, what: str) -> np.ndarray:
 
 
 def load_idx_images(path) -> np.ndarray:
-    """Parse a big-endian IDX image file into (count, rows * cols) int64 samples."""
-    return _read_idx(path, IDX_IMAGES_MAGIC, 3, "image").astype(np.int64)
+    """Parse a big-endian IDX image file into (count, rows * cols) read-only uint8 samples."""
+    return _read_idx(path, IDX_IMAGES_MAGIC, 3, "image")
 
 
 def load_idx(images_path, labels_path) -> RawDataset:
     """Parse big-endian IDX image/label file pair."""
     images = load_idx_images(images_path)
-    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "label")[:, 0].astype(np.int64)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "label")[:, 0]
     if images.shape[0] != labels.shape[0]:
         raise DataFormatError(
             f"image count {images.shape[0]} != label count {labels.shape[0]} "
@@ -198,10 +198,10 @@ def load_cifar10(batch_paths, class_filter: tuple[str, str] | None = None) -> Ra
                 f"{path}: size {len(blob)} is not a multiple of {CIFAR10_RECORD}"
             )
         records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR10_RECORD)
-        labels.append(records[:, 0].astype(np.int64))
-        samples.append(records[:, 1:].astype(np.int64))
-    samples = np.concatenate(samples) if samples else np.zeros((0, 3072), dtype=np.int64)
-    labels = np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64)
+        labels.append(records[:, 0])
+        samples.append(records[:, 1:])
+    samples = np.concatenate(samples) if samples else np.zeros((0, 3072), dtype=np.uint8)
+    labels = np.concatenate(labels) if labels else np.zeros(0, dtype=np.uint8)
     if class_filter is None:
         return RawDataset(samples, labels, class_count=10, source="cifar10")
     wanted = []
@@ -415,17 +415,19 @@ def integer_rows(X, steps) -> np.ndarray:
     a positive multiple of it that is exact in integers. Training scales
     these rows (preprocess), and both scorers project them unscaled, since
     ReLU with zero bias and argmax ignore a positive scale. X whose dtype
-    casts to int64 gives int64 rows while they fit in 64 bits
-    (|n*X - sum(X)| <= 2n * max|x|); any other X gives float64 rows.
+    casts to int64 keeps that dtype, so u8 images stay u8 until a kernel
+    casts them to its exact float dtype; centred, such X gives int64 rows
+    while they fit in 64 bits (|n*X - sum(X)| <= 2n * max|x|). Any other X
+    gives float64 rows.
     """
     X = np.asarray(X)
+    exact = np.can_cast(X.dtype, np.int64)
+    if "zero_mean" not in steps:
+        return X if exact else X.astype(np.float64, copy=False)
     n = X.shape[-1]
-    centred = "zero_mean" in steps
-    exact = np.can_cast(X.dtype, np.int64) and (not centred or centred_rows_fit_int64(n, max_abs(X)))
+    exact = exact and centred_rows_fit_int64(n, max_abs(X))
     rows = X.astype(np.int64 if exact else np.float64, copy=False)
-    if centred:
-        rows = n * rows - rows.sum(axis=-1, keepdims=True)
-    return rows
+    return n * rows - rows.sum(axis=-1, keepdims=True)
 
 
 def blank_rows(X, steps) -> np.ndarray:

@@ -161,7 +161,7 @@ def _check_sample(model: QuantizedModel, x: np.ndarray) -> np.ndarray:
         raise InputError(
             f"sample values in [{x.min()}, {x.max()}] violate declared range [{lo}, {hi}]"
         )
-    return x.astype(np.int64, copy=False)
+    return x
 
 
 def ternary_project(W, X) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from intelm.data import (
     write_cifar10_batch,
     write_idx,
 )
+from intelm.elm import gen_weights_ternary, hidden_features
 from intelm.seeding import make_rng
 
 
@@ -31,6 +34,7 @@ class TestIdx:
         write_idx(images, labels, tmp_path / "img", tmp_path / "lbl")
         ds = load_idx(tmp_path / "img", tmp_path / "lbl")
         np.testing.assert_array_equal(ds.samples, images.reshape(3, 16))
+        assert ds.samples.dtype == np.uint8  # the file's own width, no int64 copy
         np.testing.assert_array_equal(ds.labels, labels)
         # write-then-read-then-write is identity at byte level
         write_idx(ds.samples.astype(np.uint8), ds.labels, tmp_path / "img2", tmp_path / "lbl2")
@@ -74,6 +78,26 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="image count 2 != label count 1"):
             load_idx(tmp_path / "img", tmp_path / "lbl1")
 
+    def test_training_inputs_stay_near_the_u8_payload_in_memory(self, tmp_path):
+        """Reading, l2-normalizing and projecting 2,000 MNIST-shaped images peaks near 5x their bytes.
+
+        That is the u8 payload itself plus hidden_features's float32 copy
+        (4x), with H and the scale beside them: about 5.15x measured at
+        L=16. An int64 copy of the samples would alone be 8x.
+        """
+        N, side = 2000, 28
+        images = make_rng(5).integers(0, 256, size=(N, side, side)).astype(np.uint8)
+        write_idx(images, np.arange(N) % 10, tmp_path / "img", tmp_path / "lbl")
+        W = gen_weights_ternary(side * side, 16, seed=1)
+        tracemalloc.start()
+        try:
+            norm = preprocess(load_idx(tmp_path / "img", tmp_path / "lbl"), ["l2_normalize"])
+            hidden_features(W, norm.rows, norm.row_scale)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * images.nbytes
+
 
 class TestCifar10:
     def test_synthetic_batch_roundtrip(self, rng, tmp_path):
@@ -82,6 +106,7 @@ class TestCifar10:
         write_cifar10_batch(samples, labels, tmp_path / "batch.bin")
         ds = load_cifar10([tmp_path / "batch.bin"], class_filter=None)
         np.testing.assert_array_equal(ds.samples, samples)
+        assert ds.samples.dtype == np.uint8
         np.testing.assert_array_equal(ds.labels, labels)
         write_cifar10_batch(
             ds.samples.astype(np.uint8), ds.labels.astype(np.uint8), tmp_path / "b2.bin"
@@ -179,8 +204,10 @@ class TestPreprocess:
         assert (ds.N, ds.n) == (raw.N, raw.n)
 
     def test_rows_are_exact_integers_times_a_positive_scale(self):
-        ds = preprocess(self._raw([[3, 4], [1, 0]]), ["l2_normalize"])
-        assert ds.rows.dtype == np.int64 and ds.rows.tolist() == [[3, 4], [1, 0]]
+        raw = self._raw([[3, 4], [1, 0]])
+        ds = preprocess(raw, ["l2_normalize"])
+        # uncentred rows are the samples themselves, in their own dtype
+        assert ds.rows.dtype == raw.samples.dtype and ds.rows.tolist() == [[3, 4], [1, 0]]
         assert ds.row_scale.tolist() == [0.2, 1.0]
         ds = preprocess(self._raw([[1, 3], [0, 1], [5, 5]]), ["zero_mean"])
         assert ds.rows.tolist() == [[-2, 2], [-1, 1], [0, 0]]  # n*x - sum(x)
@@ -210,7 +237,7 @@ class TestPreprocess:
         big = 2**40
         raw = RawDataset(np.array([[big, 1], [3, big]]), [0, 1], class_count=2, value_range=(0, big))
         ds = preprocess(raw, ["zero_mean", "l2_normalize"])
-        assert ds.rows.dtype == np.int64
+        assert ds.rows.dtype == np.int64  # centred rows are int64
         np.testing.assert_array_equal(ds.rows, integer_rows(raw.samples, ["zero_mean", "l2_normalize"]))
         np.testing.assert_allclose(ds.samples, [[2**-0.5, -(2**-0.5)], [-(2**-0.5), 2**-0.5]])
 
@@ -240,13 +267,36 @@ class TestPreprocess:
         centred = "zero_mean" in steps
         expected = 7 * samples.astype(np.int64) - samples.sum(axis=1, keepdims=True) if centred else samples
         np.testing.assert_array_equal(rows, expected)
-        assert rows.dtype == np.int64
+        assert rows.dtype == (np.int64 if centred else np.uint8)  # u8 samples stay u8 uncentred
         # beyond u8: the int64 sum of squares would overflow, the rows stay integer_rows
         big = samples.astype(np.int64) * 2**40 + 1
         raw = RawDataset(big, np.arange(20) % 2, class_count=2, value_range=(0, 2**48))
         rows = preprocess(raw, steps).rows
         np.testing.assert_array_equal(rows, integer_rows(big, steps))
-        assert rows.dtype == np.int64
+        assert rows.dtype == np.int64  # int64 samples, centred or not
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int16, np.int32, np.int64, np.uint64])
+    @pytest.mark.parametrize("steps", [[], ["l2_normalize"], ["zero_mean"], ["zero_mean", "l2_normalize"]])
+    def test_row_dtype_is_the_narrowest_exact_one(self, rng, dtype, steps):
+        values = rng.integers(0, 256, size=(12, 6))
+        if np.issubdtype(dtype, np.signedinteger):
+            values -= 128
+        samples = values.astype(dtype)
+        centred = "zero_mean" in steps
+        rows = integer_rows(samples, steps)
+        if dtype == np.uint64:  # does not cast to int64: the float64 fallback
+            expected_dtype = np.float64
+        else:
+            expected_dtype = np.int64 if centred else dtype
+        assert rows.dtype == expected_dtype
+        assert (rows is samples) == (not centred and dtype != np.uint64)  # no copy
+        np.testing.assert_array_equal(rows, integer_rows(values, steps))
+        raw = RawDataset(samples, np.arange(12) % 2, class_count=2, value_range=(-128, 255))
+        ds, reference = preprocess(raw, steps), preprocess(self._raw(values), steps)
+        assert ds.rows.dtype == expected_dtype
+        np.testing.assert_array_equal(ds.rows, reference.rows)
+        assert ds.row_scale.tobytes() == reference.row_scale.tobytes()
+        assert ds.samples.tobytes() == reference.samples.tobytes()
 
     def test_integer_rows_leave_int64_only_when_centring_would_overflow(self):
         assert integer_rows(np.array([[2**61, 0]]), ["zero_mean"]).dtype == np.float64

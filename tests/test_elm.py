@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import gauss_solve, naive_hidden, random_float_model
-from intelm.data import InputError, RawDataset, preprocess
+from intelm.data import DataFormatError, InputError, RawDataset, preprocess
 from intelm.elm import (
     FloatModel,
     gen_weights_continuous,
@@ -26,8 +26,10 @@ from intelm.elm import (
     train,
     training_residual,
 )
+from intelm.intinfer import QuantizedModel, classify_int_batch, int_scores
 from intelm.linalg import DimensionError
 from intelm.modelio import load_model, save_model
+from intelm.quantize import IntegerBeta
 from intelm.seeding import make_rng
 
 
@@ -398,3 +400,89 @@ def test_hidden_layer_is_bit_identical_across_blas_thread_counts(tmp_path):
         H = np.maximum(norm.rows @ W.astype(np.int64), 0) * norm.row_scale[:, None]
         reference.append(hashlib.sha256(H.tobytes()).hexdigest())
     assert outputs[0] == outputs[1] == reference
+
+
+# --- sample dtype invariance ------------------------------------------------------
+
+SAMPLE_DTYPES = (np.uint8, np.uint16, np.int16, np.int64)
+
+
+@st.composite
+def u8_valued_cases(draw):
+    """u8-valued samples, some rows box corners of 0s and 255s, with labels, steps and a seed.
+
+    Under zero_mean a corner row has the widest centred values, n*255 - sum(x),
+    so centring in the samples' own u8 width would wrap there.
+    """
+    N, n, L = draw(st.integers(2, 8)), draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    corner = st.lists(st.sampled_from([0, 255]), min_size=n, max_size=n)
+    inner = st.lists(st.integers(0, 255), min_size=n, max_size=n)
+    X = np.array(draw(st.lists(corner | inner, min_size=N, max_size=N)))
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=N, max_size=N)))
+    return X, labels, L, draw(st.sampled_from(STEP_LISTS)), draw(st.integers(0, 2**31 - 1))
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the input error it raises."""
+    try:
+        return f(*args)
+    except (InputError, DataFormatError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+class TestSampleDtypeInvariance:
+    """The same values stored as u8, uint16, int16 or int64 give the same model files and scores."""
+
+    @staticmethod
+    def _trained_file(samples, labels, L, steps, seed, path) -> bytes:
+        norm = preprocess(RawDataset(samples, labels, class_count=3), steps)
+        W = gen_weights_ternary(norm.n, L, seed)
+        model = train(norm.rows, one_hot(norm.labels, 3), W, seed=seed, weight_kind="ternary",
+                      metadata={"preprocessing": steps}, row_scale=norm.row_scale)
+        save_model(model, path)
+        return path.read_bytes()
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(u8_valued_cases())
+    def test_trained_model_files_are_byte_identical(self, tmp_path_factory, case):
+        X, labels, L, steps, seed = case
+        path = tmp_path_factory.mktemp("dtype") / "model.ielm"
+        files = [_outcome(self._trained_file, X.astype(dt), labels, L, steps, seed, path)
+                 for dt in SAMPLE_DTYPES]
+        assert all(f == files[-1] for f in files)
+
+    @pytest.mark.parametrize("hi, kernel", [(255, np.float32), (2**23, np.float64)])
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(case=u8_valued_cases())
+    def test_scores_and_labels_are_equal(self, hi, kernel, case):
+        X, _, L, steps, seed = case
+        rng = make_rng(seed)
+        W = gen_weights_ternary(X.shape[1], L, seed)
+        qmodel = QuantizedModel(
+            ternary_weights=W,
+            int_beta=IntegerBeta(values=rng.integers(-50, 51, size=(L, 3)), tau=1.0),
+            input_range=(0, hi),
+            metadata={"preprocessing": steps},
+        )
+        assert qmodel.kernel_weights.dtype == kernel  # the bound n*hi, or its centred form, vs 2**24
+        beta = rng.standard_normal((L, 3))
+        float_models = [
+            FloatModel(input_weights=w, beta=beta, gamma=1.0, weight_kind=kind, seed=seed,
+                       metadata={"preprocessing": steps})
+            for w, kind in ((W, "ternary"), (gen_weights_continuous(X.shape[1], L, seed), "continuous"))
+        ]
+        reference = X.astype(np.int64)
+        expected_int = int_scores(qmodel, reference)
+        expected_labels = _outcome(classify_int_batch, qmodel, reference)
+        expected_float = [scores_float(m, reference).tobytes() for m in float_models]
+        for dt in SAMPLE_DTYPES[:-1]:
+            samples = X.astype(dt)
+            scores = int_scores(qmodel, samples)
+            assert scores.dtype == np.int64
+            np.testing.assert_array_equal(scores, expected_int)
+            labels = _outcome(classify_int_batch, qmodel, samples)
+            if isinstance(expected_labels, str):
+                assert labels == expected_labels
+            else:
+                np.testing.assert_array_equal(labels, expected_labels)
+            assert [scores_float(m, samples).tobytes() for m in float_models] == expected_float
