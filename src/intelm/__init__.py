@@ -8,8 +8,6 @@ signals, and a bit-precision reduction ladder for the output weights.
 from intelm.elm import (
     FloatModel,
     gen_weights_continuous,
-    gen_weights_pm1,
-    gen_weights_symmetric,
     gen_weights_ternary,
     hidden_features,
     one_hot,
@@ -34,8 +32,6 @@ __all__ = [
     "classify_int",
     "classify_int_batch",
     "gen_weights_continuous",
-    "gen_weights_pm1",
-    "gen_weights_symmetric",
     "gen_weights_ternary",
     "hidden_features",
     "one_hot",

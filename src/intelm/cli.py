@@ -164,7 +164,7 @@ def cmd_quantize(args) -> int:
 def cmd_classify(args) -> int:
     model = load_model(_resolve(args.model))
     samples = _load_inputs(args)
-    if samples.size == 0:
+    if len(samples) == 0:
         return EXIT_OK
     if isinstance(model, QuantizedModel):
         classify, score = classify_int_batch, int_scores

@@ -28,9 +28,6 @@ from intelm.linalg import (
 )
 from intelm.seeding import PRNG_ID, make_rng
 
-# The weight kinds whose weights are integer codes in {-1, 0, 1}.
-INTEGER_WEIGHT_KINDS = ("ternary", "pm1")
-
 # One-hot target rows use {0, 1}; recorded in model metadata so reported
 # accuracies are tied to a concrete encoding.
 TARGET_ENCODING = "onehot-01"
@@ -89,13 +86,15 @@ class FloatModel:
         if not np.all(np.isfinite(self.beta)):
             raise ValueError("beta contains NaN or Inf")
         self.steps = check_steps(self.metadata.get("preprocessing", []))
-        if self.weight_kind in INTEGER_WEIGHT_KINDS:
+        if self.weight_kind == "ternary":
             check_ternary(self.input_weights)
         elif np.issubdtype(self.input_weights.dtype, np.integer):
             raise ValueError(
                 f"{self.weight_kind} weights must be floats, got {self.input_weights.dtype}; "
                 "pass the weight_kind the weights were generated with"
             )
+        elif not np.all(np.isfinite(self.input_weights)):
+            raise ValueError("input weights contain NaN or Inf")
 
     @property
     def n(self) -> int:
@@ -146,23 +145,9 @@ def gen_weights_ternary(n: int, L: int, seed: int) -> np.ndarray:
     return make_rng(seed).integers(-1, 2, size=(n, L), dtype=np.int32).astype(np.int8)
 
 
-def gen_weights_pm1(n: int, L: int, seed: int) -> np.ndarray:
-    """i.i.d. uniform over {-1, 1}; comparison option, no accuracy claim."""
-    _check_size(n, L)
-    return (2 * make_rng(seed).integers(0, 2, size=(n, L)) - 1).astype(np.int8)
-
-
-def gen_weights_symmetric(n: int, L: int, seed: int) -> np.ndarray:
-    """i.i.d. uniform on (-1, 1); comparison option, no accuracy claim."""
-    _check_size(n, L)
-    return 2.0 * gen_weights_continuous(n, L, seed) - 1.0
-
-
 GENERATORS = {
     "continuous": gen_weights_continuous,
     "ternary": gen_weights_ternary,
-    "pm1": gen_weights_pm1,
-    "symmetric": gen_weights_symmetric,
 }
 
 

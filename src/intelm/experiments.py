@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from intelm import data as dat
-from intelm.elm import GENERATORS, INTEGER_WEIGHT_KINDS, FloatModel, one_hot, predict_float_batch, train
+from intelm.elm import GENERATORS, FloatModel, one_hot, predict_float_batch, train
 from intelm.intinfer import QuantizedModel, classify_int_batch, output_beta_limit
 from intelm.linalg import DimensionError
 from intelm.modelio import BETA_STORAGE_MAX
@@ -280,7 +280,7 @@ def make_quantized(
     the 64-bit output accumulator and the file's 32-bit beta storage; a
     near-zero beta entry can otherwise make min-magnitude scaling explode it.
     """
-    if model.weight_kind not in INTEGER_WEIGHT_KINDS:
+    if model.weight_kind != "ternary":
         raise ValueError(f"integer path needs ternary weights, model has {model.weight_kind}")
     meta = dict(model.metadata)
     meta["gamma"] = model.gamma

@@ -6,13 +6,13 @@ Layout (all little-endian):
     u32     format version (currently 1)
     u32     n, L, m
     f64     gamma
-    u8      weight kind: 0=continuous 1=ternary 2=pm1 3=symmetric
+    u8      weight kind: 0=continuous 1=ternary
     u8      beta kind:   0=float 1=integer
     u64     seed
     [beta kind 1 only] f64 tau, u32 ladder_step, i64 range_lo, i64 range_hi
     u32     prng id length, then utf-8 bytes
     u32     metadata length, then utf-8 JSON (sorted keys)
-    W       n*L f64 (continuous/symmetric) or n*L i8 (ternary/pm1)
+    W       n*L f64 (continuous) or n*L i8 (ternary)
     beta    L*m f64 (float) or L*m i32 (integer)
 
 Writing the same model twice yields byte-identical files.
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from intelm.elm import INTEGER_WEIGHT_KINDS, FloatModel
+from intelm.elm import FloatModel
 from intelm.intinfer import QuantizedModel
 from intelm.quantize import IntegerBeta
 
@@ -35,7 +35,7 @@ MAGIC = b"IELM"
 FORMAT_VERSION = 1
 BETA_STORAGE_MAX = 2**31 - 1  # integer beta is stored as i32
 
-_WEIGHT_CODES = {"continuous": 0, "ternary": 1, "pm1": 2, "symmetric": 3}
+_WEIGHT_CODES = {"continuous": 0, "ternary": 1}
 _WEIGHT_KINDS = {v: k for k, v in _WEIGHT_CODES.items()}
 
 _HEADER = struct.Struct("<4sIIIIdBBQ")
@@ -47,7 +47,7 @@ class ModelFormatError(ValueError):
 
 
 def _weight_dtype(kind: str) -> np.dtype:
-    return np.dtype(np.int8 if kind in INTEGER_WEIGHT_KINDS else "<f8")
+    return np.dtype(np.int8 if kind == "ternary" else "<f8")
 
 
 def save_model(model: FloatModel | QuantizedModel, path) -> None:

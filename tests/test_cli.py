@@ -120,6 +120,17 @@ class TestTrain:
         assert "reason=DataFormatError" in err and detail in err
         assert not (tmp_path / "m.ielm").exists()
 
+    def test_offers_exactly_the_two_weight_kinds(self, idx_dataset, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--help"])
+        assert exit_info.value.code == 0
+        assert "--weight-kind {continuous,ternary}" in capsys.readouterr().out
+        out = tmp_path / "pm1.ielm"
+        with pytest.raises(SystemExit) as exit_info:
+            main(train_args(idx_dataset, out, kind="pm1"))
+        assert exit_info.value.code == 2 and not out.exists()
+        assert "invalid choice: 'pm1'" in capsys.readouterr().err
+
     def test_refuses_overwrite_without_force(self, idx_dataset, tmp_path, capsys):
         out = tmp_path / "model.ielm"
         assert main(train_args(idx_dataset, out)) == 0
@@ -250,6 +261,50 @@ class TestQuantizeAndClassify:
         )
         assert main(["classify", "--model", str(model_path), "--input", str(tmp_path / "empty.idx")]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_zero_width_samples_exit_3_and_zero_rows_exit_0(self, idx_dataset, tmp_path, capsys):
+        model_path = self._trained(idx_dataset, tmp_path)
+        assert main(["quantize", "--model", str(model_path), "--out", str(tmp_path / "q.ielm")]) == 0
+        # IDX image headers: 3 images of 0x0, and 0 images of 4x4
+        (tmp_path / "zero_width.idx").write_bytes(struct.pack(">4I", 0x803, 3, 0, 0))
+        (tmp_path / "zero_rows.idx").write_bytes(struct.pack(">4I", 0x803, 0, 4, 4))
+        for model in (model_path, tmp_path / "q.ielm"):
+            for scores in ([], ["--scores"]):
+                capsys.readouterr()
+                argv = ["classify", "--model", str(model), *scores, "--input"]
+                assert main(argv + [str(tmp_path / "zero_width.idx")]) == 3
+                captured = capsys.readouterr()
+                assert captured.out == "" and {"code=3", "reason=shape_mismatch"} <= set(captured.err.split())
+                assert main(argv + [str(tmp_path / "zero_rows.idx")]) == 0
+                assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("code", [2, 3])
+    def test_removed_weight_kind_code_exit_1(self, idx_dataset, tmp_path, capsys, code):
+        model_path = self._trained(idx_dataset, tmp_path)
+        blob = bytearray(model_path.read_bytes())
+        blob[28] = code  # weight kind code: 0 continuous, 1 ternary
+        model_path.write_bytes(bytes(blob))
+        imgs, _ = idx_dataset
+        capsys.readouterr()
+        assert main(["classify", "--model", str(model_path), "--input", str(imgs)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "reason=ModelFormatError" in captured.err
+        assert f"weight_kind_code_{code}" in captured.err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_weight_model_exit_1(self, idx_dataset, tmp_path, capsys, value):
+        model_path = tmp_path / "float.ielm"
+        assert main(train_args(idx_dataset, model_path, kind="continuous")) == 0
+        model = load_model(model_path)
+        blob = bytearray(model_path.read_bytes())
+        at = len(blob) - 8 * (model.beta.size + model.input_weights.size)  # W[0, 0], f8, before beta
+        blob[at : at + 8] = np.float64(value).tobytes()
+        model_path.write_bytes(bytes(blob))
+        imgs, _ = idx_dataset
+        capsys.readouterr()
+        assert main(["classify", "--model", str(model_path), "--input", str(imgs), "--scores"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "reason=ModelFormatError" in captured.err
 
     def test_float_int_paths_agree_on_same_weights(self, idx_dataset, tmp_path, capsys):
         model_path = self._trained(idx_dataset, tmp_path)

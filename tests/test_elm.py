@@ -16,7 +16,6 @@ from intelm.data import DataFormatError, InputError, RawDataset, preprocess
 from intelm.elm import (
     FloatModel,
     gen_weights_continuous,
-    gen_weights_pm1,
     gen_weights_ternary,
     hidden_features,
     one_hot,
@@ -70,10 +69,6 @@ class TestWeightGeneration:
         for symbol in (-1, 0, 1):
             freq = np.mean(w == symbol)
             assert 0.313 <= freq <= 0.353, (symbol, freq)
-
-    def test_pm1_values(self):
-        w = gen_weights_pm1(50, 50, seed=1)
-        assert set(np.unique(w)) == {-1, 1}
 
     def test_size_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -523,9 +523,8 @@ class TestTernaryCheck:
         W = np.array([[1.0, 0.0], [-1.0, 1.0]])
         with pytest.raises(ValueError, match="must be integers, got float64"):
             check_ternary(W)
-        for kind in ("ternary", "pm1"):
-            with pytest.raises(ValueError, match="must be integers"):
-                FloatModel(W, np.ones((2, 1)), 1.0, kind, 0)
+        with pytest.raises(ValueError, match="must be integers"):
+            FloatModel(W, np.ones((2, 1)), 1.0, "ternary", 0)
         with pytest.raises(ValueError, match="must be integers"):
             QuantizedModel(W, IntegerBeta(values=np.ones((2, 1), dtype=np.int64), tau=1.0))
 

@@ -1,4 +1,6 @@
+import runpy
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import near_zero_beta_model, random_float_model
-from intelm.elm import FloatModel
+from intelm.elm import GENERATORS, FloatModel, one_hot, scores_float, train
 from intelm.experiments import make_quantized
 from intelm.intinfer import QuantizedModel
-from intelm.modelio import _HEADER, _INT_EXTRA, ModelFormatError, load_model, save_model
+from intelm.modelio import _HEADER, _INT_EXTRA, _WEIGHT_CODES, ModelFormatError, load_model, save_model
 from intelm.seeding import make_rng
 
 # Byte offsets of header fields, from the layout in intelm.modelio.
-N_AT, GAMMA_AT, BCODE_AT = 8, 20, 29
+N_AT, GAMMA_AT, WCODE_AT, BCODE_AT = 8, 20, 28, 29
 TAU_AT, LO_AT = _HEADER.size, _HEADER.size + 12
 
 
@@ -50,6 +52,12 @@ def metadata_offset(blob: bytes, integer: bool) -> int:
     return at + 4 + prng_len + 4
 
 
+def weights_offset(blob: bytes, integer: bool) -> int:
+    at = metadata_offset(blob, integer)
+    (meta_len,) = struct.unpack_from("<I", blob, at - 4)
+    return at + meta_len
+
+
 @pytest.mark.parametrize(
     "name, mutate, match",
     [
@@ -68,11 +76,18 @@ def metadata_offset(blob: bytes, integer: bool) -> int:
         ("quantized", lambda b: patched(b, "<qq", LO_AT, 0, 2**40), "hidden accumulator"),
         ("ternary", lambda b: b[:-1], "truncated"),
         ("quantized", lambda b: b + b"\0", "trailing"),
+        # codes 2 and 3 were the removed pm1 (i8) and symmetric (f8) kinds
+        ("ternary", lambda b: patched(b, "<B", WCODE_AT, 2), "weight kind code 2"),
+        ("quantized", lambda b: patched(b, "<B", WCODE_AT, 2), "weight kind code 2"),
+        ("continuous", lambda b: patched(b, "<B", WCODE_AT, 3), "weight kind code 3"),
+        ("continuous", lambda b: patched(b, "<d", weights_offset(b, False), float("nan")), "input weights"),
+        ("continuous", lambda b: patched(b, "<d", weights_offset(b, False), float("inf")), "input weights"),
     ],
     ids=[
         "dims_2p32", "dims_1e5", "dims_1e5_f64", "beta_code_2_quantized", "beta_code_2_float",
         "bad_json", "non_utf8_prng", "nan_tau", "inf_tau", "range_lo_above_hi", "negative_gamma",
-        "nan_gamma", "range_past_headroom", "truncated", "trailing",
+        "nan_gamma", "range_past_headroom", "truncated", "trailing", "weight_code_2_ternary",
+        "weight_code_2_quantized", "weight_code_3_continuous", "nan_weight", "inf_weight",
     ],
 )
 def test_malformed_file_raises_model_format_error(blobs, tmp_path, name, mutate, match):
@@ -101,6 +116,26 @@ def test_ternary_code_out_of_range_is_a_format_error(blobs, tmp_path):
     path.write_bytes(patched(blob, "<b", at + meta_len, 2))  # first weight
     with pytest.raises(ModelFormatError, match="ternary"):
         load_model(path)
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_every_weight_kind_round_trips(tmp_path, kind):
+    rng = make_rng(11)
+    X = rng.integers(0, 256, size=(30, 6), dtype=np.int64)
+    W = GENERATORS[kind](6, 5, seed=4)
+    model = train(X, one_hot(np.arange(30) % 3, 3), W, seed=4, weight_kind=kind)
+    save_model(model, tmp_path / "m.ielm")
+    loaded = load_model(tmp_path / "m.ielm")
+    assert loaded.weight_kind == kind and loaded.input_weights.dtype == W.dtype
+    np.testing.assert_array_equal(scores_float(loaded, X), scores_float(model, X))
+
+
+def test_weight_codes_match_the_benchmark_reader():
+    # perfbench/checks.py parses IELM files on its own; loaded by path, read only.
+    checks = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"))
+    assert _WEIGHT_CODES["ternary"] in checks["INT8_WEIGHT_CODES"]
+    assert _WEIGHT_CODES["continuous"] not in checks["INT8_WEIGHT_CODES"]
+    assert (checks["IELM_HEADER"].format, checks["IELM_INT_EXTRA"].format) == (_HEADER.format, _INT_EXTRA.format)
 
 
 def test_loaded_quantized_weights_are_owned_and_read_only(blobs, tmp_path):
