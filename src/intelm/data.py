@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -34,6 +35,8 @@ CIFAR10_CLASSES = (
     "truck",
 )
 CIFAR10_RECORD = 3073  # 1 label byte + 32*32*3 pixels
+# A CSV row: ASCII decimal integers, each with an optional sign and ASCII whitespace around it.
+_INT_ROW = re.compile(r"\s*[+-]?\d+\s*(,\s*[+-]?\d+\s*)*", re.ASCII)
 
 
 class DataFormatError(ValueError):
@@ -328,12 +331,11 @@ def _int_rows(lines, path, width: int | None = None) -> np.ndarray:
     """(rows, width) int64 fields of each nonblank (line number, text) pair."""
     rows = []
     for lineno, line in lines:
-        if not line.strip():
+        if not line.strip(" \t\n\r\f\v"):  # blank in ASCII, as _INT_ROW reads whitespace
             continue
-        try:
-            row = [int(v) for v in line.split(",")]
-        except ValueError as e:
-            raise DataFormatError(f"{path}: line {lineno}: {e}") from None
+        if not _INT_ROW.fullmatch(line):
+            raise DataFormatError(f"{path}: line {lineno}: a field is not an ASCII decimal integer")
+        row = [int(v) for v in line.split(",")]
         width = width or len(row)
         if len(row) != width:
             raise DataFormatError(f"{path}: line {lineno} has {len(row)} fields, expected {width}")

@@ -83,6 +83,8 @@ class FloatModel:
                 f"beta has {self.beta.shape[0]} rows, input weights have "
                 f"{self.input_weights.shape[1]} columns"
             )
+        if min(self.n, self.L, self.m) < 1:
+            raise DimensionError(f"model has an empty dimension: n={self.n}, L={self.L}, m={self.m}")
         if not np.all(np.isfinite(self.beta)):
             raise ValueError("beta contains NaN or Inf")
         self.steps = check_steps(self.metadata.get("preprocessing", []))

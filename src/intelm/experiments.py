@@ -25,7 +25,6 @@ from intelm import data as dat
 from intelm.elm import GENERATORS, FloatModel, one_hot, predict_float_batch, train
 from intelm.intinfer import QuantizedModel, classify_int_batch, output_beta_limit
 from intelm.linalg import DimensionError
-from intelm.modelio import BETA_STORAGE_MAX
 from intelm.quantize import bit_width, precision_ladder, quantize_beta, reduce_precision_step
 from intelm.seeding import split_seed
 
@@ -77,7 +76,7 @@ RANGES = {
     **dict.fromkeys(("L", "models_per_L", "pairs", "jobs", "count", "patch_size", "train_limit"),
                     (lambda v: v >= 1, ">= 1")),
     "seed": (lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
-    "gamma": (lambda v: 0 < v <= sys.float_info.max, "finite and > 0"),
+    "gamma": (lambda v: 0 < v and max(v, 1 / v) <= sys.float_info.max, "> 0 with gamma and 1/gamma finite"),
     "selection_threshold": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "split_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
     "class_filter": (lambda v: v[0] != v[1] and set(v) <= set(dat.CIFAR10_CLASSES), "two different CIFAR-10 classes"),
@@ -276,8 +275,8 @@ def make_quantized(
 ) -> QuantizedModel:
     """Quantize a ternary-weight model's beta into the integer-only pipeline.
 
-    With fit_headroom, the precision ladder is climbed until max |v| fits
-    the 64-bit output accumulator and the file's 32-bit beta storage; a
+    With fit_headroom, the precision ladder is climbed until max |v| is at
+    most output_beta_limit, the one beta rule of the headroom proof; a
     near-zero beta entry can otherwise make min-magnitude scaling explode it.
     """
     if model.weight_kind != "ternary":
@@ -288,7 +287,7 @@ def make_quantized(
     ib = quantize_beta(model.beta)
     if fit_headroom:
         centred = "zero_mean" in model.steps
-        limit = min(output_beta_limit(model.n, model.L, input_range, centred), BETA_STORAGE_MAX)
+        limit = output_beta_limit(model.n, model.L, input_range, centred)
         while ib.max_abs > max(1, limit):
             ib = reduce_precision_step(ib)
     return QuantizedModel(
@@ -326,10 +325,10 @@ def _train_one(
 def run_bit_sweep(model: FloatModel, test_raw: dat.RawDataset) -> SweepReport:
     """Accuracy at every rung of the output-weight precision ladder.
 
-    The ladder starts at the first rung that fits the headroom and the
-    beta storage. Rows are ordered by descending bit width;
-    agreement_with_float counts the fraction of test samples where the
-    rung's integer prediction matches the float model's prediction.
+    The ladder starts at the first rung within output_beta_limit. Rows are
+    ordered by descending bit width; agreement_with_float counts the
+    fraction of test samples where the rung's integer prediction matches
+    the float model's prediction.
     """
     report = SweepReport()
     float_pred = predict_float_batch(model, test_raw.samples)

@@ -49,8 +49,8 @@ def hidden_bound(n: int, input_range: tuple[int, int], centred: bool = False) ->
 
 
 def output_beta_limit(n: int, L: int, input_range: tuple[int, int], centred: bool = False) -> int:
-    """Largest max |v| for which L * hidden_bound * max |v| fits the 64-bit output accumulator."""
-    return INT64_MAX // max(1, L * hidden_bound(n, input_range, centred))
+    """Largest max |v| the proof admits: an i32 beta whose L * hidden_bound * max |v| fits in int64."""
+    return min(INT32_MAX, INT64_MAX // max(1, L * hidden_bound(n, input_range, centred)))
 
 
 class HeadroomError(ValueError):
@@ -99,6 +99,8 @@ class QuantizedModel:
                 f"int beta has {self.int_beta.values.shape[0]} rows, "
                 f"weights have {W.shape[1]} columns"
             )
+        if min(self.n, self.L, self.m) < 1:
+            raise DimensionError(f"model has an empty dimension: n={self.n}, L={self.L}, m={self.m}")
         lo, hi = self.input_range
         if lo > hi:
             raise ValueError(f"input range ({lo}, {hi}) has lo > hi")
@@ -143,10 +145,11 @@ class QuantizedModel:
                 f"centred rows of inputs in {self.input_range} can leave int64 (n={self.n})"
             )
         max_beta = self.int_beta.max_abs
-        if max_beta > output_beta_limit(self.n, self.L, self.input_range, self.centred):
+        limit = output_beta_limit(self.n, self.L, self.input_range, self.centred)
+        if max_beta > limit:
             raise HeadroomError(
-                f"output accumulator can reach {self.L * hidden * max_beta} > {INT64_MAX} "
-                f"(L={self.L}, max |beta| = {max_beta})"
+                f"max |beta| = {max_beta} > {limit}, the limit of i32 beta and the output accumulator "
+                f"(L={self.L}, hidden bound {hidden})"
             )
 
 

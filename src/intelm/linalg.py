@@ -96,31 +96,21 @@ class SpdSystem:
 
     def add_ridge(self, gamma: float) -> None:
         """Add the I/gamma shift that makes the system strictly positive definite."""
-        if gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        if not gamma > 0 or np.isinf(1.0 / float(gamma)):
+            raise ValueError(f"gamma must be positive with a finite 1/gamma, got {gamma}")
         self.gram[np.diag_indices(self.size)] += 1.0 / gamma
 
-    def symmetrized(self, rtol: float = 1e-12) -> np.ndarray:
-        """An exactly symmetric gram, once its diagonal is positive.
+    def symmetrized(self) -> np.ndarray:
+        """gram, once it is exactly symmetric with a positive diagonal; a ValueError otherwise.
 
-        gram itself when exactly symmetric, as accumulate_gram's sums are
-        (numpy forms block.T @ block from one triangle); otherwise
-        (gram + gram.T) / 2, once gram is symmetric to rtol. Exact symmetry
-        keeps dpotrf's result independent of which triangle it reads. The
-        asymmetry max |gram - gram.T| is twice max |gram - sym|.
+        accumulate_gram's sums are (numpy forms block.T @ block from one triangle),
+        and exact symmetry keeps dpotrf's result independent of the triangle it reads.
         """
-        gram = sym = self.gram
-        if not np.array_equal(gram, gram.T):
-            sym = np.add(gram, gram.T)
-            sym *= 0.5
-            deviation = np.subtract(gram, sym)
-            np.abs(deviation, out=deviation)
-            scale = max(1.0, float(gram.max()), -float(gram.min()))
-            if 2.0 * deviation.max() > rtol * scale:
-                raise ValueError("gram matrix is not symmetric")
-        if np.any(np.diag(gram) <= 0):
+        if not np.array_equal(self.gram, self.gram.T):
+            raise ValueError("gram matrix is not exactly symmetric")
+        if np.any(np.diag(self.gram) <= 0):
             raise ValueError("gram diagonal has non-positive entries (missing ridge shift?)")
-        return sym
+        return self.gram
 
 
 def accumulate_gram(row_block, acc: SpdSystem, target_block) -> SpdSystem:

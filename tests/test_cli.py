@@ -18,7 +18,7 @@ from intelm import cli
 from intelm.cli import main
 from intelm.data import load_idx, preprocess, write_cifar10_batch, write_idx
 from intelm.elm import hidden_features, one_hot, predict_float_batch, training_residual
-from intelm.experiments import select_model
+from intelm.experiments import make_quantized, select_model
 from intelm.modelio import ModelFormatError, load_model, save_model
 from intelm.quantize import precision_ladder, quantize_beta
 from intelm.seeding import make_rng
@@ -218,6 +218,23 @@ class TestQuantizeAndClassify:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "reason=ModelFormatError" in captured.err and "NaN" in captured.err
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
+    @pytest.mark.parametrize("dim", ["L", "m"])
+    def test_model_with_an_empty_dimension_exit_1(self, tmp_path, capsys, dim, integer):
+        fm = near_zero_beta_model()
+        path = tmp_path / "empty.ielm"
+        save_model(make_quantized(fm, (0, 255), fit_headroom=True) if integer else fm, path)
+        beta_bytes = fm.L * fm.m * (4 if integer else 8)
+        # Zero L (header offset 12) drops W (n*L i8) and beta; zero m (offset 16) drops beta.
+        blob = bytearray(path.read_bytes()[: -beta_bytes - (fm.n * fm.L if dim == "L" else 0)])
+        struct.pack_into("<I", blob, {"L": 12, "m": 16}[dim], 0)
+        path.write_bytes(bytes(blob))
+        (tmp_path / "x.csv").write_text("1,2,3,4\n0,5,0,1\n")
+        code = main(["classify", "--model", str(path), "--input", str(tmp_path / "x.csv"), "--scores"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "reason=ModelFormatError" in captured.err and "empty_dimension" in captured.err
 
     def test_overflowing_float_scores_exit_1(self, tmp_path, capsys):
         # A beta entry near float64's largest value, as a flipped exponent bit in a file gives.
@@ -695,6 +712,7 @@ class TestConfigRanges:
             ('"seed": -1', "seed"),
             ('"seed": 18446744073709551616', "seed"),
             pytest.param('"gamma": 1' + "0" * 400, "gamma", id="gamma-integer-beyond-float64"),
+            ('"gamma": 1e-320', "gamma"),
         ],
     )
     def test_out_of_range_exit_4_naming_the_key(self, tmp_path, capsys, text, key):
@@ -785,7 +803,7 @@ class TestOptionRanges:
     @pytest.mark.parametrize(
         "option, value",
         [("--train-limit", "0"), ("--train-limit", "-2"), ("--gamma", "nan"), ("--gamma", "inf"),
-         ("--gamma", "0"), ("--gamma", "-1"), ("--L", "0"), ("--L", "-3"), ("--seed", "-1"),
+         ("--gamma", "0"), ("--gamma", "-1"), ("--gamma", "1e-320"), ("--L", "0"), ("--L", "-3"), ("--seed", "-1"),
          ("--seed", "18446744073709551616"), ("--preprocess", "bogus"),
          ("--preprocess", "l2_normalize,l2_normalize")],
     )

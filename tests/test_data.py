@@ -378,13 +378,21 @@ class TestCsv:
 
     @pytest.mark.parametrize(
         "blob, match",
-        [(b"a,label\n99999999999999999999,0\n", "64-bit"), (b"a,label\n1,0\n\xff\xfe,1\n", "byte 12 is not UTF-8")],
-        ids=["beyond_int64", "not_utf8"],
+        [(b"a,label\n99999999999999999999,0\n", "64-bit"), (b"a,label\n1,0\n\xff\xfe,1\n", "byte 12 is not UTF-8"),
+         (b"a,label\n1,0\n1_0,1\n", "line 3"), ("a,label\n\u0663,0\n".encode(), "line 2"),
+         ("a,label\n1,0\n\u00a0\n".encode(), "line 3")],
+        ids=["beyond_int64", "not_utf8", "underscore_digits", "non_ascii_digit", "non_ascii_blank_line"],
     )
     def test_unparseable_values_rejected(self, tmp_path, blob, match):
         (tmp_path / "d.csv").write_bytes(blob)
         with pytest.raises(DataFormatError, match=match):
             load_csv(tmp_path / "d.csv", "label")
+
+    def test_signs_and_ascii_whitespace_around_fields_allowed(self, tmp_path):
+        (tmp_path / "d.csv").write_text("a,b,label\n 1,\t-2 ,+0\r\n")
+        ds = load_csv(tmp_path / "d.csv", "label")
+        np.testing.assert_array_equal(ds.samples, [[1, -2]])
+        np.testing.assert_array_equal(ds.labels, [0])
 
     def test_missing_label_column(self, tmp_path):
         (tmp_path / "d.csv").write_text("a,b\n1,2\n")

@@ -211,6 +211,11 @@ class TestOneHot:
 
 
 class TestModelFile:
+    @pytest.mark.parametrize("n, L, m", [(0, 3, 2), (4, 0, 2), (4, 3, 0)])
+    def test_empty_dimension_refused(self, n, L, m):
+        with pytest.raises(DimensionError, match="empty dimension"):
+            FloatModel(np.zeros((n, L), dtype=np.int8), np.ones((L, m)), 1.0, "ternary", 0)
+
     def test_float_model_roundtrip_bitwise(self, rng, tmp_path):
         model = random_float_model(rng, weight_kind="continuous")
         model = dataclasses.replace(model, metadata={"preprocessing": ["l2_normalize"]})

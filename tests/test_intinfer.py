@@ -187,6 +187,12 @@ class TestHeadroom:
             QuantizedModel(np.ones((100, 2), dtype=np.int8), beta, (2**62, 2**62 + 7), metadata=centred)
         QuantizedModel(np.ones((100, 2), dtype=np.int8), beta, (2**55, 2**55 + 7), metadata=centred)
 
+    @pytest.mark.parametrize("n, L, m", [(0, 3, 2), (4, 0, 2), (4, 3, 0)])
+    def test_empty_dimension_refused(self, n, L, m):
+        with pytest.raises(DimensionError, match="empty dimension"):
+            QuantizedModel(np.zeros((n, L), dtype=np.int8), IntegerBeta(values=np.ones((L, m), dtype=np.int64),
+                                                                        tau=1.0))
+
     def test_mnist_scale_model_passes(self, rng):
         QuantizedModel(
             ternary_weights=rng.integers(-1, 2, size=(784, 400)).astype(np.int8),

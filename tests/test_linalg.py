@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -95,6 +100,11 @@ class TestSolveSpd:
             acc.add_ridge(gamma)
             solve_spd(acc)  # must not raise
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), 1e-320])
+    def test_ridge_needs_a_finite_inverse(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive with a finite 1/gamma"):
+            SpdSystem.zeros(2, 1).add_ridge(gamma)
+
     def test_breakdown_names_pivot(self):
         gram = np.array([[1.0, 2.0], [2.0, 1.0]])  # positive diagonal, indefinite
         with pytest.raises(CholeskyError, match="pivot at index 1"):
@@ -111,13 +121,15 @@ class TestSolveSpd:
         np.testing.assert_array_equal(acc.gram, before)
         assert acc.residual == np.abs(before @ beta - acc.rhs).max()
 
-    def test_nearly_symmetric_gram_is_averaged(self, rng):
+    def test_nearly_symmetric_gram_is_refused(self, rng):
+        # Exact symmetry is a precondition of the solve: one ulp off is refused.
         A = rng.standard_normal((6, 4))
         gram = A.T @ A + np.eye(4)
         gram[0, 1] = np.nextafter(gram[0, 1], np.inf)
-        sym = SpdSystem(gram, np.ones((4, 1))).symmetrized()
-        np.testing.assert_array_equal(sym, (gram + gram.T) / 2)
-        assert np.array_equal(sym, sym.T)
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            SpdSystem(gram, np.ones((4, 1))).symmetrized()
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            solve_spd(SpdSystem(gram, np.ones((4, 1))))
 
     def test_asymmetric_gram_rejected(self):
         gram = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -137,3 +149,35 @@ class TestSolveSpd:
 )
 def test_exact_dtype_limits(bound, dtype):
     assert exact_dtype(bound) is dtype
+
+
+# Accumulates Grams over several shapes, block splits and memory orders; prints one line per
+# Gram that is not exactly symmetric, or that symmetrized does not return as it is.
+GRAM_SYMMETRY_SCRIPT = """
+import numpy as np
+from intelm.linalg import SpdSystem, accumulate_gram
+rng = np.random.default_rng(0)
+for N, L in ((1, 1), (3, 2), (17, 9), (64, 33), (300, 200), (1000, 129), (2000, 300)):
+    H, T = rng.standard_normal((N, L)) * 10, rng.standard_normal((N, 3))
+    for block in (N, 97, 7):
+        for order in ("C", "F"):
+            acc = SpdSystem.zeros(L, 3)
+            for start in range(0, N, block):
+                accumulate_gram(np.array(H[start:start + block], order=order), acc, T[start:start + block])
+            acc.add_ridge(1.0)
+            if not (np.array_equal(acc.gram, acc.gram.T) and acc.symmetrized() is acc.gram):
+                print(N, L, block, order)
+print("done")
+"""
+
+
+def test_accumulated_gram_is_exactly_symmetric_across_blas_thread_counts():
+    """symmetrized refuses an asymmetric Gram, so every Gram accumulate_gram forms must be
+    exactly symmetric, whatever the shape, the block split or the BLAS thread count."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", GRAM_SYMMETRY_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout == "done\n", f"asymmetric Grams at {threads} BLAS threads:\n{run.stdout}"

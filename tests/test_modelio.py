@@ -4,14 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import near_zero_beta_model, random_float_model
 from intelm.elm import GENERATORS, FloatModel, one_hot, scores_float, train
 from intelm.experiments import make_quantized
-from intelm.intinfer import QuantizedModel
+from intelm.intinfer import QuantizedModel, output_beta_limit
 from intelm.modelio import _HEADER, _INT_EXTRA, _WEIGHT_CODES, ModelFormatError, load_model, save_model
+from intelm.quantize import IntegerBeta
 from intelm.seeding import make_rng
 
 # Byte offsets of header fields, from the layout in intelm.modelio.
@@ -82,12 +83,14 @@ def weights_offset(blob: bytes, integer: bool) -> int:
         ("continuous", lambda b: patched(b, "<B", WCODE_AT, 3), "weight kind code 3"),
         ("continuous", lambda b: patched(b, "<d", weights_offset(b, False), float("nan")), "input weights"),
         ("continuous", lambda b: patched(b, "<d", weights_offset(b, False), float("inf")), "input weights"),
+        # |-2**31| is one past the i32 beta the headroom proof admits
+        ("quantized", lambda b: patched(b, "<i", len(b) - 4, -(2**31)), "output accumulator"),
     ],
     ids=[
         "dims_2p32", "dims_1e5", "dims_1e5_f64", "beta_code_2_quantized", "beta_code_2_float",
         "bad_json", "non_utf8_prng", "nan_tau", "inf_tau", "range_lo_above_hi", "negative_gamma",
         "nan_gamma", "range_past_headroom", "truncated", "trailing", "weight_code_2_ternary",
-        "weight_code_2_quantized", "weight_code_3_continuous", "nan_weight", "inf_weight",
+        "weight_code_2_quantized", "weight_code_3_continuous", "nan_weight", "inf_weight", "beta_minus_2p31",
     ],
 )
 def test_malformed_file_raises_model_format_error(blobs, tmp_path, name, mutate, match):
@@ -155,6 +158,36 @@ def test_fitted_near_zero_beta_model_saves_without_further_climbing(tmp_path):
     loaded = load_model(tmp_path / "q.ielm")
     assert loaded.int_beta.ladder_step == qm.int_beta.ladder_step
     np.testing.assert_array_equal(loaded.int_beta.values, qm.int_beta.values)
+
+
+@given(n=st.integers(1, 10**6), L=st.integers(1, 10**6), lo=st.integers(-(2**63), 2**63 - 1),
+       width=st.integers(0, 2**64), centred=st.booleans())
+def test_output_beta_limit_fits_the_files_i32_beta(n, L, lo, width, centred):
+    assert 0 <= output_beta_limit(n, L, (lo, lo + width), centred) <= np.iinfo("<i4").max
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 12), L=st.integers(1, 12), m=st.integers(1, 3), bits=st.integers(0, 31),
+       centred=st.booleans(), sign=st.sampled_from([1, -1]), seed=st.integers(0, 2**32))
+@example(n=1, L=12, m=2, bits=31, centred=False, sign=-1, seed=0)  # limit set by the accumulator
+@example(n=12, L=12, m=2, bits=31, centred=True, sign=1, seed=0)
+def test_beta_at_the_limit_saves_and_reloads_byte_identically(tmp_path_factory, n, L, m, bits, centred, sign, seed):
+    # Inputs within +/- bound keep the hidden bound within i32, centred or not.
+    rng = make_rng(seed)
+    bound = min(2**bits, (2**31 - 1) // (n * n))
+    input_range = tuple(sorted(int(v) for v in rng.integers(-bound, bound + 1, size=2)))
+    limit = output_beta_limit(n, L, input_range, centred)
+    values = rng.integers(-limit, limit + 1, size=(L, m))
+    values[rng.integers(L), rng.integers(m)] = sign * limit
+    model = QuantizedModel(rng.integers(-1, 2, size=(n, L)).astype(np.int8), IntegerBeta(values=values, tau=0.5),
+                           input_range, metadata={"preprocessing": ["zero_mean"] if centred else []})
+    path = tmp_path_factory.getbasetemp() / "limit.ielm"
+    save_model(model, path)
+    blob = path.read_bytes()
+    loaded = load_model(path)
+    np.testing.assert_array_equal(loaded.int_beta.values, model.int_beta.values)
+    save_model(loaded, path)
+    assert path.read_bytes() == blob
 
 
 @st.composite
