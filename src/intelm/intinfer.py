@@ -12,15 +12,29 @@ same integer rows training scaled. Every partial sum of z.w over ternary
 w is a subset sum of the +/-z_j, so its magnitude is at most
 hidden_bound(n, input_range, centred), and linalg.exact_dtype (the rule
 training's projection uses too) picks a float GEMM that rounds nothing,
-whatever order BLAS sums in. A validated QuantizedModel caches W as
-float32 when the bound is under 2**24 and as float64 otherwise (the proof
-caps it at 2**31 - 1), and its scores are bit-identical to the int64
-reference.
+whatever order BLAS sums in: W as float32 when the bound is under 2**24
+and as float64 otherwise (the proof caps it at 2**31 - 1).
+
+An uncentred model whose columns are narrow enough packs three of them
+into each float64 word instead (PackedKernel), so one dgemv reads a
+third less memory than the float32 W. Over the input box every subset
+sum of column j lies in [a_j, b_j]; with B = 2**k > max_j (b_j - a_j),
+each partial sum BLAS forms of a word is an integer of magnitude at most
+max_j max(b_j, -a_j) * (1 + B + B**2), and where that is below 2**53 it
+is exact. Adding sum_d B**d * (-a_d) makes every base-B digit of the
+result lie in [0, B), so shifts and masks recover the three columns.
+The columns are counted only where one of the ternary generator's
+density would pack, so a wide model pays no pass over W; b_j is
+hidden_bound where they are not counted. The output layer takes
+exact_dtype of max_k sum_j b_j * |v_jk|, which bounds every partial sum
+of relu(z.W) @ v. A validated QuantizedModel builds both on first use,
+and its scores are bit-identical to the int64 reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +67,89 @@ def output_beta_limit(n: int, L: int, input_range: tuple[int, int], centred: boo
     return min(INT32_MAX, INT64_MAX // max(1, L * hidden_bound(n, input_range, centred)))
 
 
+def column_bounds(plus, minus, input_range: tuple[int, int]):
+    """(b, -a) of ternary columns with these counts of +1 and -1 weights.
+
+    Over the input box every subset sum of a column's terms z_i*w_i lies
+    in [a, b], where b sums max(0, lo*w_i, hi*w_i) and a sums
+    min(0, lo*w_i, hi*w_i): each +1 adds max(hi, 0) to b and max(-lo, 0)
+    to -a, each -1 the reverse. b also bounds the column's ReLU output.
+    """
+    up, down = max(int(input_range[1]), 0), max(-int(input_range[0]), 0)
+    return plus * up + minus * down, plus * down + minus * up
+
+
+def packing_shift(width: int, magnitude: int) -> int | None:
+    """k such that three columns pack exactly into float64 words of base B = 2**k, else None.
+
+    width is the largest b - a of the columns and magnitude the largest
+    max(b, -a). B is the least power of two above width; packing is exact
+    when magnitude * (1 + B + B**2) is below 2**53.
+    """
+    k = width.bit_length()
+    return k if magnitude * (1 + 2**k + 4**k) < 2**53 else None
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class PackedKernel:
+    """Ternary W, three columns to a float64 word, with the digits' offsets.
+
+    For L padded with zero columns to 3w, word c holds columns c, c + w and
+    c + 2w: words[:, c] = W[:, c] + B*W[:, c + w] + B**2*W[:, c + 2w]
+    with B = 2**shift. bottom holds -a of each padded column, and offsets
+    sum_d B**d * bottom[c + d*w] of each word, the bias that makes every
+    digit of a projected word non-negative. Build it with pack.
+    """
+
+    words: np.ndarray  # (n, w) float64
+    shift: int
+    bottom: np.ndarray  # (3w,) int64
+    offsets: np.ndarray  # (w,) int64
+    L: int
+
+    @classmethod
+    def pack(cls, W: np.ndarray, top, bottom) -> PackedKernel | None:
+        """Pack ternary W given its column_bounds, or None when packing_shift finds them too wide."""
+        shift = packing_shift(int((top + bottom).max()), int(np.maximum(top, bottom).max()))
+        if shift is None:
+            return None
+        n, L = W.shape
+        w = -(-L // 3)
+        padded = np.zeros((n, 3 * w), dtype=np.int8)
+        padded[:, :L] = W
+        words = padded[:, 2 * w :].astype(np.float64)
+        for d in (1, 0):
+            words *= 2**shift
+            words += padded[:, d * w : (d + 1) * w]
+        bottoms = np.zeros(3 * w, dtype=np.int64)
+        bottoms[:L] = bottom
+        offsets = bottoms[:w] + (bottoms[w : 2 * w] << shift) + (bottoms[2 * w :] << 2 * shift)
+        return cls(_read_only(words), shift, _read_only(bottoms), _read_only(offsets), L)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.words.shape[0], self.L
+
+    def project(self, X: np.ndarray) -> np.ndarray:
+        """The exact int64 product X @ W, for rows X within the bounds the kernel was packed for."""
+        w = self.words.shape[1]
+        t = (X.astype(np.float64, copy=False) @ self.words).astype(np.int64)
+        t += self.offsets
+        mask = (1 << self.shift) - 1
+        out = np.empty(t.shape[:-1] + (3 * w,), dtype=np.int64)
+        np.bitwise_and(t, mask, out=out[..., :w])
+        np.right_shift(t, self.shift, out=t)
+        np.bitwise_and(t, mask, out=out[..., w : 2 * w])
+        np.right_shift(t, self.shift, out=out[..., 2 * w :])
+        out -= self.bottom
+        return out[..., : self.L]
+
+
 class HeadroomError(ValueError):
     """Declared input range could overflow the fixed accumulator widths."""
 
@@ -77,9 +174,10 @@ class QuantizedModel:
     accumulator cannot overflow for them.
     ternary_weights, int_beta.values and steps are kept as private copies
     (read-only int8 and int64, and a tuple), so no caller can change W,
-    beta or the rows behind the proof; kernel_weights is W's read-only
-    float copy that int_scores projects through, built once from the
-    proven bound.
+    beta or the rows behind the proof. kernel_weights and output_weights
+    are the read-only kernels int_scores scores through, chosen from the
+    proven bounds (see the module docstring) and built on first use; a
+    model replace() makes builds its own.
     """
 
     ternary_weights: np.ndarray  # (n, L) int8 in {-1, 0, 1}
@@ -87,7 +185,6 @@ class QuantizedModel:
     input_range: tuple[int, int] = (0, 255)
     seed: int = 0
     metadata: dict = field(default_factory=dict)
-    kernel_weights: np.ndarray = field(init=False, repr=False, compare=False)
     steps: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -111,9 +208,30 @@ class QuantizedModel:
         object.__setattr__(self, "int_beta", replace(self.int_beta, values=values))
         object.__setattr__(self, "steps", check_steps(self.metadata.get("preprocessing", [])))
         self.validate_headroom()
-        kernel = W.astype(exact_dtype(hidden_bound(self.n, self.input_range, self.centred)))
-        kernel.setflags(write=False)
-        object.__setattr__(self, "kernel_weights", kernel)
+
+    @cached_property
+    def _kernels(self) -> tuple[PackedKernel | np.ndarray, np.ndarray]:
+        hidden = hidden_bound(self.n, self.input_range, self.centred)
+        W, top, kernel = self.ternary_weights, np.full(self.L, hidden), None
+        # Count the columns only where one of the ternary generator's density,
+        # a third +1 and a third -1, would pack.
+        third, _ = column_bounds(self.n // 3, self.n // 3, self.input_range)
+        if not self.centred and packing_shift(2 * third, third) is not None:
+            nonzero, net = np.abs(W).sum(axis=0), W.sum(axis=0)
+            top, bottom = column_bounds((nonzero + net) // 2, (nonzero - net) // 2, self.input_range)
+            kernel = PackedKernel.pack(W, top, bottom)
+        if kernel is None:
+            kernel = _read_only(W.astype(exact_dtype(hidden)))
+        V = self.int_beta.values  # every partial sum of relu(z.W) @ v is within top @ |v|
+        return kernel, _read_only(V.astype(exact_dtype(int((top @ np.abs(V)).max())), copy=False))
+
+    @property
+    def kernel_weights(self) -> PackedKernel | np.ndarray:
+        return self._kernels[0]
+
+    @property
+    def output_weights(self) -> np.ndarray:
+        return self._kernels[1]
 
     @property
     def n(self) -> int:
@@ -157,6 +275,8 @@ def _check_sample(model: QuantizedModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.integer):
         raise InputError(f"integer path requires integer samples, got dtype {x.dtype}")
+    if x.ndim not in (1, 2):
+        raise DimensionError(f"expected one sample or a matrix of rows, got shape {x.shape}")
     if x.shape[-1] != model.n:
         raise DimensionError(f"sample has {x.shape[-1]} values, model expects {model.n}")
     lo, hi = model.input_range
@@ -174,18 +294,24 @@ def ternary_project(W, X) -> np.ndarray:
     general multiply; the audited reference is ternary_project_counted and
     this vectorized form is integer-exact and produces identical results.
 
-    The product is computed in W's dtype and returned as int64. Integer W
-    takes the int64 matmul, the reference. Float W takes BLAS sgemv/sgemm
-    or dgemv/dgemm, which is exact only when every subset sum of |x_j| is
-    below 2**24 (float32) or 2**53 (float64): pass float weights only as a
+    W is a matrix or a PackedKernel, and the product is returned as int64.
+    Integer W takes the int64 matmul, the reference. Float W takes BLAS
+    sgemv/sgemm or dgemv/dgemm, which is exact only when every subset sum
+    of |x_j| is below 2**24 (float32) or 2**53 (float64). A PackedKernel
+    takes one dgemv/dgemm over its words, exact only within the column
+    bounds it was packed for, and splits each word into its three columns
+    with int64 shifts and masks. Pass float or packed weights only as a
     validated QuantizedModel's kernel_weights, with in-range X.
     """
-    W = np.asarray(W)
-    if not np.issubdtype(W.dtype, np.floating):
-        W = W.astype(np.int64, copy=False)
     X = np.asarray(X)
+    if not isinstance(W, PackedKernel):
+        W = np.asarray(W)
+        if not np.issubdtype(W.dtype, np.floating):
+            W = W.astype(np.int64, copy=False)
     if X.shape[-1] != W.shape[0]:
         raise DimensionError(f"sample has {X.shape[-1]} values, weights expect {W.shape[0]}")
+    if isinstance(W, PackedKernel):
+        return W.project(X)
     return (X.astype(W.dtype, copy=False) @ W).astype(np.int64, copy=False)
 
 
@@ -200,20 +326,27 @@ def relu_int(v) -> np.ndarray:
 def int_scores(model: QuantizedModel, X) -> np.ndarray:
     """Exact integer class scores, (m,) for one raw sample or (N, m) for the rows of X."""
     Z = integer_rows(_check_sample(model, X), model.steps)
-    return relu_int(ternary_project(model.kernel_weights, Z)) @ model.int_beta.values
+    H = relu_int(ternary_project(model.kernel_weights, Z))
+    V = model.output_weights
+    return (H.astype(V.dtype, copy=False) @ V).astype(np.int64, copy=False)
+
+
+def _one_sample(x, caller: str) -> np.ndarray:
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise DimensionError(f"{caller} takes one sample, got shape {x.shape}")
+    return x
 
 
 def classify_int(model: QuantizedModel, x) -> int:
     """Predicted class of a raw integer sample; ties break to the lowest index."""
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise DimensionError(f"classify_int takes one sample, got shape {x.shape}")
-    return int(classify_int_batch(model, x[None])[0])
+    return int(classify_int_batch(model, _one_sample(x, "classify_int")[None])[0])
 
 
 def classify_int_batch(model: QuantizedModel, X) -> np.ndarray:
-    """Classify each row of an integer sample matrix; a blank row is an InputError."""
-    X = np.atleast_2d(np.asarray(X))
+    """Classify each row of an integer sample matrix (one 1-D sample is one row); a blank row is an InputError."""
+    X = np.asarray(X)
+    X = X[None] if X.ndim == 1 else X
     labels = np.argmax(int_scores(model, X), axis=1)
     reject_blank_rows(X, model.steps)
     return labels
@@ -248,7 +381,7 @@ def ternary_project_counted(W, x, counter: OpCounter) -> list[int]:
 
 
 def classify_int_counted(model: QuantizedModel, x, counter: OpCounter) -> int:
-    x = _check_sample(model, x)
+    x = _check_sample(model, _one_sample(x, "classify_int_counted"))
     reject_blank_rows(x, model.steps)
     xs = [int(v) for v in x]
     if model.centred:  # n*x - sum(x), one multiply per input

@@ -9,7 +9,7 @@ import pytest
 
 from intelm.data import synthetic_textures
 from intelm.elm import FloatModel, gen_weights_ternary
-from intelm.intinfer import QuantizedModel
+from intelm.intinfer import PackedKernel, QuantizedModel
 from intelm.quantize import IntegerBeta
 from intelm.seeding import make_rng
 
@@ -96,6 +96,12 @@ def random_quantized_model(rng, n=8, L=6, m=3, beta_max=50, input_range=(0, 255)
         seed=int(rng.integers(1 << 30)),
         metadata={"preprocessing": list(steps)},
     )
+
+
+def kernel_form(model):
+    """PackedKernel when the model's projection kernel packs W, else the dtype of its copy of W."""
+    kernel = model.kernel_weights
+    return PackedKernel if isinstance(kernel, PackedKernel) else kernel.dtype
 
 
 @pytest.fixture

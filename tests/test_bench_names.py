@@ -9,12 +9,15 @@ tracer is loaded by path, read only.
 
 import importlib
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from intelm import cli, elm, experiments, intinfer, quantize
 from intelm.data import write_idx
+from intelm.quantize import IntegerBeta
 from intelm.seeding import make_rng
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -86,3 +89,39 @@ def test_make_quantized_calls_experiments_quantize_beta(monkeypatch):
     model = elm.FloatModel(W, make_rng(7).standard_normal((4, 2)), gamma=1.0, weight_kind="ternary", seed=0)
     experiments.make_quantized(model, (0, 255))
     assert calls == ["quantize_beta"]
+
+
+def _served_shape_model(n, L, seed):
+    W = elm.gen_weights_ternary(n, L, seed)
+    values = make_rng(seed).integers(-(2**20), 2**20, size=(L, 10))
+    return intinfer.QuantizedModel(W, IntegerBeta(values=values, tau=1.0), input_range=(0, 255))
+
+
+# serve_single's 784x2000 model packs; classify_cli's 3072x500 model keeps float32 W.
+@pytest.mark.parametrize("n, L, packed", [(784, 2000, True), (3072, 500, False)], ids=["packed", "float32"])
+def test_integer_classifiers_reach_the_traced_kernel_layers(monkeypatch, n, L, packed):
+    model = _served_shape_model(n, L, 8)
+    assert isinstance(model.kernel_weights, intinfer.PackedKernel) == packed
+    X = make_rng(9).integers(1, 256, size=(3, n))
+    projections = _counting(monkeypatch, intinfer, "ternary_project")
+    relus = _counting(monkeypatch, intinfer, "relu_int")
+    label = intinfer.classify_int(model, X[0])
+    assert projections == ["ternary_project"] and relus == ["relu_int"]
+    assert intinfer.classify_int_batch(model, X).tolist()[0] == label
+    assert len(projections) == len(relus) == 2
+
+
+def test_classify_int_allocates_no_copy_of_the_packed_kernel():
+    # The benchmark records about 32 KB per call on the float32 kernel; the packed
+    # kernel's words alone are 4.2 MB, so a per-call copy or rebuild fails this.
+    model = _served_shape_model(784, 2000, 8)
+    x = make_rng(9).integers(1, 256, size=784)
+    label = intinfer.classify_int(model, x)  # the kernels are built on first use
+    assert model.kernel_weights.words.nbytes > 4_000_000
+    tracemalloc.start()
+    try:
+        assert intinfer.classify_int(model, x) == label
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

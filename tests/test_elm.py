@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_solve, naive_hidden, random_float_model
+from conftest import gauss_solve, kernel_form, naive_hidden, random_float_model
 from intelm.data import DataFormatError, InputError, RawDataset, preprocess
 from intelm.elm import (
     FloatModel,
@@ -25,7 +25,7 @@ from intelm.elm import (
     train,
     training_residual,
 )
-from intelm.intinfer import QuantizedModel, classify_int_batch, int_scores
+from intelm.intinfer import PackedKernel, QuantizedModel, classify_int_batch, int_scores
 from intelm.linalg import DimensionError
 from intelm.modelio import load_model, save_model
 from intelm.quantize import IntegerBeta
@@ -464,7 +464,11 @@ class TestSampleDtypeInvariance:
             input_range=(0, hi),
             metadata={"preprocessing": steps},
         )
-        assert qmodel.kernel_weights.dtype == kernel  # the bound n*hi, or its centred form, vs 2**24
+        # kernel is W's exact dtype for the bound n*hi, or its centred form, vs 2**24. Uncentred
+        # models pack instead at hi = 255, where n*255 * (1 + B + B**2) < 2**53, and at 2**23 only
+        # when W is all zero: one nonzero weight makes a column 2**23 wide, past 2**53 / B**2.
+        packs = "zero_mean" not in steps and (hi == 255 or not W.any())
+        assert kernel_form(qmodel) == (PackedKernel if packs else kernel)
         beta = rng.standard_normal((L, 3))
         float_models = [
             FloatModel(input_weights=w, beta=beta, gamma=1.0, weight_kind=kind, seed=seed,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_float_model, random_quantized_model
+from conftest import kernel_form, random_float_model, random_quantized_model
 from intelm import data
 from intelm.data import integer_rows
 from intelm.elm import FloatModel, check_ternary, predict_float, predict_float_batch, scores_float
@@ -17,6 +17,7 @@ from intelm.intinfer import (
     HeadroomError,
     InputError,
     OpCounter,
+    PackedKernel,
     QuantizedModel,
     classify_int,
     classify_int_batch,
@@ -28,7 +29,7 @@ from intelm.intinfer import (
     ternary_project,
     ternary_project_counted,
 )
-from intelm.linalg import DimensionError
+from intelm.linalg import DimensionError, exact_dtype
 from intelm.modelio import load_model, save_model
 from intelm.quantize import IntegerBeta
 
@@ -271,24 +272,28 @@ class TestKernelExactness:
         check_scores_against_int64_reference_and_audit(*case)
 
     @pytest.mark.parametrize(
-        "n, input_range, dtype",
+        "n, input_range, form",
         [
+            (1, (0, 2**17 - 1), PackedKernel),
+            (1, (0, 2**17), np.float32),
             (1, (0, 2**24 - 1), np.float32),
             (3, (0, (2**24 - 1) // 3), np.float32),
             (1, (0, 2**24 + 1), np.float64),
             (1, (-(2**31 - 1), 2**31 - 1), np.float64),
         ],
-        ids=["n1_below_2p24", "n3_below_2p24", "n1_above_2p24", "n1_int32_max"],
+        ids=["n1_below_2p17", "n1_at_2p17", "n1_below_2p24", "n3_below_2p24", "n1_above_2p24", "n1_int32_max"],
     )
-    def test_bound_selects_exact_dtype(self, n, input_range, dtype):
+    def test_bound_selects_exact_dtype(self, n, input_range, form):
         # Columns +1 and -1 with unit output weights score |sum(x)|, which
         # reaches the bound itself when every input sits at an end of the range.
+        # At hi = 2**17 - 1 each column's width fits B = 2**17 and hi * (1 + B + B**2) < 2**53,
+        # so W packs; at hi = 2**17, B doubles and that product passes 2**53.
         model = QuantizedModel(
             ternary_weights=np.tile(np.array([1, -1], dtype=np.int8), (n, 1)),
             int_beta=IntegerBeta(values=np.ones((2, 1), dtype=np.int64), tau=1.0),
             input_range=input_range,
         )
-        assert model.kernel_weights.dtype == dtype
+        assert kernel_form(model) == form
         X = np.array([[input_range[1]] * n, [input_range[0]] * n, [input_range[1]] + [0] * (n - 1)])
         exact = [abs(sum(row)) for row in X.tolist()]
         assert exact[0] == hidden_bound(n, input_range)
@@ -302,25 +307,208 @@ class TestKernelExactness:
             int_beta=IntegerBeta(values=np.ones((1, 1), dtype=np.int64), tau=1.0),
             input_range=(0, 2**24 - 1),
         )
-        assert model.kernel_weights.dtype == np.float32
+        assert kernel_form(model) == np.float32
         wide = replace(model, input_range=(0, 2**24))
-        assert wide.kernel_weights.dtype == np.float64
-        assert replace(wide, input_range=(0, 255)).kernel_weights.dtype == np.float32
+        assert kernel_form(wide) == np.float64
+        narrow = replace(wide, input_range=(0, 255))
+        assert kernel_form(narrow) == PackedKernel
+        assert kernel_form(wide) == np.float64 and kernel_form(model) == np.float32
         assert int(int_scores(wide, np.array([2**24]))[0]) == 2**24
+        assert int(int_scores(narrow, np.array([255]))[0]) == 255
 
     def test_kernel_cache_cannot_be_desynchronised(self):
         W = np.array([[1, 0], [-1, 1]], dtype=np.int8)
         model = QuantizedModel(
             ternary_weights=W, int_beta=IntegerBeta(values=np.ones((2, 1), dtype=np.int64), tau=1.0)
         )
-        with pytest.raises(ValueError, match="read-only"):
-            model.kernel_weights[0, 0] = 5.0
+        # The caller's array stays writeable; the kernel, built on first use, packs the model's copy.
+        W[0, 1] = 1
+        kernel = model.kernel_weights
+        assert isinstance(kernel, PackedKernel)
+        assert ternary_project(kernel, np.array([3, 4])).tolist() == [-1, 4]
+        for part in (kernel.words, kernel.bottom, kernel.offsets, model.output_weights):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 5
+        with pytest.raises(FrozenInstanceError):
+            kernel.shift = 0
         # A wider range must go through replace(), which re-proves and rebuilds.
         with pytest.raises(FrozenInstanceError):
             model.input_range = (0, 2**24 + 1)
-        # The caller's array stays writeable; the cache is a copy.
-        W[0, 1] = 1
-        assert model.kernel_weights[0, 1] == 0
+        assert model.kernel_weights is kernel
+        assert ternary_project(kernel, np.array([3, 4])).tolist() == [-1, 4]
+
+
+def reference_forms(model):
+    """The kernel form and output dtype the model's bounds pick, from their definitions in Python ints.
+
+    Columns are counted only when one with a third +1 and a third -1 weights
+    would pack; b_j bounds column j's ReLU output, or hidden_bound for every
+    column when the columns are not counted.
+    """
+    lo, hi = model.input_range
+    hidden = hidden_bound(model.n, model.input_range, model.centred)
+
+    def fits(tops, bottoms):
+        B = 2 ** max(t + b for t, b in zip(tops, bottoms)).bit_length()
+        return max(tops + bottoms) * (1 + B + B * B) < 2**53
+
+    columns = model.ternary_weights.T.tolist()
+    tops = [sum(max(0, lo * w, hi * w) for w in col) for col in columns]
+    bottoms = [-sum(min(0, lo * w, hi * w) for w in col) for col in columns]
+    third = model.n // 3 * (max(hi, 0) + max(-lo, 0))
+    counted = not model.centred and fits([third], [third])
+    if not counted:
+        tops = [hidden] * model.L
+    V = model.int_beta.values.tolist()
+    output = max(sum(t * abs(row[k]) for t, row in zip(tops, V)) for k in range(model.m))
+    kernel = PackedKernel if counted and fits(tops, bottoms) else exact_dtype(hidden)
+    return kernel, exact_dtype(output)
+
+
+def box_corners(model):
+    """Every input at lo, every input at hi, and for each column the rows at its largest and least sums."""
+    lo, hi = model.input_range
+    W = model.ternary_weights
+    return np.array([[lo] * model.n, [hi] * model.n, *np.where(W.T > 0, hi, lo), *np.where(W.T > 0, lo, hi)])
+
+
+@st.composite
+def packing_cases(draw):
+    """A crafted model whose columns straddle the packing bound and whose output layer straddles 2**24 and 2**53.
+
+    L runs through every residue mod 3, lo is often negative, and the rows
+    are random in-range samples followed by the model's box corners.
+    """
+    n, L, m, rows = (draw(st.integers(1, k)) for k in (6, 9, 3, 3))
+    centred = draw(st.integers(0, 3)) == 0
+    W = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n * L, max_size=n * L))).reshape(n, L)
+    # A column packs up to a magnitude of about 2**17; past 2**24 / n the unpacked W is float64.
+    e = draw(st.integers(0, 23))
+    hi = draw(st.integers(2**e // 2, 2**e) | st.sampled_from([2**17 - 1, 2**17, 2**17 // n]))
+    lo = draw(st.sampled_from([0, -hi]) | st.integers(-hi, hi))
+    limit = output_beta_limit(n, L, (lo, hi), centred)
+    vmax = min(limit, 2 ** draw(st.sampled_from([8, 16, 31]) | st.integers(0, 31)))
+    V = np.array(draw(st.lists(st.integers(-vmax, vmax) | st.sampled_from([vmax, -vmax]),
+                               min_size=L * m, max_size=L * m)))
+    model = QuantizedModel(
+        ternary_weights=W.astype(np.int8),
+        int_beta=IntegerBeta(values=V.reshape(L, m).astype(np.int64), tau=1.0),
+        input_range=(lo, hi),
+        metadata={"preprocessing": ["zero_mean"] if centred else []},
+    )
+    X = np.array(draw(st.lists(st.integers(lo, hi), min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+    return model, np.vstack([X, box_corners(model)]).astype(np.int64)
+
+
+class TestPackedKernel:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(packing_cases())
+    def test_scores_match_int64_reference_and_audit(self, case):
+        model, X = case
+        kernel, output = reference_forms(model)
+        assert kernel_form(model) == kernel
+        assert model.output_weights.dtype == output
+        check_scores_against_int64_reference_and_audit(model, X)
+
+    @pytest.mark.parametrize("L", [3, 7, 5])  # L = 0, 1 and 2 (mod 3)
+    @pytest.mark.parametrize(
+        "input_range, form",
+        [((-(2**17 - 1), 2**17 - 1), PackedKernel), ((-(2**17 - 1), 2**17), np.float32),
+         ((0, 2**17 + 1), np.float32)],
+        ids=["packs", "past_2p53", "odd_past_2p53"],
+    )
+    def test_packing_margin(self, L, input_range, form):
+        # One input and every weight +1: each column's sums span [lo, hi], so B = 2**18, and the
+        # three columns of word 0 reach hi together. (2**17 - 1) * (1 + B + B**2) is
+        # 2**53 - 2**35 - 2**17 - 1; at hi = 2**17 the magnitude times 1 + B + B**2 passes 2**53.
+        # At hi = 2**17 + 1 that product is odd, so a packed kernel would round the row at hi.
+        lo, hi = input_range
+        model = QuantizedModel(
+            ternary_weights=np.ones((1, L), dtype=np.int8),
+            int_beta=IntegerBeta(values=np.arange(1, 2 * L + 1, dtype=np.int64).reshape(L, 2), tau=1.0),
+            input_range=input_range,
+        )
+        assert kernel_form(model) == form
+        X = np.array([[hi], [lo], [1], [max(lo, -1)], [0]])
+        check_scores_against_int64_reference_and_audit(model, X)
+        if form is PackedKernel:
+            assert model.kernel_weights.shift == 18
+            words = X.astype(np.float64) @ model.kernel_weights.words
+            assert words[:2, 0].tolist() == [hi * (1 + 2**18 + 2**36), lo * (1 + 2**18 + 2**36)]
+            assert abs(words[0, 0]) < 2**53
+
+    @pytest.mark.parametrize(
+        "hi, v, dtype",
+        [(255, 65793, np.float32), (255, 65794, np.float64), (2**22, 2**31 - 1, np.float64),
+         (2**22 + 1, 2**31 - 1, np.int64)],
+    )
+    def test_output_layer_dtype_follows_the_column_bounds(self, hi, v, dtype):
+        # Column 1 (-1 over inputs >= 0) never leaves 0, so the bound is hi * v, not 2 * hi * v:
+        # 255 * 65793 < 2**24 <= 255 * 65794, and 2**22 * (2**31 - 1) < 2**53 < (2**22 + 1) * (2**31 - 1).
+        model = QuantizedModel(
+            ternary_weights=np.array([[1, -1]], dtype=np.int8),
+            int_beta=IntegerBeta(values=np.full((2, 1), v, dtype=np.int64), tau=1.0),
+            input_range=(0, hi),
+        )
+        assert model.output_weights.dtype == dtype
+        assert reference_forms(model)[1] == dtype
+        assert int_scores(model, np.array([hi])).tolist() == [hi * v]
+        check_scores_against_int64_reference_and_audit(model, np.array([[hi], [1], [hi - 1]]))
+
+    def test_centred_models_keep_the_unpacked_kernel(self):
+        model = centred_model(4)
+        assert kernel_form(model) == np.float32
+        assert kernel_form(replace(model, metadata={"preprocessing": []})) == PackedKernel
+
+    def test_replace_with_a_new_range_rebuilds_the_kernel(self, rng):
+        model = random_quantized_model(rng, n=6, L=8, input_range=(-255, 255))
+        packed = model.kernel_weights
+        assert isinstance(packed, PackedKernel)
+        narrow = replace(model, input_range=(0, 255))
+        wide = replace(model, input_range=(0, 2**20))
+        assert narrow.kernel_weights is not packed and kernel_form(wide) == np.float32
+        assert narrow.kernel_weights.offsets.tolist() != packed.offsets.tolist()
+        X = np.vstack([box_corners(narrow), rng.integers(0, 256, size=(3, 6))])
+        for m in (model, narrow, wide):
+            np.testing.assert_array_equal(int_scores(m, X), int64_reference_scores(m, X))
+
+    def test_mnist_width_packs(self, rng):
+        model = random_quantized_model(rng, n=784, L=2000, m=10)
+        kernel = model.kernel_weights
+        assert isinstance(kernel, PackedKernel) and kernel.words.shape == (784, 667)
+        assert kernel.words.nbytes < model.n * model.L * 4  # a third less than float32 W
+        X = np.vstack([box_corners(model)[[0, 1, 2, 2002]], rng.integers(0, 256, size=(3, 784))])
+        check_scores_against_int64_reference_and_audit(model, X)
+
+
+class TestShapeRule:
+    """The integer scorers take one sample (1-D) or rows of samples (2-D), and nothing else."""
+
+    def test_zero_d_sample_is_a_dimension_error(self):
+        # n = 1, so only the shape rule stands between a 0-d value and a score.
+        model = QuantizedModel(np.ones((1, 2), dtype=np.int8), IntegerBeta(values=np.ones((2, 1), dtype=np.int64),
+                                                                            tau=1.0))
+        for score in (int_scores, classify_int, classify_int_batch,
+                      lambda m, x: classify_int_counted(m, x, OpCounter())):
+            with pytest.raises(DimensionError, match=r"shape \(\)"):
+                score(model, np.int64(3))
+
+    def test_three_d_samples_are_a_dimension_error(self, rng):
+        model = random_quantized_model(rng)
+        X = rng.integers(1, 256, size=(2, 3, model.n))
+        for score in (int_scores, classify_int_batch):
+            with pytest.raises(DimensionError, match=r"shape \(2, 3, 8\)"):
+                score(model, X)
+
+    def test_single_sample_classifiers_refuse_rows(self, rng):
+        model = random_quantized_model(rng)
+        X = rng.integers(1, 256, size=(2, model.n))
+        with pytest.raises(DimensionError, match="classify_int_counted takes one sample"):
+            classify_int_counted(model, X, OpCounter())
+        with pytest.raises(DimensionError, match="classify_int takes one sample"):
+            classify_int(model, X)
+        assert classify_int_batch(model, X).tolist() == [classify_int(model, x) for x in X]
+        assert classify_int_batch(model, X[0]).tolist() == [classify_int(model, X[0])]
 
 
 def centred_model(n, L=2, m=2, input_range=(0, 255), values=None):
@@ -394,7 +582,7 @@ class TestCentredRows:
     def test_mnist_and_cifar_widths_fit_int32_with_the_float64_kernel(self, n, bound):
         assert hidden_bound(n, (0, 255), centred=True) == bound < INT32_MAX
         model = centred_model(n)
-        assert model.kernel_weights.dtype == np.float64
+        assert kernel_form(model) == np.float64
         X = np.tile([0, 255], (2, n // 2))
         X[1, 0] = 7
         np.testing.assert_array_equal(int_scores(model, X), int64_reference_scores(model, X))
