@@ -15,6 +15,17 @@ training's projection uses too) picks a float GEMM that rounds nothing,
 whatever order BLAS sums in: W as float32 when the bound is under 2**24
 and as float64 otherwise (the proof caps it at 2**31 - 1).
 
+That float W (FloatKernel) is cast during the kernel's first projection,
+in blocks of W's rows of about BUILD_BLOCK_BYTES. When that call's
+output is at most a quarter of the same budget, each block is multiplied
+by the matching columns of the rows while it is still in cache and the
+partial products are summed in the kernel dtype; each running sum is
+again a subset sum of the +/-z_j, so this is exact too. A larger first
+call casts every block, then runs one GEMM, as does every later call.
+The finished array is read-only and published by one attribute
+assignment, so concurrent first callers never read a partial kernel;
+each that finds none builds its own, all equal, and the last one stays.
+
 An uncentred model whose columns are narrow enough packs three of them
 into each float64 word instead (PackedKernel), so one dgemv reads a
 third less memory than the float32 W. Over the input box every subset
@@ -27,7 +38,7 @@ The columns are counted only where one of the ternary generator's
 density would pack, so a wide model pays no pass over W; b_j is
 hidden_bound where they are not counted. The output layer takes
 exact_dtype of max_k sum_j b_j * |v_jk|, which bounds every partial sum
-of relu(z.W) @ v. A validated QuantizedModel builds both on first use,
+of relu(z.W) @ v. A validated QuantizedModel chooses both on first use,
 and its scores are bit-identical to the int64 reference.
 """
 
@@ -45,6 +56,8 @@ from intelm.quantize import IntegerBeta
 
 INT32_MAX = 2**31 - 1
 INT64_MAX = 2**63 - 1
+# Bytes of float W cast per block while a FloatKernel is built: half of a common 1 MB L2.
+BUILD_BLOCK_BYTES = 512 * 1024
 
 
 def hidden_bound(n: int, input_range: tuple[int, int], centred: bool = False) -> int:
@@ -93,6 +106,13 @@ def packing_shift(width: int, magnitude: int) -> int | None:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _views_bytes(a: np.ndarray) -> bool:
+    """Whether a's memory, through any chain of views, is an immutable bytes object."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return type(a) is bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +170,51 @@ class PackedKernel:
         return out[..., : self.L]
 
 
+@dataclass(frozen=True, eq=False)
+class FloatKernel:
+    """Ternary W as a read-only float32 or float64 matrix, cast during the first projection.
+
+    ternary is the model's read-only int8 W and dtype the exact_dtype of
+    its hidden bound. weights is None until the first project() publishes
+    the cast W (see the module docstring for how that call builds it).
+    """
+
+    ternary: np.ndarray  # (n, L) int8
+    dtype: np.dtype
+    weights: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.ternary.shape
+
+    def project(self, X: np.ndarray) -> np.ndarray:
+        """The exact int64 product X @ W, for rows X whose every subset sum fits dtype's mantissa."""
+        X = X.astype(self.dtype, copy=False)
+        weights, out = self.weights, None
+        if weights is None:
+            weights, out = self._build(X)
+        if out is None:
+            out = X @ weights
+        return out.astype(np.int64)
+
+    def _build(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Cast W block by block; return it and, for an output within a quarter block, X @ W summed per block."""
+        (n, L), size = self.ternary.shape, self.dtype.itemsize
+        step = max(1, BUILD_BLOCK_BYTES // (L * size))
+        weights = np.empty((n, L), self.dtype)
+        # Past a quarter of the budget, re-reading the output for every block costs more than it saves.
+        fused = X.size // n * L * size <= BUILD_BLOCK_BYTES // 4
+        out = np.zeros(X.shape[:-1] + (L,), self.dtype) if fused else None
+        for start in range(0, n, step):
+            block = weights[start : start + step]
+            block[...] = self.ternary[start : start + step]
+            if out is not None:
+                out += X[..., start : start + step] @ block
+        # Publish only the finished array, in one assignment.
+        object.__setattr__(self, "weights", _read_only(weights))
+        return weights, out
+
+
 class HeadroomError(ValueError):
     """Declared input range could overflow the fixed accumulator widths."""
 
@@ -174,10 +239,12 @@ class QuantizedModel:
     accumulator cannot overflow for them.
     ternary_weights, int_beta.values and steps are kept as private copies
     (read-only int8 and int64, and a tuple), so no caller can change W,
-    beta or the rows behind the proof. kernel_weights and output_weights
-    are the read-only kernels int_scores scores through, chosen from the
-    proven bounds (see the module docstring) and built on first use; a
-    model replace() makes builds its own.
+    beta or the rows behind the proof. The one exception is an int8 W
+    whose memory is an immutable bytes object, such as load_model's view
+    of the bytes it read: nothing can write through it, so it is kept
+    as it is. kernel_weights and output_weights are the kernels int_scores
+    scores through, chosen from the proven bounds (see the module
+    docstring) on first use; a model replace() makes chooses its own.
     """
 
     ternary_weights: np.ndarray  # (n, L) int8 in {-1, 0, 1}
@@ -189,8 +256,9 @@ class QuantizedModel:
 
     def __post_init__(self):
         check_ternary(self.ternary_weights)
-        W = self.ternary_weights.astype(np.int8)
-        W.setflags(write=False)
+        W = self.ternary_weights
+        if not (W.dtype == np.int8 and _views_bytes(W)):
+            W = _read_only(W.astype(np.int8))
         if self.int_beta.values.shape[0] != W.shape[1]:
             raise DimensionError(
                 f"int beta has {self.int_beta.values.shape[0]} rows, "
@@ -210,7 +278,7 @@ class QuantizedModel:
         self.validate_headroom()
 
     @cached_property
-    def _kernels(self) -> tuple[PackedKernel | np.ndarray, np.ndarray]:
+    def _kernels(self) -> tuple[PackedKernel | FloatKernel, np.ndarray]:
         hidden = hidden_bound(self.n, self.input_range, self.centred)
         W, top, kernel = self.ternary_weights, np.full(self.L, hidden), None
         # Count the columns only where one of the ternary generator's density,
@@ -221,12 +289,12 @@ class QuantizedModel:
             top, bottom = column_bounds((nonzero + net) // 2, (nonzero - net) // 2, self.input_range)
             kernel = PackedKernel.pack(W, top, bottom)
         if kernel is None:
-            kernel = _read_only(W.astype(exact_dtype(hidden)))
+            kernel = FloatKernel(W, np.dtype(exact_dtype(hidden)))
         V = self.int_beta.values  # every partial sum of relu(z.W) @ v is within top @ |v|
         return kernel, _read_only(V.astype(exact_dtype(int((top @ np.abs(V)).max())), copy=False))
 
     @property
-    def kernel_weights(self) -> PackedKernel | np.ndarray:
+    def kernel_weights(self) -> PackedKernel | FloatKernel:
         return self._kernels[0]
 
     @property
@@ -294,25 +362,25 @@ def ternary_project(W, X) -> np.ndarray:
     general multiply; the audited reference is ternary_project_counted and
     this vectorized form is integer-exact and produces identical results.
 
-    W is a matrix or a PackedKernel, and the product is returned as int64.
-    Integer W takes the int64 matmul, the reference. Float W takes BLAS
-    sgemv/sgemm or dgemv/dgemm, which is exact only when every subset sum
+    W is an integer matrix or a kernel, and the product is returned as
+    int64. Integer W takes the int64 matmul, the reference. A FloatKernel
+    takes BLAS sgemv/sgemm or dgemv/dgemm, exact only when every subset sum
     of |x_j| is below 2**24 (float32) or 2**53 (float64). A PackedKernel
     takes one dgemv/dgemm over its words, exact only within the column
     bounds it was packed for, and splits each word into its three columns
-    with int64 shifts and masks. Pass float or packed weights only as a
-    validated QuantizedModel's kernel_weights, with in-range X.
+    with int64 shifts and masks. Pass a kernel only as a validated
+    QuantizedModel's kernel_weights, with in-range X.
     """
     X = np.asarray(X)
-    if not isinstance(W, PackedKernel):
+    if not isinstance(W, (PackedKernel, FloatKernel)):
         W = np.asarray(W)
-        if not np.issubdtype(W.dtype, np.floating):
-            W = W.astype(np.int64, copy=False)
+        if not np.issubdtype(W.dtype, np.integer):
+            raise InputError(f"ternary_project takes integer weights or a kernel, got dtype {W.dtype}")
     if X.shape[-1] != W.shape[0]:
         raise DimensionError(f"sample has {X.shape[-1]} values, weights expect {W.shape[0]}")
-    if isinstance(W, PackedKernel):
-        return W.project(X)
-    return (X.astype(W.dtype, copy=False) @ W).astype(np.int64, copy=False)
+    if isinstance(W, np.ndarray):
+        return X.astype(np.int64, copy=False) @ W.astype(np.int64, copy=False)
+    return W.project(X)
 
 
 def relu_int(v) -> np.ndarray:

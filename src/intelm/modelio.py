@@ -139,7 +139,7 @@ def load_model(path) -> FloatModel | QuantizedModel:
                 prng_id=prng_id,
                 metadata=metadata,
             )
-        # QuantizedModel keeps its own copies of W and beta.
+        # QuantizedModel keeps W as this view of the bytes read (no one can write them) and copies beta.
         return QuantizedModel(
             ternary_weights=W.reshape(n, L),
             int_beta=IntegerBeta(values=beta.reshape(L, m), tau=tau, ladder_step=ladder_step),

@@ -9,7 +9,7 @@ import pytest
 
 from intelm.data import synthetic_textures
 from intelm.elm import FloatModel, gen_weights_ternary
-from intelm.intinfer import PackedKernel, QuantizedModel
+from intelm.intinfer import FloatKernel, PackedKernel, QuantizedModel
 from intelm.quantize import IntegerBeta
 from intelm.seeding import make_rng
 
@@ -99,9 +99,12 @@ def random_quantized_model(rng, n=8, L=6, m=3, beta_max=50, input_range=(0, 255)
 
 
 def kernel_form(model):
-    """PackedKernel when the model's projection kernel packs W, else the dtype of its copy of W."""
+    """PackedKernel when the model's projection kernel packs W, else the dtype of its FloatKernel."""
     kernel = model.kernel_weights
-    return PackedKernel if isinstance(kernel, PackedKernel) else kernel.dtype
+    if isinstance(kernel, PackedKernel):
+        return PackedKernel
+    assert isinstance(kernel, FloatKernel)
+    return kernel.dtype
 
 
 @pytest.fixture

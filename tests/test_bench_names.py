@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intelm import cli, elm, experiments, intinfer, quantize
+from intelm import cli, elm, experiments, intinfer, modelio, quantize
 from intelm.data import write_idx
 from intelm.quantize import IntegerBeta
 from intelm.seeding import make_rng
@@ -105,8 +105,12 @@ def test_integer_classifiers_reach_the_traced_kernel_layers(monkeypatch, n, L, p
     X = make_rng(9).integers(1, 256, size=(3, n))
     projections = _counting(monkeypatch, intinfer, "ternary_project")
     relus = _counting(monkeypatch, intinfer, "relu_int")
+    if not packed:  # the float kernel is cast inside the first call's projection span
+        assert model.kernel_weights.weights is None
     label = intinfer.classify_int(model, X[0])
     assert projections == ["ternary_project"] and relus == ["relu_int"]
+    if not packed:
+        assert model.kernel_weights.weights.dtype == np.float32
     assert intinfer.classify_int_batch(model, X).tolist()[0] == label
     assert len(projections) == len(relus) == 2
 
@@ -125,3 +129,28 @@ def test_classify_int_allocates_no_copy_of_the_packed_kernel():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_loading_and_scoring_a_wide_file_holds_one_float_kernel_and_w(tmp_path):
+    # classify_cli's model: its float32 kernel is 6.14 MB and its int8 W 1.5 MB. Loading keeps
+    # W as a view of the bytes read, and the kernel is cast block by block, so a second copy
+    # of W or a float temporary of W's size passes the bound.
+    W = elm.gen_weights_ternary(3072, 500, 8)
+    model = _served_shape_model(3072, 500, 8)
+    assert not np.shares_memory(model.ternary_weights, W) and W.flags.writeable  # a caller's W is copied
+    modelio.save_model(model, tmp_path / "q.ielm")
+    X = make_rng(9).integers(1, 256, size=(4, 3072)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        loaded = modelio.load_model(tmp_path / "q.ielm")
+        labels = intinfer.classify_int_batch(loaded, X)
+        scores = intinfer.int_scores(loaded, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3072 * 500 * (4 + 1) + 2**20
+    np.testing.assert_array_equal(scores, intinfer.int_scores(model, X))
+    np.testing.assert_array_equal(labels, scores.argmax(axis=1))
+    assert not loaded.ternary_weights.flags.owndata
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        loaded.ternary_weights.setflags(write=True)

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -9,11 +11,20 @@ from hypothesis import strategies as st
 from conftest import kernel_form, random_float_model, random_quantized_model
 from intelm import data
 from intelm.data import integer_rows
-from intelm.elm import FloatModel, check_ternary, predict_float, predict_float_batch, scores_float
+from intelm.elm import (
+    FloatModel,
+    check_ternary,
+    gen_weights_ternary,
+    predict_float,
+    predict_float_batch,
+    scores_float,
+)
 from intelm.experiments import make_quantized
 from intelm.intinfer import (
+    BUILD_BLOCK_BYTES,
     INT32_MAX,
     INT64_MAX,
+    FloatKernel,
     HeadroomError,
     InputError,
     OpCounter,
@@ -32,6 +43,7 @@ from intelm.intinfer import (
 from intelm.linalg import DimensionError, exact_dtype
 from intelm.modelio import load_model, save_model
 from intelm.quantize import IntegerBeta
+from intelm.seeding import make_rng
 
 
 def float_twin(model: QuantizedModel) -> FloatModel:
@@ -294,12 +306,19 @@ class TestKernelExactness:
             input_range=input_range,
         )
         assert kernel_form(model) == form
+        kernel = model.kernel_weights
+        if form is not PackedKernel:  # the float W is cast by the first projection
+            assert kernel.weights is None
         X = np.array([[input_range[1]] * n, [input_range[0]] * n, [input_range[1]] + [0] * (n - 1)])
         exact = [abs(sum(row)) for row in X.tolist()]
         assert exact[0] == hidden_bound(n, input_range)
         assert int_scores(model, X)[:, 0].tolist() == exact
         assert [int(int_scores(model, x)[0]) for x in X] == exact
         np.testing.assert_array_equal(int_scores(model, X), int64_reference_scores(model, X))
+        assert model.kernel_weights is kernel
+        if form is not PackedKernel:
+            assert kernel.weights.dtype == form and not kernel.weights.flags.writeable
+            np.testing.assert_array_equal(kernel.weights, model.ternary_weights.astype(form))
 
     def test_replace_across_2p24_switches_cached_dtype(self):
         model = QuantizedModel(
@@ -315,6 +334,11 @@ class TestKernelExactness:
         assert kernel_form(wide) == np.float64 and kernel_form(model) == np.float32
         assert int(int_scores(wide, np.array([2**24]))[0]) == 2**24
         assert int(int_scores(narrow, np.array([255]))[0]) == 255
+        # Each model casts its own W on its own first projection.
+        assert wide.kernel_weights is not model.kernel_weights and model.kernel_weights.weights is None
+        assert wide.kernel_weights.weights.dtype == np.float64
+        assert int(int_scores(model, np.array([2**24 - 1]))[0]) == 2**24 - 1
+        assert model.kernel_weights.weights.dtype == np.float32
 
     def test_kernel_cache_cannot_be_desynchronised(self):
         W = np.array([[1, 0], [-1, 1]], dtype=np.int8)
@@ -334,6 +358,22 @@ class TestKernelExactness:
         # A wider range must go through replace(), which re-proves and rebuilds.
         with pytest.raises(FrozenInstanceError):
             model.input_range = (0, 2**24 + 1)
+        assert model.kernel_weights is kernel
+        assert ternary_project(kernel, np.array([3, 4])).tolist() == [-1, 4]
+        # The same for a range too wide to pack: the float W is cast from the model's copy
+        # by the first projection, and neither it nor the kernel's fields can be replaced.
+        W[0, 1] = 0
+        model = replace(model, ternary_weights=W, input_range=(0, 2**20))
+        W[0, 1] = 1
+        kernel = model.kernel_weights
+        assert isinstance(kernel, FloatKernel) and kernel.weights is None
+        assert ternary_project(kernel, np.array([3, 4])).tolist() == [-1, 4]
+        for part in (kernel.weights, kernel.ternary, model.output_weights):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 5
+        for name in ("weights", "ternary", "dtype"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(kernel, name, None)
         assert model.kernel_weights is kernel
         assert ternary_project(kernel, np.array([3, 4])).tolist() == [-1, 4]
 
@@ -479,6 +519,98 @@ class TestPackedKernel:
         assert kernel.words.nbytes < model.n * model.L * 4  # a third less than float32 W
         X = np.vstack([box_corners(model)[[0, 1, 2, 2002]], rng.integers(0, 256, size=(3, 784))])
         check_scores_against_int64_reference_and_audit(model, X)
+
+
+@st.composite
+def float_kernel_cases(draw, centred):
+    """A fresh model whose W is too wide to pack, float32 uncentred or float64 centred, and its rows.
+
+    L makes a block of W's rows 32 to 64 rows, and n is not a multiple of
+    that. The rows are one 1-D sample, a matrix with the most rows a first
+    call sums block by block (an output of a quarter block) and one with a
+    row more, each starting with box corners; the first call is drawn.
+    """
+    size = 8 if centred else 4
+    L = draw(st.integers(BUILD_BLOCK_BYTES // (64 * size), BUILD_BLOCK_BYTES // (32 * size)))
+    step = BUILD_BLOCK_BYTES // (L * size)
+    fused = BUILD_BLOCK_BYTES // 4 // (L * size)
+    n = draw(st.integers(step + 1, 3 * step).filter(lambda n: n % step))
+    if centred:  # hidden_bound between 2**24 and the int32 limit
+        pairs = 2 * (n // 2) * ((n + 1) // 2)
+        width = draw(st.integers(2**24 // pairs + 1, INT32_MAX // pairs))
+        lo = -draw(st.integers(0, width))
+        hi = lo + width
+    else:  # hidden_bound between 2**23 and 2**24, far past packing
+        hi = draw(st.integers(2**23 // n, (2**24 - 1) // n))
+        lo = -draw(st.integers(0, hi))
+    seed = draw(st.integers(0, 2**32 - 1))
+    model = QuantizedModel(
+        ternary_weights=gen_weights_ternary(n, L, seed),
+        int_beta=IntegerBeta(values=make_rng(seed).integers(-50, 51, size=(L, 3)), tau=1.0),
+        input_range=(lo, hi),
+        metadata={"preprocessing": ["zero_mean"] if centred else []},
+    )
+    corners = box_corners(model)[[1, 2, 2 + L, 3, 3 + L, 0]]  # all at hi first, all at lo last
+
+    def rows(count):
+        X = make_rng(seed + count).integers(lo, hi + 1, size=(count, n))
+        X[: len(corners)] = corners[:count]
+        return X
+
+    calls = [rows(1)[0], rows(fused), rows(fused + 1)]
+    first = draw(st.integers(0, 2))
+    return model, calls[first:] + calls[:first]
+
+
+class TestFloatKernel:
+    @pytest.mark.parametrize("centred, dtype", [(False, np.float32), (True, np.float64)], ids=["float32", "float64"])
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(data=st.data())
+    def test_first_and_later_projections_match_int64_reference(self, centred, dtype, data):
+        model, calls = data.draw(float_kernel_cases(centred))
+        kernel = model.kernel_weights
+        assert isinstance(kernel, FloatKernel) and kernel.dtype == dtype and kernel.weights is None
+        for X in calls:
+            np.testing.assert_array_equal(int_scores(model, X), int64_reference_scores(model, X))
+            assert model.kernel_weights is kernel and not kernel.weights.flags.writeable
+            np.testing.assert_array_equal(kernel.weights, model.ternary_weights.astype(dtype))
+
+    def test_concurrent_first_calls_read_a_complete_kernel(self):
+        # Eight threads make the first call on each fresh model together, switching as
+        # often as the interpreter allows; a kernel published before its last block is
+        # cast is read partly unwritten by some of them. Each round rolls W's columns,
+        # so an allocation that reuses the last round's kernel does not hold this one.
+        L, threads = 2000, 8
+        step = BUILD_BLOCK_BYTES // (4 * L)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # one block, then three with a short last one
+            for n, rounds in ((step - 1, 40), (5 * step // 2, 10)):
+                base = random_quantized_model(make_rng(n), n=n, L=L, m=3, input_range=(0, 2**15))
+                X = make_rng(n).integers(0, 2**15 + 1, size=(4, n))
+                for shift in range(1, rounds + 1):
+                    model = replace(base, ternary_weights=np.roll(base.ternary_weights, shift, axis=1))
+                    barrier, results = threading.Barrier(threads, timeout=60), [None] * threads
+
+                    def first_call(i, model=model, barrier=barrier, results=results):
+                        barrier.wait()
+                        results[i] = int_scores(model, X)
+
+                    workers = [threading.Thread(target=first_call, args=(i,)) for i in range(threads)]
+                    for worker in workers:
+                        worker.start()
+                    for worker in workers:
+                        worker.join(timeout=60)
+                        assert not worker.is_alive()
+                    reference = int64_reference_scores(model, X)
+                    for scores in results:
+                        np.testing.assert_array_equal(scores, reference)
+                    kernel = model.kernel_weights
+                    assert kernel.dtype == np.float32 and not kernel.weights.flags.writeable
+                    np.testing.assert_array_equal(kernel.weights, model.ternary_weights.astype(np.float32))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestShapeRule:

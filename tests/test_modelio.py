@@ -141,12 +141,14 @@ def test_weight_codes_match_the_benchmark_reader():
     assert (checks["IELM_HEADER"].format, checks["IELM_INT_EXTRA"].format) == (_HEADER.format, _INT_EXTRA.format)
 
 
-def test_loaded_quantized_weights_are_owned_and_read_only(blobs, tmp_path):
+def test_loaded_quantized_weights_are_read_only_views_of_the_file_bytes(blobs, tmp_path):
     path = tmp_path / "q.ielm"
     path.write_bytes(blobs["quantized"])
     model = load_model(path)
-    assert model.ternary_weights.dtype == np.int8 and model.ternary_weights.flags.owndata
-    assert not model.ternary_weights.flags.writeable
+    W = model.ternary_weights
+    assert W.dtype == np.int8 and not W.flags.owndata and not W.flags.writeable
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        W.setflags(write=True)
     save_model(model, tmp_path / "again.ielm")
     assert (tmp_path / "again.ielm").read_bytes() == blobs["quantized"]
 
