@@ -19,7 +19,6 @@ import numpy as np
 from intelm.data import InputError, check_steps, integer_rows, max_abs, reject_blank_rows
 from intelm.linalg import (
     DimensionError,
-    SpdSystem,
     accumulate_gram,
     as_matrix,
     exact_dtype,
@@ -210,8 +209,10 @@ def train(
     row_scale when given (data.preprocess's rows and row_scale); integer
     rows take hidden_features's exact projection. targets is the (N, m)
     target matrix, one_hot's for class labels.
-    Peak memory stays at O(L^2 + block_size * L): blocks of hidden features
-    are folded into the normal-equation accumulator and discarded.
+    Peak memory stays at one L x L Gram plus one block_size x L block of
+    hidden features: the first block starts the normal equations, later
+    ones are folded into them, and no block outlives its fold, so the
+    solve runs with the Gram alone.
     """
     X = _sample_rows(X_norm, "X_norm")
     targets = as_matrix(targets, "targets")
@@ -221,12 +222,13 @@ def train(
     if X.shape[0] != targets.shape[0]:
         raise DimensionError(f"{X.shape[0]} samples but {targets.shape[0]} target rows")
     load_lapack()  # for solve_spd; before the hidden layer exists, so not on top of its peak
-    L = W.shape[1]
-    acc = SpdSystem.zeros(L, targets.shape[1])
-    for start in range(0, X.shape[0], block_size):
+    acc = None
+    # One block at least, so that no samples still give an L x L system.
+    for start in range(0, max(X.shape[0], 1), block_size):
         rows = slice(start, start + block_size)
-        block = hidden_features(W, X[rows], None if row_scale is None else row_scale[rows])
-        accumulate_gram(block, acc, targets[rows])
+        acc = accumulate_gram(
+            hidden_features(W, X[rows], None if row_scale is None else row_scale[rows]), acc, targets[rows]
+        )
     acc.add_ridge(gamma)
     beta = solve_spd(acc)
     meta = dict(metadata or {})

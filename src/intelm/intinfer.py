@@ -22,9 +22,10 @@ by the matching columns of the rows while it is still in cache and the
 partial products are summed in the kernel dtype; each running sum is
 again a subset sum of the +/-z_j, so this is exact too. A larger first
 call casts every block, then runs one GEMM, as does every later call.
-The finished array is read-only and published by one attribute
-assignment, so concurrent first callers never read a partial kernel;
-each that finds none builds its own, all equal, and the last one stays.
+The build runs under the kernel's lock: the first caller builds and
+publishes the read-only array by one attribute assignment, and a
+concurrent first caller waits for it and reuses it, so no caller reads
+a partial kernel and W is cast once.
 
 An uncentred model whose columns are narrow enough packs three of them
 into each float64 word instead (PackedKernel), so one dgemv reads a
@@ -44,8 +45,8 @@ and its scores are bit-identical to the int64 reference.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -182,6 +183,7 @@ class FloatKernel:
     ternary: np.ndarray  # (n, L) int8
     dtype: np.dtype
     weights: np.ndarray | None = field(default=None, init=False, repr=False)
+    _build_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -192,7 +194,10 @@ class FloatKernel:
         X = X.astype(self.dtype, copy=False)
         weights, out = self.weights, None
         if weights is None:
-            weights, out = self._build(X)
+            with self._build_lock:
+                weights = self.weights
+                if weights is None:  # no other caller built it while this one waited
+                    weights, out = self._build(X)
         if out is None:
             out = X @ weights
         return out.astype(np.int64)
@@ -277,8 +282,16 @@ class QuantizedModel:
         object.__setattr__(self, "steps", check_steps(self.metadata.get("preprocessing", [])))
         self.validate_headroom()
 
-    @cached_property
+    @property
     def _kernels(self) -> tuple[PackedKernel | FloatKernel, np.ndarray]:
+        # setdefault publishes the first choice, so concurrent first callers share one kernel
+        # (and one FloatKernel build); functools.cached_property has no lock from Python 3.12.
+        kernels = self.__dict__.get("_kernel_pair")
+        if kernels is None:
+            kernels = self.__dict__.setdefault("_kernel_pair", self._choose_kernels())
+        return kernels
+
+    def _choose_kernels(self) -> tuple[PackedKernel | FloatKernel, np.ndarray]:
         hidden = hidden_bound(self.n, self.input_range, self.centred)
         W, top, kernel = self.ternary_weights, np.full(self.L, hidden), None
         # Count the columns only where one of the ternary generator's density,
@@ -407,8 +420,14 @@ def _one_sample(x, caller: str) -> np.ndarray:
 
 
 def classify_int(model: QuantizedModel, x) -> int:
-    """Predicted class of a raw integer sample; ties break to the lowest index."""
-    return int(classify_int_batch(model, _one_sample(x, "classify_int")[None])[0])
+    """Predicted class of a raw integer sample, scored as a vector (gemv, not a one-row gemm).
+
+    Ties break to the lowest index; a blank sample is an InputError, as in classify_int_batch.
+    """
+    x = _one_sample(x, "classify_int")
+    label = int(np.argmax(int_scores(model, x)))
+    reject_blank_rows(x, model.steps)
+    return label
 
 
 def classify_int_batch(model: QuantizedModel, X) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Dense linear algebra for closed-form training.
 
 Streaming Gram accumulation (so the hidden matrix never has to be held in
-memory at once) and a symmetric-positive-definite solve via Cholesky.
+memory at once) and a symmetric-positive-definite solve via Cholesky. The
+first block's products start the system, so training holds one L x L Gram
+next to one block.
 Everything is float64 row-major; shapes are explicit and checked.
 exact_dtype is the one rule for exact integer products, shared by the
 training projection and the integer classifier's kernel.
@@ -112,10 +114,6 @@ class SpdSystem:
     rhs: np.ndarray
     residual: float | None = None
 
-    @classmethod
-    def zeros(cls, size: int, targets: int) -> "SpdSystem":
-        return cls(np.zeros((size, size)), np.zeros((size, targets)))
-
     @property
     def size(self) -> int:
         return self.gram.shape[0]
@@ -139,21 +137,29 @@ class SpdSystem:
         return self.gram
 
 
-def accumulate_gram(row_block, acc: SpdSystem, target_block) -> SpdSystem:
-    """Fold a block of rows into the accumulator.
+def accumulate_gram(row_block, acc: SpdSystem | None, target_block) -> SpdSystem:
+    """Fold a block of rows into the accumulator, or start one from the block when acc is None.
 
     acc.gram += block^T block, acc.rhs += block^T targets. The block has
-    acc.size columns; targets have the same row count as the block.
+    acc.size columns; targets have the same row count as the block. A new
+    system is block^T block and block^T targets plus 0.0, in place: x + 0.0
+    is 0.0 + x bit for bit (-0.0 becomes +0.0), so it equals folding the
+    block into zeros without allocating them.
     """
     block = as_matrix(row_block, "row_block")
     targets = as_matrix(target_block, "target_block")
-    if block.shape[1] != acc.size:
-        raise DimensionError(
-            f"row_block has {block.shape[1]} columns, accumulator expects {acc.size}"
-        )
     if targets.shape[0] != block.shape[0]:
         raise DimensionError(
             f"target_block has {targets.shape[0]} rows, row_block has {block.shape[0]}"
+        )
+    if acc is None:
+        acc = SpdSystem(block.T @ block, block.T @ targets)
+        acc.gram += 0.0
+        acc.rhs += 0.0
+        return acc
+    if block.shape[1] != acc.size:
+        raise DimensionError(
+            f"row_block has {block.shape[1]} columns, accumulator expects {acc.size}"
         )
     if targets.shape[1] != acc.rhs.shape[1]:
         raise DimensionError(

@@ -83,6 +83,35 @@ def test_classify_scores_calls_cli_int_scores_and_classify_int_batch(tmp_path, m
     assert scores and labels
 
 
+def test_train_folds_each_block_through_the_traced_calls(monkeypatch):
+    # The tracer counts linalg.gram_flops from accumulate_gram's positional block and targets,
+    # and elm.hidden_features_rows from each block's hidden_features call.
+    counters = {name: count for name, _, _, count in _tracer_targets()}
+    X = make_rng(10).integers(0, 256, size=(10, 6)).astype(np.uint8)
+    targets = elm.one_hot(np.arange(10) % 3, 3)
+    W = elm.gen_weights_ternary(6, 5, 11)
+    blocks, folds = [], []
+    real_hidden, real_fold = elm.hidden_features, elm.accumulate_gram
+
+    def hidden(*args, **kwargs):
+        blocks.append(real_hidden(*args, **kwargs))
+        return blocks[-1]
+
+    def fold(*args, **kwargs):
+        folds.append((args, kwargs))
+        return real_fold(*args, **kwargs)
+
+    monkeypatch.setattr(elm, "hidden_features", hidden)
+    monkeypatch.setattr(elm, "accumulate_gram", fold)
+    elm.train(X, targets, W, weight_kind="ternary", block_size=4)
+    assert [len(block) for block in blocks] == [4, 4, 2]
+    assert len(folds) == 3
+    for (args, kwargs), block, start in zip(folds, blocks, (0, 4, 8)):
+        assert not kwargs and len(args) == 3 and args[0] is block
+        np.testing.assert_array_equal(args[2], targets[start : start + 4])
+    assert sum(counters["linalg.accumulate_gram"](*args) for args, _ in folds) == 2 * 10 * 5 * 5 + 2 * 10 * 5 * 3
+
+
 def test_make_quantized_calls_experiments_quantize_beta(monkeypatch):
     calls = _counting(monkeypatch, experiments, "quantize_beta")
     W = make_rng(6).integers(-1, 2, size=(5, 4)).astype(np.int8)

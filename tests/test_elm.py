@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from intelm.elm import (
     training_residual,
 )
 from intelm.intinfer import PackedKernel, QuantizedModel, classify_int_batch, int_scores
-from intelm.linalg import DimensionError
+from intelm.linalg import DimensionError, SpdSystem, solve_spd
 from intelm.modelio import load_model, save_model
 from intelm.quantize import IntegerBeta
 from intelm.seeding import make_rng
@@ -149,6 +150,71 @@ class TestTrain:
     def test_sample_count_mismatch(self, rng):
         with pytest.raises(DimensionError):
             train(rng.standard_normal((5, 3)), one_hot([0, 1], 2), rng.random((3, 2)))
+
+
+def zero_start_beta(W, X, targets, gamma, block_size, row_scale=None):
+    """Reference: the training loop that folds every block into a zero-filled system."""
+    L = W.shape[1]
+    acc = SpdSystem(np.zeros((L, L)), np.zeros((L, targets.shape[1])))
+    for start in range(0, len(X), block_size):
+        rows = slice(start, start + block_size)
+        block = hidden_features(W, X[rows], None if row_scale is None else row_scale[rows])
+        acc.gram += block.T @ block
+        acc.rhs += block.T @ targets[rows]
+    acc.add_ridge(gamma)
+    return solve_spd(acc)
+
+
+class TestFirstBlockStart:
+    """train starts its system from the first block; every bit of beta is the zero start's."""
+
+    N = 30
+
+    def _case(self, case):
+        rng = make_rng(21)
+        labels = np.arange(self.N) % 3
+        targets = 2 * one_hot(labels, 3) - 1  # negative targets: a dead unit's rhs terms are -0.0
+        if case == "float":
+            X = rng.random((self.N, 16))
+            W = gen_weights_continuous(16, 12, 22)
+            W[:, 5] *= -1  # no positive pre-activation on non-negative rows: a dead unit
+            return X, targets, W, "continuous", None
+        samples = rng.integers(0, 256, size=(self.N, 16)).astype(np.uint8)
+        norm = preprocess(RawDataset(samples, labels, 3), [case])
+        W = gen_weights_ternary(16, 12, 23)
+        W[:, 5] = 0  # a dead unit
+        return norm.rows, targets, W, "ternary", norm.row_scale
+
+    @pytest.mark.parametrize("block_size", [1, 7, N])
+    @pytest.mark.parametrize("case", ["l2_normalize", "zero_mean", "float"])
+    def test_beta_is_bit_identical_to_the_zero_start(self, case, block_size):
+        X, targets, W, kind, scale = self._case(case)
+        model = train(X, targets, W, gamma=0.5, weight_kind=kind, block_size=block_size, row_scale=scale)
+        reference = zero_start_beta(W, X, targets, 0.5, block_size, scale)
+        assert np.all(model.beta[5] == 0)
+        assert model.beta.tobytes() == reference.tobytes()
+
+    def test_no_samples_give_zero_beta(self):
+        model = train(np.zeros((0, 4)), np.zeros((0, 2)), gen_weights_continuous(4, 3, 1))
+        assert model.beta.tobytes() == np.zeros((3, 2)).tobytes()
+
+    def test_peak_memory_is_one_block_and_one_gram(self):
+        # One block of H (N x L float64) and one L x L Gram, never both with a second L x L
+        # matrix: 107 MB is traced when a zero-filled Gram and a block product coexist with H.
+        N, n, L = 3000, 784, 2000
+        rng = make_rng(24)
+        labels = np.arange(N) % 10
+        samples = rng.integers(0, 256, size=(N, n)).astype(np.uint8)
+        norm = preprocess(RawDataset(samples, labels, 10), ["l2_normalize"])
+        W, targets = gen_weights_ternary(n, L, 25), one_hot(labels, 10)
+        tracemalloc.start()
+        try:
+            model = train(norm.rows, targets, W, weight_kind="ternary", row_scale=norm.row_scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.beta.shape == (L, 10)
+        assert peak < N * L * 8 + L * L * 8 + 2**20
 
 
 class TestPredict:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kernel_form, random_float_model, random_quantized_model
-from intelm import data
+from intelm import data, intinfer
 from intelm.data import integer_rows
 from intelm.elm import (
     FloatModel,
@@ -161,6 +161,21 @@ class TestClassifyInt:
         model = random_quantized_model(rng)
         with pytest.raises(DimensionError):
             classify_int(model, rng.integers(1, 256, size=(2, model.n)))
+
+    def test_scores_one_sample_as_a_vector(self, rng, monkeypatch):
+        # A (1, n) matrix would take BLAS's matrix-matrix products where one vector takes gemv.
+        model = random_quantized_model(rng)
+        x = rng.integers(1, 256, size=model.n)
+        label = classify_int_batch(model, x[None])[0]
+        shapes, scores = [], intinfer.int_scores
+
+        def recorded(model, X):
+            shapes.append(np.shape(X))
+            return scores(model, X)
+
+        monkeypatch.setattr(intinfer, "int_scores", recorded)
+        assert classify_int(model, x) == label
+        assert shapes == [(model.n,)]
 
     def test_tie_breaks_to_lowest_index(self):
         W = np.eye(2, dtype=np.int8)
@@ -575,11 +590,19 @@ class TestFloatKernel:
             assert model.kernel_weights is kernel and not kernel.weights.flags.writeable
             np.testing.assert_array_equal(kernel.weights, model.ternary_weights.astype(dtype))
 
-    def test_concurrent_first_calls_read_a_complete_kernel(self):
+    def test_concurrent_first_calls_read_a_complete_kernel(self, monkeypatch):
         # Eight threads make the first call on each fresh model together, switching as
         # often as the interpreter allows; a kernel published before its last block is
-        # cast is read partly unwritten by some of them. Each round rolls W's columns,
-        # so an allocation that reuses the last round's kernel does not hold this one.
+        # cast is read partly unwritten by some of them, and one that every caller
+        # finding none builds for itself is cast up to eight times. Each round rolls W's
+        # columns, so an allocation that reuses the last round's kernel does not hold this one.
+        builds, build = [], FloatKernel._build
+
+        def counted_build(kernel, X):
+            builds.append(kernel)
+            return build(kernel, X)
+
+        monkeypatch.setattr(FloatKernel, "_build", counted_build)
         L, threads = 2000, 8
         step = BUILD_BLOCK_BYTES // (4 * L)
         interval = sys.getswitchinterval()
@@ -597,6 +620,7 @@ class TestFloatKernel:
                         barrier.wait()
                         results[i] = int_scores(model, X)
 
+                    builds.clear()
                     workers = [threading.Thread(target=first_call, args=(i,)) for i in range(threads)]
                     for worker in workers:
                         worker.start()
@@ -607,6 +631,7 @@ class TestFloatKernel:
                     for scores in results:
                         np.testing.assert_array_equal(scores, reference)
                     kernel = model.kernel_weights
+                    assert builds == [kernel]
                     assert kernel.dtype == np.float32 and not kernel.weights.flags.writeable
                     np.testing.assert_array_equal(kernel.weights, model.ternary_weights.astype(np.float32))
         finally:

@@ -19,40 +19,42 @@ from intelm.linalg import (
 
 class TestAccumulateGram:
     def test_zero_block_leaves_accumulator_unchanged(self):
-        acc = SpdSystem.zeros(1, 1)
-        accumulate_gram([[0.0]], acc, [[0.0]])
+        acc = accumulate_gram([[0.0]], None, [[0.0]])
+        np.testing.assert_array_equal(acc.gram, [[0.0]])
+        np.testing.assert_array_equal(acc.rhs, [[0.0]])
+        assert accumulate_gram([[0.0]], acc, [[0.0]]) is acc
         np.testing.assert_array_equal(acc.gram, [[0.0]])
         np.testing.assert_array_equal(acc.rhs, [[0.0]])
 
     def test_identity_block(self):
-        acc = SpdSystem.zeros(2, 1)
-        accumulate_gram(np.eye(2), acc, [[1.0], [0.0]])
+        acc = accumulate_gram(np.eye(2), None, [[1.0], [0.0]])
         np.testing.assert_allclose(acc.gram, np.eye(2))
         np.testing.assert_allclose(acc.rhs, [[1.0], [0.0]])
 
     def test_matches_naive_matmul_oracle(self, rng):
         block = rng.standard_normal((8, 5))
         targets = rng.standard_normal((8, 2))
-        acc = SpdSystem.zeros(5, 2)
-        accumulate_gram(block, acc, targets)
+        acc = accumulate_gram(block, None, targets)
         np.testing.assert_allclose(acc.gram, naive_matmul(block.T, block), atol=1e-12)
         np.testing.assert_allclose(acc.rhs, naive_matmul(block.T, targets), atol=1e-12)
 
     def test_dimension_mismatch_names_shapes(self):
-        acc = SpdSystem.zeros(3, 1)
+        acc = accumulate_gram(np.ones((1, 3)), None, np.ones((1, 1)))
         with pytest.raises(DimensionError, match="4 columns"):
             accumulate_gram(np.ones((2, 4)), acc, np.ones((2, 1)))
-        with pytest.raises(DimensionError, match="rows"):
-            accumulate_gram(np.ones((2, 3)), acc, np.ones((5, 1)))
+        for start in (acc, None):
+            with pytest.raises(DimensionError, match="rows"):
+                accumulate_gram(np.ones((2, 3)), start, np.ones((5, 1)))
+        with pytest.raises(DimensionError, match="2 columns"):
+            accumulate_gram(np.ones((2, 3)), acc, np.ones((2, 2)))
 
     def test_streaming_equals_single_shot(self, rng):
         H = rng.standard_normal((60, 7))
         T = rng.standard_normal((60, 3))
-        single = SpdSystem.zeros(7, 3)
-        accumulate_gram(H, single, T)
-        streamed = SpdSystem.zeros(7, 3)
+        single = accumulate_gram(H, None, T)
+        streamed = None
         for start, stop in [(0, 13), (13, 14), (14, 40), (40, 60)]:
-            accumulate_gram(H[start:stop], streamed, T[start:stop])
+            streamed = accumulate_gram(H[start:stop], streamed, T[start:stop])
         np.testing.assert_allclose(streamed.gram, single.gram, rtol=1e-10)
         np.testing.assert_allclose(streamed.rhs, single.rhs, rtol=1e-10)
 
@@ -95,15 +97,14 @@ class TestSolveSpd:
         # rank-deficient H: gram is singular without the shift, SPD with it
         for gamma in (0.1, 1.0, 100.0):
             H = np.outer(rng.standard_normal(10), rng.standard_normal(6))
-            acc = SpdSystem.zeros(6, 2)
-            accumulate_gram(H, acc, rng.standard_normal((10, 2)))
+            acc = accumulate_gram(H, None, rng.standard_normal((10, 2)))
             acc.add_ridge(gamma)
             solve_spd(acc)  # must not raise
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), 1e-320])
     def test_ridge_needs_a_finite_inverse(self, gamma):
         with pytest.raises(ValueError, match="gamma must be positive with a finite 1/gamma"):
-            SpdSystem.zeros(2, 1).add_ridge(gamma)
+            SpdSystem(np.zeros((2, 2)), np.zeros((2, 1))).add_ridge(gamma)
 
     def test_breakdown_names_pivot(self):
         gram = np.array([[1.0, 2.0], [2.0, 1.0]])  # positive diagonal, indefinite
@@ -111,8 +112,7 @@ class TestSolveSpd:
             solve_spd(SpdSystem(gram, np.ones((2, 1))))
 
     def test_exactly_symmetric_gram_is_factored_as_is_and_left_unchanged(self, rng):
-        acc = SpdSystem.zeros(6, 2)
-        accumulate_gram(rng.standard_normal((9, 6)), acc, rng.standard_normal((9, 2)))
+        acc = accumulate_gram(rng.standard_normal((9, 6)), None, rng.standard_normal((9, 2)))
         acc.add_ridge(1.0)
         assert np.array_equal(acc.gram, acc.gram.T)
         assert acc.symmetrized() is acc.gram
@@ -137,9 +137,10 @@ class TestSolveSpd:
             solve_spd(SpdSystem(gram, np.ones((2, 1))))
 
     def test_nan_rejected_on_accumulate(self):
-        acc = SpdSystem.zeros(2, 1)
-        with pytest.raises(ValueError, match="NaN"):
-            accumulate_gram([[np.nan, 1.0]], acc, [[1.0]])
+        acc = accumulate_gram([[0.0, 1.0]], None, [[1.0]])
+        for start in (acc, None):
+            with pytest.raises(ValueError, match="NaN"):
+                accumulate_gram([[np.nan, 1.0]], start, [[1.0]])
 
 
 @pytest.mark.parametrize(
@@ -155,15 +156,15 @@ def test_exact_dtype_limits(bound, dtype):
 # Gram that is not exactly symmetric, or that symmetrized does not return as it is.
 GRAM_SYMMETRY_SCRIPT = """
 import numpy as np
-from intelm.linalg import SpdSystem, accumulate_gram
+from intelm.linalg import accumulate_gram
 rng = np.random.default_rng(0)
 for N, L in ((1, 1), (3, 2), (17, 9), (64, 33), (300, 200), (1000, 129), (2000, 300)):
     H, T = rng.standard_normal((N, L)) * 10, rng.standard_normal((N, 3))
     for block in (N, 97, 7):
         for order in ("C", "F"):
-            acc = SpdSystem.zeros(L, 3)
+            acc = None
             for start in range(0, N, block):
-                accumulate_gram(np.array(H[start:start + block], order=order), acc, T[start:start + block])
+                acc = accumulate_gram(np.array(H[start:start + block], order=order), acc, T[start:start + block])
             acc.add_ridge(1.0)
             if not (np.array_equal(acc.gram, acc.gram.T) and acc.symmetrized() is acc.gram):
                 print(N, L, block, order)
