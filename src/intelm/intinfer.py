@@ -15,17 +15,26 @@ training's projection uses too) picks a float GEMM that rounds nothing,
 whatever order BLAS sums in: W as float32 when the bound is under 2**24
 and as float64 otherwise (the proof caps it at 2**31 - 1).
 
-That float W (FloatKernel) is cast during the kernel's first projection,
-in blocks of W's rows of about BUILD_BLOCK_BYTES. When that call's
-output is at most a quarter of the same budget, each block is multiplied
-by the matching columns of the rows while it is still in cache and the
-partial products are summed in the kernel dtype; each running sum is
-again a subset sum of the +/-z_j, so this is exact too. A larger first
-call casts every block, then runs one GEMM, as does every later call.
-The build runs under the kernel's lock: the first caller builds and
-publishes the read-only array by one attribute assignment, and a
-concurrent first caller waits for it and reuses it, so no caller reads
-a partial kernel and W is cast once.
+That float W (FloatKernel) is cast in blocks of W's rows of about
+BUILD_BLOCK_BYTES. While none is kept, a projection of any number of
+rows but one whose output is at most a quarter of the same budget keeps
+none either: it casts each block into one block buffer of its own,
+multiplies it by the matching columns of the rows while it is still in
+cache and sums the partial products in the kernel dtype. Each running
+sum is again a subset sum of the +/-z_j, so this is exact too. It takes
+no lock and publishes nothing, so a few-row `intelm classify` holds no
+float copy of W. Each such call casts W again: a repeated 16- or 64-row
+call costs about what the first call of that shape costs when it keeps
+W (3072x500 float32 W, 2-core host, one BLAS thread: 0.41 and 0.95 ms
+against 0.31 and 0.84 ms on a kept W), and 2 or 4 rows cost less than
+on a kept W. Any other projection (one row, as classify_int's vector,
+or an output past the quarter block) casts and keeps W the first time,
+through the same block loop, summing the blocks' products itself when
+the output is small and otherwise running one GEMM after the cast, as
+every call on a kept W does. The build runs under the kernel's lock:
+the first caller builds and publishes the read-only array by one
+attribute assignment, and a concurrent first caller waits for it and
+reuses it, so no caller reads a partial kernel and W is cast once.
 
 An uncentred model whose columns are narrow enough packs three of them
 into each float64 word instead (PackedKernel), so one dgemv reads a
@@ -173,11 +182,13 @@ class PackedKernel:
 
 @dataclass(frozen=True, eq=False)
 class FloatKernel:
-    """Ternary W as a read-only float32 or float64 matrix, cast during the first projection.
+    """Ternary W as a read-only float32 or float64 matrix, cast block by block as projections need it.
 
     ternary is the model's read-only int8 W and dtype the exact_dtype of
-    its hidden bound. weights is None until the first project() publishes
-    the cast W (see the module docstring for how that call builds it).
+    its hidden bound. weights is None until the first project() of one row,
+    or of an output past a quarter of BUILD_BLOCK_BYTES, publishes the cast
+    W; any other call made while weights is None casts W into a block
+    buffer of its own and keeps nothing (see the module docstring).
     """
 
     ternary: np.ndarray  # (n, L) int8
@@ -193,30 +204,37 @@ class FloatKernel:
         """The exact int64 product X @ W, for rows X whose every subset sum fits dtype's mantissa."""
         X = X.astype(self.dtype, copy=False)
         weights, out = self.weights, None
-        if weights is None:
+        if weights is None and X.size != X.shape[-1] and self._summed_per_block(X):
+            _, out = self._blocks(X, keep=False)  # not one row, and a small output: keep no W
+        elif weights is None:
             with self._build_lock:
                 weights = self.weights
                 if weights is None:  # no other caller built it while this one waited
-                    weights, out = self._build(X)
+                    weights, out = self._blocks(X, keep=True)
         if out is None:
             out = X @ weights
         return out.astype(np.int64)
 
-    def _build(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Cast W block by block; return it and, for an output within a quarter block, X @ W summed per block."""
+    def _summed_per_block(self, X: np.ndarray) -> bool:
+        # Past a quarter of the budget, re-reading the output for every block costs more than it saves.
+        return X.size // X.shape[-1] * self.shape[1] * self.dtype.itemsize <= BUILD_BLOCK_BYTES // 4
+
+    def _blocks(self, X: np.ndarray, keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """Cast W block by block into a W that is kept and published, or else into one block buffer.
+
+        Return that array and, for an output within a quarter block, X @ W summed per block (else None).
+        """
         (n, L), size = self.ternary.shape, self.dtype.itemsize
         step = max(1, BUILD_BLOCK_BYTES // (L * size))
-        weights = np.empty((n, L), self.dtype)
-        # Past a quarter of the budget, re-reading the output for every block costs more than it saves.
-        fused = X.size // n * L * size <= BUILD_BLOCK_BYTES // 4
-        out = np.zeros(X.shape[:-1] + (L,), self.dtype) if fused else None
+        weights = np.empty((n if keep else min(n, step), L), self.dtype)
+        out = np.zeros(X.shape[:-1] + (L,), self.dtype) if self._summed_per_block(X) else None
         for start in range(0, n, step):
-            block = weights[start : start + step]
+            block = weights[start : start + step] if keep else weights[: min(step, n - start)]
             block[...] = self.ternary[start : start + step]
             if out is not None:
                 out += X[..., start : start + step] @ block
-        # Publish only the finished array, in one assignment.
-        object.__setattr__(self, "weights", _read_only(weights))
+        if keep:  # publish only the finished array, in one assignment
+            object.__setattr__(self, "weights", _read_only(weights))
         return weights, out
 
 
@@ -369,30 +387,26 @@ def _check_sample(model: QuantizedModel, x: np.ndarray) -> np.ndarray:
 
 
 def ternary_project(W, X) -> np.ndarray:
-    """Project one integer sample, or each row of X, through ternary weights, exactly.
+    """Project one integer sample, or each row of X, through a ternary kernel, exactly.
 
     Contractually this is per-column add/subtract/skip selection with no
     general multiply; the audited reference is ternary_project_counted and
     this vectorized form is integer-exact and produces identical results.
 
-    W is an integer matrix or a kernel, and the product is returned as
-    int64. Integer W takes the int64 matmul, the reference. A FloatKernel
+    W is a kernel, and the product is returned as int64. A FloatKernel
     takes BLAS sgemv/sgemm or dgemv/dgemm, exact only when every subset sum
     of |x_j| is below 2**24 (float32) or 2**53 (float64). A PackedKernel
     takes one dgemv/dgemm over its words, exact only within the column
     bounds it was packed for, and splits each word into its three columns
     with int64 shifts and masks. Pass a kernel only as a validated
-    QuantizedModel's kernel_weights, with in-range X.
+    QuantizedModel's kernel_weights, with in-range X; any other W is an
+    InputError.
     """
-    X = np.asarray(X)
     if not isinstance(W, (PackedKernel, FloatKernel)):
-        W = np.asarray(W)
-        if not np.issubdtype(W.dtype, np.integer):
-            raise InputError(f"ternary_project takes integer weights or a kernel, got dtype {W.dtype}")
+        raise InputError(f"ternary_project takes a kernel, got {type(W).__name__}")
+    X = np.asarray(X)
     if X.shape[-1] != W.shape[0]:
         raise DimensionError(f"sample has {X.shape[-1]} values, weights expect {W.shape[0]}")
-    if isinstance(W, np.ndarray):
-        return X.astype(np.int64, copy=False) @ W.astype(np.int64, copy=False)
     return W.project(X)
 
 

@@ -51,6 +51,11 @@ def gauss_solve(A, B):
     return X
 
 
+def int64_project(W, X):
+    """X @ W in int64: the exact product of integer rows and integer weights."""
+    return np.asarray(X).astype(np.int64) @ np.asarray(W).astype(np.int64)
+
+
 def naive_hidden(W, X):
     """Loop evaluation of max(0, w_i . x_j)."""
     W, X = np.asarray(W, dtype=np.float64), np.asarray(X, dtype=np.float64)

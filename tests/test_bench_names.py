@@ -134,14 +134,14 @@ def test_integer_classifiers_reach_the_traced_kernel_layers(monkeypatch, n, L, p
     X = make_rng(9).integers(1, 256, size=(3, n))
     projections = _counting(monkeypatch, intinfer, "ternary_project")
     relus = _counting(monkeypatch, intinfer, "relu_int")
-    if not packed:  # the float kernel is cast inside the first call's projection span
-        assert model.kernel_weights.weights is None
-    label = intinfer.classify_int(model, X[0])
+    labels = intinfer.classify_int_batch(model, X)
     assert projections == ["ternary_project"] and relus == ["relu_int"]
-    if not packed:
-        assert model.kernel_weights.weights.dtype == np.float32
-    assert intinfer.classify_int_batch(model, X).tolist()[0] == label
+    if not packed:  # a few rows are projected through a block buffer inside the span, keeping no float W
+        assert model.kernel_weights.weights is None
+    assert intinfer.classify_int(model, X[0]) == labels[0]
     assert len(projections) == len(relus) == 2
+    if not packed:  # one sample builds the float W, inside its projection span too
+        assert model.kernel_weights.weights.dtype == np.float32
 
 
 def test_classify_int_allocates_no_copy_of_the_packed_kernel():
@@ -161,9 +161,10 @@ def test_classify_int_allocates_no_copy_of_the_packed_kernel():
 
 
 def test_loading_and_scoring_a_wide_file_holds_one_float_kernel_and_w(tmp_path):
-    # classify_cli's model: its float32 kernel is 6.14 MB and its int8 W 1.5 MB. Loading keeps
-    # W as a view of the bytes read, and the kernel is cast block by block, so a second copy
-    # of W or a float temporary of W's size passes the bound.
+    # classify_cli's model: its float32 kernel would be 6.14 MB and its int8 W is 1.5 MB.
+    # Loading keeps W as a view of the bytes read, and a few rows are projected through one
+    # 512 KB block buffer per call, so a float W, a second copy of W or a float temporary of
+    # W's size passes the bound.
     W = elm.gen_weights_ternary(3072, 500, 8)
     model = _served_shape_model(3072, 500, 8)
     assert not np.shares_memory(model.ternary_weights, W) and W.flags.writeable  # a caller's W is copied
@@ -177,7 +178,7 @@ def test_loading_and_scoring_a_wide_file_holds_one_float_kernel_and_w(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3072 * 500 * (4 + 1) + 2**20
+    assert peak < 3072 * 500 + intinfer.BUILD_BLOCK_BYTES + 2**20
     np.testing.assert_array_equal(scores, intinfer.int_scores(model, X))
     np.testing.assert_array_equal(labels, scores.argmax(axis=1))
     assert not loaded.ternary_weights.flags.owndata

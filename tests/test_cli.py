@@ -295,6 +295,20 @@ class TestQuantizeAndClassify:
                 assert main(argv + [str(tmp_path / "zero_rows.idx")]) == 0
                 assert capsys.readouterr() == ("", "")
 
+    def test_zero_rows_of_another_width_exit_3(self, idx_dataset, tmp_path, capsys):
+        # The width rule holds for an empty file too: the scorers take 0 rows and check their width.
+        model_path = self._trained(idx_dataset, tmp_path)
+        assert main(["quantize", "--model", str(model_path), "--out", str(tmp_path / "q.ielm")]) == 0
+        (tmp_path / "zero_rows_5x5.idx").write_bytes(struct.pack(">4I", 0x803, 0, 5, 5))
+        for model in (model_path, tmp_path / "q.ielm"):
+            for scores in ([], ["--scores"]):
+                capsys.readouterr()
+                argv = ["classify", "--model", str(model), *scores, "--input", str(tmp_path / "zero_rows_5x5.idx")]
+                assert main(argv) == 3
+                captured = capsys.readouterr()
+                assert captured.out == "" and len(captured.err.splitlines()) == 1
+                assert {"code=3", "reason=shape_mismatch"} <= set(captured.err.split())
+
     @pytest.mark.parametrize("code", [2, 3])
     def test_removed_weight_kind_code_exit_1(self, idx_dataset, tmp_path, capsys, code):
         model_path = self._trained(idx_dataset, tmp_path)

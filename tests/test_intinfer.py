@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kernel_form, random_float_model, random_quantized_model
+from conftest import int64_project, kernel_form, random_float_model, random_quantized_model
 from intelm import data, intinfer
 from intelm.data import integer_rows
 from intelm.elm import (
@@ -68,24 +68,33 @@ def random_sample(rng, model, lo=0, hi=255):
 class TestTernaryProject:
     def test_hand_sum(self):
         W = np.array([[1], [-1], [0]], dtype=np.int8)
-        assert ternary_project(W, np.array([5, 3, 100]))[0] == 2
+        assert int64_project(W, np.array([5, 3, 100]))[0] == 2
 
     def test_all_zero_weights(self):
         W = np.zeros((3, 4), dtype=np.int8)
-        np.testing.assert_array_equal(ternary_project(W, np.array([9, 9, 9])), np.zeros(4))
+        np.testing.assert_array_equal(int64_project(W, np.array([9, 9, 9])), np.zeros(4))
 
     def test_matches_float_matvec_oracle(self, rng):
         for _ in range(20):
             W = rng.integers(-1, 2, size=(8, 4)).astype(np.int8)
             x = rng.integers(0, 256, size=8)
             expected = W.astype(np.float64).T @ x.astype(np.float64)
-            np.testing.assert_array_equal(ternary_project(W, x), expected)
+            np.testing.assert_array_equal(int64_project(W, x), expected)
 
     def test_counted_path_matches_vectorized(self, rng):
         W = rng.integers(-1, 2, size=(10, 6)).astype(np.int8)
         x = rng.integers(0, 256, size=10)
         counter = OpCounter()
-        assert ternary_project_counted(W, x, counter) == ternary_project(W, x).tolist()
+        assert ternary_project_counted(W, x, counter) == int64_project(W, x).tolist()
+
+    def test_takes_only_a_kernel(self, rng):
+        model = random_quantized_model(rng)
+        x = random_sample(rng, model)
+        expected = int64_project(model.ternary_weights, x)
+        np.testing.assert_array_equal(ternary_project(model.kernel_weights, x), expected)
+        for W in (model.ternary_weights, model.ternary_weights.astype(np.float64), model.ternary_weights.tolist()):
+            with pytest.raises(InputError, match="takes a kernel"):
+                ternary_project(W, x)
 
 
 class TestReluInt:
@@ -538,12 +547,13 @@ class TestPackedKernel:
 
 @st.composite
 def float_kernel_cases(draw, centred):
-    """A fresh model whose W is too wide to pack, float32 uncentred or float64 centred, and its rows.
+    """A fresh model whose W is too wide to pack, float32 uncentred or float64 centred, and its calls.
 
     L makes a block of W's rows 32 to 64 rows, and n is not a multiple of
-    that. The rows are one 1-D sample, a matrix with the most rows a first
-    call sums block by block (an output of a quarter block) and one with a
-    row more, each starting with box corners; the first call is drawn.
+    that. The calls are one 1-D sample, one (1, n) row, and matrices of 2
+    rows, of the most rows summed block by block (an output of a quarter
+    block) and of one row more, each starting with box corners; their
+    order is drawn.
     """
     size = 8 if centred else 4
     L = draw(st.integers(BUILD_BLOCK_BYTES // (64 * size), BUILD_BLOCK_BYTES // (32 * size)))
@@ -572,9 +582,37 @@ def float_kernel_cases(draw, centred):
         X[: len(corners)] = corners[:count]
         return X
 
-    calls = [rows(1)[0], rows(fused), rows(fused + 1)]
-    first = draw(st.integers(0, 2))
-    return model, calls[first:] + calls[:first]
+    return model, draw(st.permutations([rows(1)[0], rows(1), rows(2), rows(fused), rows(fused + 1)]))
+
+
+def counting_builds(monkeypatch):
+    """Record each kernel that casts and keeps its float W; return the list."""
+    builds, blocks = [], FloatKernel._blocks
+
+    def counted_blocks(kernel, X, keep):
+        if keep:
+            builds.append(kernel)
+        return blocks(kernel, X, keep)
+
+    monkeypatch.setattr(FloatKernel, "_blocks", counted_blocks)
+    return builds
+
+
+def run_together(threads, call):
+    """Run call(i) for i < threads, all released together by a barrier; return the results."""
+    barrier, results = threading.Barrier(threads, timeout=60), [None] * threads
+
+    def run(i):
+        barrier.wait()
+        results[i] = call(i)
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    return results
 
 
 class TestFloatKernel:
@@ -585,24 +623,26 @@ class TestFloatKernel:
         model, calls = data.draw(float_kernel_cases(centred))
         kernel = model.kernel_weights
         assert isinstance(kernel, FloatKernel) and kernel.dtype == dtype and kernel.weights is None
+        quarter = BUILD_BLOCK_BYTES // 4 // (model.L * kernel.dtype.itemsize)
+        built = False
         for X in calls:
             np.testing.assert_array_equal(int_scores(model, X), int64_reference_scores(model, X))
-            assert model.kernel_weights is kernel and not kernel.weights.flags.writeable
-            np.testing.assert_array_equal(kernel.weights, model.ternary_weights.astype(dtype))
+            assert model.kernel_weights is kernel
+            # Two rows or more within the quarter block keep no W; any other call builds it.
+            built = built or not 2 <= X.size // model.n <= quarter
+            if built:
+                assert not kernel.weights.flags.writeable
+                np.testing.assert_array_equal(kernel.weights, model.ternary_weights.astype(dtype))
+            else:
+                assert kernel.weights is None
 
     def test_concurrent_first_calls_read_a_complete_kernel(self, monkeypatch):
-        # Eight threads make the first call on each fresh model together, switching as
-        # often as the interpreter allows; a kernel published before its last block is
+        # Eight threads make the first one-row call on each fresh model together, switching
+        # as often as the interpreter allows; a kernel published before its last block is
         # cast is read partly unwritten by some of them, and one that every caller
         # finding none builds for itself is cast up to eight times. Each round rolls W's
         # columns, so an allocation that reuses the last round's kernel does not hold this one.
-        builds, build = [], FloatKernel._build
-
-        def counted_build(kernel, X):
-            builds.append(kernel)
-            return build(kernel, X)
-
-        monkeypatch.setattr(FloatKernel, "_build", counted_build)
+        builds = counting_builds(monkeypatch)
         L, threads = 2000, 8
         step = BUILD_BLOCK_BYTES // (4 * L)
         interval = sys.getswitchinterval()
@@ -611,29 +651,39 @@ class TestFloatKernel:
             # one block, then three with a short last one
             for n, rounds in ((step - 1, 40), (5 * step // 2, 10)):
                 base = random_quantized_model(make_rng(n), n=n, L=L, m=3, input_range=(0, 2**15))
-                X = make_rng(n).integers(0, 2**15 + 1, size=(4, n))
+                X = make_rng(n).integers(0, 2**15 + 1, size=(threads, n))
                 for shift in range(1, rounds + 1):
                     model = replace(base, ternary_weights=np.roll(base.ternary_weights, shift, axis=1))
-                    barrier, results = threading.Barrier(threads, timeout=60), [None] * threads
-
-                    def first_call(i, model=model, barrier=barrier, results=results):
-                        barrier.wait()
-                        results[i] = int_scores(model, X)
-
                     builds.clear()
-                    workers = [threading.Thread(target=first_call, args=(i,)) for i in range(threads)]
-                    for worker in workers:
-                        worker.start()
-                    for worker in workers:
-                        worker.join(timeout=60)
-                        assert not worker.is_alive()
-                    reference = int64_reference_scores(model, X)
-                    for scores in results:
-                        np.testing.assert_array_equal(scores, reference)
+                    results = run_together(threads, lambda i, model=model: int_scores(model, X[i]))
+                    for x, scores in zip(X, results):
+                        np.testing.assert_array_equal(scores, int64_reference_scores(model, x))
                     kernel = model.kernel_weights
                     assert builds == [kernel]
                     assert kernel.dtype == np.float32 and not kernel.weights.flags.writeable
                     np.testing.assert_array_equal(kernel.weights, model.ternary_weights.astype(np.float32))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_concurrent_few_row_calls_keep_no_kernel(self, monkeypatch):
+        # Eight threads project a few rows each through the same unbuilt kernel together,
+        # switching as often as the interpreter allows. Each casts W into a buffer of its
+        # own, so a buffer shared between calls is overwritten under another's product.
+        builds = counting_builds(monkeypatch)
+        L, threads = 2000, 8
+        step = BUILD_BLOCK_BYTES // (4 * L)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n, rounds in ((step - 1, 10), (5 * step // 2, 10)):
+                model = random_quantized_model(make_rng(n), n=n, L=L, m=3, input_range=(0, 2**15))
+                X = make_rng(n + 1).integers(0, 2**15 + 1, size=(threads, 4, n))
+                kernel = model.kernel_weights
+                for _ in range(rounds):
+                    results = run_together(threads, lambda i, model=model: int_scores(model, X[i]))
+                    for rows, scores in zip(X, results):
+                        np.testing.assert_array_equal(scores, int64_reference_scores(model, rows))
+                    assert builds == [] and kernel.weights is None
         finally:
             sys.setswitchinterval(interval)
 
