@@ -15,26 +15,19 @@ training's projection uses too) picks a float GEMM that rounds nothing,
 whatever order BLAS sums in: W as float32 when the bound is under 2**24
 and as float64 otherwise (the proof caps it at 2**31 - 1).
 
-That float W (FloatKernel) is cast in blocks of W's rows of about
-BUILD_BLOCK_BYTES. While none is kept, a projection of any number of
-rows but one whose output is at most a quarter of the same budget keeps
-none either: it casts each block into one block buffer of its own,
-multiplies it by the matching columns of the rows while it is still in
-cache and sums the partial products in the kernel dtype. Each running
-sum is again a subset sum of the +/-z_j, so this is exact too. It takes
-no lock and publishes nothing, so a few-row `intelm classify` holds no
-float copy of W. Each such call casts W again: a repeated 16- or 64-row
-call costs about what the first call of that shape costs when it keeps
-W (3072x500 float32 W, 2-core host, one BLAS thread: 0.41 and 0.95 ms
-against 0.31 and 0.84 ms on a kept W), and 2 or 4 rows cost less than
-on a kept W. Any other projection (one row, as classify_int's vector,
-or an output past the quarter block) casts and keeps W the first time,
-through the same block loop, summing the blocks' products itself when
-the output is small and otherwise running one GEMM after the cast, as
-every call on a kept W does. The build runs under the kernel's lock:
-the first caller builds and publishes the read-only array by one
-attribute assignment, and a concurrent first caller waits for it and
-reuses it, so no caller reads a partial kernel and W is cast once.
+That float W (FloatKernel) is never kept: every projection casts it
+again from the model's read-only int8 W into arrays of its own, freed on
+return, so a kernel takes no lock and a model holds no float copy of W.
+A projection whose output is at most a quarter of BUILD_BLOCK_BYTES, one
+row included, casts W in blocks of its rows of about BUILD_BLOCK_BYTES
+into one block buffer, multiplies each block by the matching columns of
+the rows while it is still in cache and sums the partial products in the
+kernel dtype. Each running sum is again a subset sum of the +/-z_j, so
+this is exact too. A larger projection casts all of W and runs one GEMM.
+The cast is most of a small call's cost (median timeit, 2-core host, one
+BLAS thread): a one-row call costs about 0.22 ms on a 3072x500 float32
+W, 0.44 ms on a centred 784x2000 float64 W and 1.0 ms on a 3072x2000
+float32 W, and a four-row call about as much.
 
 An uncentred model whose columns are narrow enough packs three of them
 into each float64 word instead (PackedKernel), so one dgemv reads a
@@ -54,7 +47,6 @@ and its scores are bit-identical to the int64 reference.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,7 +58,7 @@ from intelm.quantize import IntegerBeta
 
 INT32_MAX = 2**31 - 1
 INT64_MAX = 2**63 - 1
-# Bytes of float W cast per block while a FloatKernel is built: half of a common 1 MB L2.
+# Bytes of float W a FloatKernel projection casts per block: half of a common 1 MB L2.
 BUILD_BLOCK_BYTES = 512 * 1024
 
 
@@ -182,19 +174,16 @@ class PackedKernel:
 
 @dataclass(frozen=True, eq=False)
 class FloatKernel:
-    """Ternary W as a read-only float32 or float64 matrix, cast block by block as projections need it.
+    """Ternary W projected in float32 or float64, cast from its int8 form by every projection.
 
     ternary is the model's read-only int8 W and dtype the exact_dtype of
-    its hidden bound. weights is None until the first project() of one row,
-    or of an output past a quarter of BUILD_BLOCK_BYTES, publishes the cast
-    W; any other call made while weights is None casts W into a block
-    buffer of its own and keeps nothing (see the module docstring).
+    its hidden bound. The kernel keeps nothing else: each project() casts
+    W into arrays of its own and frees them on return (see the module
+    docstring).
     """
 
     ternary: np.ndarray  # (n, L) int8
     dtype: np.dtype
-    weights: np.ndarray | None = field(default=None, init=False, repr=False)
-    _build_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -203,39 +192,18 @@ class FloatKernel:
     def project(self, X: np.ndarray) -> np.ndarray:
         """The exact int64 product X @ W, for rows X whose every subset sum fits dtype's mantissa."""
         X = X.astype(self.dtype, copy=False)
-        weights, out = self.weights, None
-        if weights is None and X.size != X.shape[-1] and self._summed_per_block(X):
-            _, out = self._blocks(X, keep=False)  # not one row, and a small output: keep no W
-        elif weights is None:
-            with self._build_lock:
-                weights = self.weights
-                if weights is None:  # no other caller built it while this one waited
-                    weights, out = self._blocks(X, keep=True)
-        if out is None:
-            out = X @ weights
-        return out.astype(np.int64)
-
-    def _summed_per_block(self, X: np.ndarray) -> bool:
-        # Past a quarter of the budget, re-reading the output for every block costs more than it saves.
-        return X.size // X.shape[-1] * self.shape[1] * self.dtype.itemsize <= BUILD_BLOCK_BYTES // 4
-
-    def _blocks(self, X: np.ndarray, keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """Cast W block by block into a W that is kept and published, or else into one block buffer.
-
-        Return that array and, for an output within a quarter block, X @ W summed per block (else None).
-        """
         (n, L), size = self.ternary.shape, self.dtype.itemsize
+        # Past a quarter of the budget, re-reading the output for every block costs more than it saves.
+        if X.size // n * L * size > BUILD_BLOCK_BYTES // 4:
+            return (X @ self.ternary.astype(self.dtype)).astype(np.int64)
         step = max(1, BUILD_BLOCK_BYTES // (L * size))
-        weights = np.empty((n if keep else min(n, step), L), self.dtype)
-        out = np.zeros(X.shape[:-1] + (L,), self.dtype) if self._summed_per_block(X) else None
+        block = np.empty((min(n, step), L), self.dtype)
+        out = np.zeros(X.shape[:-1] + (L,), self.dtype)
         for start in range(0, n, step):
-            block = weights[start : start + step] if keep else weights[: min(step, n - start)]
-            block[...] = self.ternary[start : start + step]
-            if out is not None:
-                out += X[..., start : start + step] @ block
-        if keep:  # publish only the finished array, in one assignment
-            object.__setattr__(self, "weights", _read_only(weights))
-        return weights, out
+            rows = block[: min(step, n - start)]
+            rows[...] = self.ternary[start : start + step]
+            out += X[..., start : start + step] @ rows
+        return out.astype(np.int64)
 
 
 class HeadroomError(ValueError):
@@ -302,8 +270,8 @@ class QuantizedModel:
 
     @property
     def _kernels(self) -> tuple[PackedKernel | FloatKernel, np.ndarray]:
-        # setdefault publishes the first choice, so concurrent first callers share one kernel
-        # (and one FloatKernel build); functools.cached_property has no lock from Python 3.12.
+        # setdefault publishes the first choice, so concurrent first callers share one kernel;
+        # functools.cached_property has no lock from Python 3.12.
         kernels = self.__dict__.get("_kernel_pair")
         if kernels is None:
             kernels = self.__dict__.setdefault("_kernel_pair", self._choose_kernels())

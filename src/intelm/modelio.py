@@ -21,7 +21,6 @@ Writing the same model twice yields byte-identical files.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from pathlib import Path
 
@@ -85,49 +84,47 @@ def save_model(model: FloatModel | QuantizedModel, path) -> None:
         fh.write(beta_payload)
 
 
-def _read_exact(fh, size: int, what: str) -> bytes:
-    # bounded by the bytes left, so a hostile header cannot make read() allocate its claim
-    if size > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise ModelFormatError(f"truncated model file while reading {what}")
-    return fh.read(size)
-
-
 def load_model(path) -> FloatModel | QuantizedModel:
     """Read an IELM file; any malformed file raises ModelFormatError."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic, version, n, L, m, gamma, wcode, bcode, seed = _HEADER.unpack(
-            _read_exact(fh, _HEADER.size, "header")
-        )
-        if magic != MAGIC:
-            raise ModelFormatError(f"bad magic {magic!r} in {path}")
-        if version != FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported format version {version}")
-        if wcode not in _WEIGHT_KINDS:
-            raise ModelFormatError(f"unknown weight kind code {wcode}")
-        if bcode not in (0, 1):
-            raise ModelFormatError(f"unknown beta kind code {bcode}")
-        kind = _WEIGHT_KINDS[wcode]
-        if bcode == 1:
-            tau, ladder_step, lo, hi = _INT_EXTRA.unpack(
-                _read_exact(fh, _INT_EXTRA.size, "integer beta header")
-            )
-        (prng_len,) = struct.unpack("<I", _read_exact(fh, 4, "prng id length"))
-        prng_bytes = _read_exact(fh, prng_len, "prng id")
-        (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
-        meta_bytes = _read_exact(fh, meta_len, "metadata")
-        try:
-            prng_id = prng_bytes.decode()
-            metadata = json.loads(meta_bytes or b"{}")
-        except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
-            raise ModelFormatError(f"{path}: {e}") from None
-        if not isinstance(metadata, dict):
-            raise ModelFormatError(f"metadata is a JSON {type(metadata).__name__}, not an object")
-        w_dtype, b_dtype = _weight_dtype(kind), np.dtype("<i4" if bcode else "<f8")
-        W = np.frombuffer(_read_exact(fh, w_dtype.itemsize * n * L, "weights"), w_dtype)
-        beta = np.frombuffer(_read_exact(fh, b_dtype.itemsize * L * m, "beta"), b_dtype)
-        if fh.read(1):
-            raise ModelFormatError(f"trailing bytes after model payload in {path}")
+    data, offset = path.read_bytes(), 0
+
+    def take(size: int, what: str) -> slice:
+        """The next size bytes of the file, which a hostile header may claim past its end."""
+        nonlocal offset
+        if size > len(data) - offset:
+            raise ModelFormatError(f"truncated model file while reading {what}")
+        offset += size
+        return slice(offset - size, offset)
+
+    magic, version, n, L, m, gamma, wcode, bcode, seed = _HEADER.unpack(data[take(_HEADER.size, "header")])
+    if magic != MAGIC:
+        raise ModelFormatError(f"bad magic {magic!r} in {path}")
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported format version {version}")
+    if wcode not in _WEIGHT_KINDS:
+        raise ModelFormatError(f"unknown weight kind code {wcode}")
+    if bcode not in (0, 1):
+        raise ModelFormatError(f"unknown beta kind code {bcode}")
+    kind = _WEIGHT_KINDS[wcode]
+    if bcode == 1:
+        tau, ladder_step, lo, hi = _INT_EXTRA.unpack(data[take(_INT_EXTRA.size, "integer beta header")])
+    (prng_len,) = struct.unpack("<I", data[take(4, "prng id length")])
+    prng_bytes = data[take(prng_len, "prng id")]
+    (meta_len,) = struct.unpack("<I", data[take(4, "metadata length")])
+    meta_bytes = data[take(meta_len, "metadata")]
+    try:
+        prng_id = prng_bytes.decode()
+        metadata = json.loads(meta_bytes or b"{}")
+    except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
+        raise ModelFormatError(f"{path}: {e}") from None
+    if not isinstance(metadata, dict):
+        raise ModelFormatError(f"metadata is a JSON {type(metadata).__name__}, not an object")
+    w_dtype, b_dtype = _weight_dtype(kind), np.dtype("<i4" if bcode else "<f8")
+    W = np.frombuffer(data, w_dtype, n * L, take(w_dtype.itemsize * n * L, "weights").start)
+    beta = np.frombuffer(data, b_dtype, L * m, take(b_dtype.itemsize * L * m, "beta").start)
+    if offset != len(data):
+        raise ModelFormatError(f"trailing bytes after model payload in {path}")
     try:
         if bcode == 0:
             return FloatModel(
@@ -139,7 +136,7 @@ def load_model(path) -> FloatModel | QuantizedModel:
                 prng_id=prng_id,
                 metadata=metadata,
             )
-        # QuantizedModel keeps W as this view of the bytes read (no one can write them) and copies beta.
+        # QuantizedModel keeps W as this view of the file's bytes (no one can write them) and copies beta.
         return QuantizedModel(
             ternary_weights=W.reshape(n, L),
             int_beta=IntegerBeta(values=beta.reshape(L, m), tau=tau, ladder_step=ladder_step),

@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -331,8 +332,6 @@ class TestKernelExactness:
         )
         assert kernel_form(model) == form
         kernel = model.kernel_weights
-        if form is not PackedKernel:  # the float W is cast by the first projection
-            assert kernel.weights is None
         X = np.array([[input_range[1]] * n, [input_range[0]] * n, [input_range[1]] + [0] * (n - 1)])
         exact = [abs(sum(row)) for row in X.tolist()]
         assert exact[0] == hidden_bound(n, input_range)
@@ -340,9 +339,9 @@ class TestKernelExactness:
         assert [int(int_scores(model, x)[0]) for x in X] == exact
         np.testing.assert_array_equal(int_scores(model, X), int64_reference_scores(model, X))
         assert model.kernel_weights is kernel
-        if form is not PackedKernel:
-            assert kernel.weights.dtype == form and not kernel.weights.flags.writeable
-            np.testing.assert_array_equal(kernel.weights, model.ternary_weights.astype(form))
+        if form is not PackedKernel:  # the kernel holds the exact dtype and the model's read-only int8 W
+            assert kernel.dtype == form and kernel.ternary is model.ternary_weights
+            assert not kernel.ternary.flags.writeable
 
     def test_replace_across_2p24_switches_cached_dtype(self):
         model = QuantizedModel(
@@ -358,11 +357,11 @@ class TestKernelExactness:
         assert kernel_form(wide) == np.float64 and kernel_form(model) == np.float32
         assert int(int_scores(wide, np.array([2**24]))[0]) == 2**24
         assert int(int_scores(narrow, np.array([255]))[0]) == 255
-        # Each model casts its own W on its own first projection.
-        assert wide.kernel_weights is not model.kernel_weights and model.kernel_weights.weights is None
-        assert wide.kernel_weights.weights.dtype == np.float64
+        # Each model keeps its own kernel, in the dtype of its own range, after it has scored.
+        assert wide.kernel_weights is not model.kernel_weights
+        assert wide.kernel_weights.dtype == np.float64
         assert int(int_scores(model, np.array([2**24 - 1]))[0]) == 2**24 - 1
-        assert model.kernel_weights.weights.dtype == np.float32
+        assert model.kernel_weights.dtype == np.float32
 
     def test_kernel_cache_cannot_be_desynchronised(self):
         W = np.array([[1, 0], [-1, 1]], dtype=np.int8)
@@ -384,18 +383,19 @@ class TestKernelExactness:
             model.input_range = (0, 2**24 + 1)
         assert model.kernel_weights is kernel
         assert ternary_project(kernel, np.array([3, 4])).tolist() == [-1, 4]
-        # The same for a range too wide to pack: the float W is cast from the model's copy
-        # by the first projection, and neither it nor the kernel's fields can be replaced.
+        # The same for a range too wide to pack: every projection casts the model's read-only
+        # copy of W, and none of the kernel's fields can be replaced.
         W[0, 1] = 0
         model = replace(model, ternary_weights=W, input_range=(0, 2**20))
         W[0, 1] = 1
         kernel = model.kernel_weights
-        assert isinstance(kernel, FloatKernel) and kernel.weights is None
+        assert isinstance(kernel, FloatKernel) and kernel.dtype == np.float32
+        assert kernel.ternary is model.ternary_weights and kernel.ternary[0, 1] == 0
         assert ternary_project(kernel, np.array([3, 4])).tolist() == [-1, 4]
-        for part in (kernel.weights, kernel.ternary, model.output_weights):
+        for part in (kernel.ternary, model.output_weights):
             with pytest.raises(ValueError, match="read-only"):
                 part[0] = 5
-        for name in ("weights", "ternary", "dtype"):
+        for name in ("ternary", "dtype"):
             with pytest.raises(FrozenInstanceError):
                 setattr(kernel, name, None)
         assert model.kernel_weights is kernel
@@ -585,19 +585,6 @@ def float_kernel_cases(draw, centred):
     return model, draw(st.permutations([rows(1)[0], rows(1), rows(2), rows(fused), rows(fused + 1)]))
 
 
-def counting_builds(monkeypatch):
-    """Record each kernel that casts and keeps its float W; return the list."""
-    builds, blocks = [], FloatKernel._blocks
-
-    def counted_blocks(kernel, X, keep):
-        if keep:
-            builds.append(kernel)
-        return blocks(kernel, X, keep)
-
-    monkeypatch.setattr(FloatKernel, "_blocks", counted_blocks)
-    return builds
-
-
 def run_together(threads, call):
     """Run call(i) for i < threads, all released together by a barrier; return the results."""
     barrier, results = threading.Barrier(threads, timeout=60), [None] * threads
@@ -622,70 +609,59 @@ class TestFloatKernel:
     def test_first_and_later_projections_match_int64_reference(self, centred, dtype, data):
         model, calls = data.draw(float_kernel_cases(centred))
         kernel = model.kernel_weights
-        assert isinstance(kernel, FloatKernel) and kernel.dtype == dtype and kernel.weights is None
-        quarter = BUILD_BLOCK_BYTES // 4 // (model.L * kernel.dtype.itemsize)
-        built = False
+        assert isinstance(kernel, FloatKernel) and kernel.dtype == dtype
         for X in calls:
             np.testing.assert_array_equal(int_scores(model, X), int64_reference_scores(model, X))
-            assert model.kernel_weights is kernel
-            # Two rows or more within the quarter block keep no W; any other call builds it.
-            built = built or not 2 <= X.size // model.n <= quarter
-            if built:
-                assert not kernel.weights.flags.writeable
-                np.testing.assert_array_equal(kernel.weights, model.ternary_weights.astype(dtype))
-            else:
-                assert kernel.weights is None
+            # Whatever came before, a call finds the same kernel, holding nothing but its fields.
+            assert model.kernel_weights is kernel and vars(kernel).keys() == {"ternary", "dtype"}
 
-    def test_concurrent_first_calls_read_a_complete_kernel(self, monkeypatch):
-        # Eight threads make the first one-row call on each fresh model together, switching
-        # as often as the interpreter allows; a kernel published before its last block is
-        # cast is read partly unwritten by some of them, and one that every caller
-        # finding none builds for itself is cast up to eight times. Each round rolls W's
-        # columns, so an allocation that reuses the last round's kernel does not hold this one.
-        builds = counting_builds(monkeypatch)
+    def test_concurrent_calls_of_every_shape_are_exact(self):
+        # Eight threads project through the same kernel together, switching as often as the
+        # interpreter allows: a 1-D sample, a (1, n) row or four rows (summed per block), or one
+        # row past the quarter block (one GEMM). Each call casts W into arrays of its own, so a
+        # buffer shared between calls is overwritten under another's product.
         L, threads = 2000, 8
         step = BUILD_BLOCK_BYTES // (4 * L)
+        quarter = BUILD_BLOCK_BYTES // 4 // (4 * L)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             # one block, then three with a short last one
-            for n, rounds in ((step - 1, 40), (5 * step // 2, 10)):
-                base = random_quantized_model(make_rng(n), n=n, L=L, m=3, input_range=(0, 2**15))
-                X = make_rng(n).integers(0, 2**15 + 1, size=(threads, n))
-                for shift in range(1, rounds + 1):
-                    model = replace(base, ternary_weights=np.roll(base.ternary_weights, shift, axis=1))
-                    builds.clear()
-                    results = run_together(threads, lambda i, model=model: int_scores(model, X[i]))
-                    for x, scores in zip(X, results):
-                        np.testing.assert_array_equal(scores, int64_reference_scores(model, x))
-                    kernel = model.kernel_weights
-                    assert builds == [kernel]
-                    assert kernel.dtype == np.float32 and not kernel.weights.flags.writeable
-                    np.testing.assert_array_equal(kernel.weights, model.ternary_weights.astype(np.float32))
+            for n in (step - 1, 5 * step // 2):
+                model = random_quantized_model(make_rng(n), n=n, L=L, m=3, input_range=(0, 2**15))
+                kernel = model.kernel_weights
+                assert isinstance(kernel, FloatKernel) and kernel.dtype == np.float32
+                rows = make_rng(n + 1).integers(0, 2**15 + 1, size=(threads, quarter + 1, n))
+                shapes = (0, slice(1), slice(4), slice(None))
+                calls = [X[shapes[i % 4]] for i, X in enumerate(rows)]
+                for _ in range(10):
+                    results = run_together(threads, lambda i, model=model: int_scores(model, calls[i]))
+                    for X, scores in zip(calls, results):
+                        np.testing.assert_array_equal(scores, int64_reference_scores(model, X))
         finally:
             sys.setswitchinterval(interval)
 
-    def test_concurrent_few_row_calls_keep_no_kernel(self, monkeypatch):
-        # Eight threads project a few rows each through the same unbuilt kernel together,
-        # switching as often as the interpreter allows. Each casts W into a buffer of its
-        # own, so a buffer shared between calls is overwritten under another's product.
-        builds = counting_builds(monkeypatch)
-        L, threads = 2000, 8
-        step = BUILD_BLOCK_BYTES // (4 * L)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    def test_a_loaded_wide_model_holds_no_float_w_after_scoring(self, tmp_path):
+        # classify_cli's model: its float32 W would be 6.1 MB. One sample is summed per block
+        # and rows past the quarter block run one GEMM; neither leaves a float W behind.
+        W = gen_weights_ternary(3072, 500, 8)
+        values = make_rng(8).integers(-(2**20), 2**20, size=(500, 10))
+        save_model(QuantizedModel(W, IntegerBeta(values=values, tau=1.0)), tmp_path / "q.ielm")
+        model = load_model(tmp_path / "q.ielm")
+        assert isinstance(model.kernel_weights, FloatKernel)
+        rows = BUILD_BLOCK_BYTES // 4 // (4 * model.L) + 1
+        X = make_rng(9).integers(1, 256, size=(rows, 3072))
+        tracemalloc.start()
         try:
-            for n, rounds in ((step - 1, 10), (5 * step // 2, 10)):
-                model = random_quantized_model(make_rng(n), n=n, L=L, m=3, input_range=(0, 2**15))
-                X = make_rng(n + 1).integers(0, 2**15 + 1, size=(threads, 4, n))
-                kernel = model.kernel_weights
-                for _ in range(rounds):
-                    results = run_together(threads, lambda i, model=model: int_scores(model, X[i]))
-                    for rows, scores in zip(X, results):
-                        np.testing.assert_array_equal(scores, int64_reference_scores(model, rows))
-                    assert builds == [] and kernel.weights is None
+            before = tracemalloc.get_traced_memory()[0]
+            label = classify_int(model, X[0])
+            scores = int_scores(model, X)
+            held = tracemalloc.get_traced_memory()[0] - before
         finally:
-            sys.setswitchinterval(interval)
+            tracemalloc.stop()
+        assert held < 2**20
+        assert label == scores[0].argmax()
+        np.testing.assert_array_equal(scores, int64_reference_scores(model, X))
 
 
 class TestShapeRule:
