@@ -615,11 +615,13 @@ class TestFloatKernel:
             # Whatever came before, a call finds the same kernel, holding nothing but its fields.
             assert model.kernel_weights is kernel and vars(kernel).keys() == {"ternary", "dtype"}
 
-    def test_concurrent_calls_of_every_shape_are_exact(self):
-        # Eight threads project through the same kernel together, switching as often as the
-        # interpreter allows: a 1-D sample, a (1, n) row or four rows (summed per block), or one
-        # row past the quarter block (one GEMM). Each call casts W into arrays of its own, so a
-        # buffer shared between calls is overwritten under another's product.
+    def test_concurrent_first_calls_read_a_complete_kernel(self):
+        # Eight threads make the first call on each fresh model together, switching as often
+        # as the interpreter allows: a 1-D sample or a (1, n) row (summed per block), or one
+        # row past the quarter block (one GEMM). Each call casts W into arrays of its own, so
+        # one published to the kernel before its last block is cast is read partly unwritten.
+        # Each round rolls W's columns, so an allocation reusing the last round's cast does not
+        # hold this one.
         L, threads = 2000, 8
         step = BUILD_BLOCK_BYTES // (4 * L)
         quarter = BUILD_BLOCK_BYTES // 4 // (4 * L)
@@ -627,17 +629,40 @@ class TestFloatKernel:
         sys.setswitchinterval(1e-6)
         try:
             # one block, then three with a short last one
-            for n in (step - 1, 5 * step // 2):
-                model = random_quantized_model(make_rng(n), n=n, L=L, m=3, input_range=(0, 2**15))
-                kernel = model.kernel_weights
-                assert isinstance(kernel, FloatKernel) and kernel.dtype == np.float32
-                rows = make_rng(n + 1).integers(0, 2**15 + 1, size=(threads, quarter + 1, n))
-                shapes = (0, slice(1), slice(4), slice(None))
-                calls = [X[shapes[i % 4]] for i, X in enumerate(rows)]
-                for _ in range(10):
+            for n, rounds in ((step - 1, 40), (5 * step // 2, 10)):
+                base = random_quantized_model(make_rng(n), n=n, L=L, m=3, input_range=(0, 2**15))
+                rows = make_rng(n).integers(0, 2**15 + 1, size=(threads, quarter + 1, n))
+                shapes = (0, slice(1), slice(None))
+                calls = [X[shapes[i % 3]] for i, X in enumerate(rows)]
+                for shift in range(1, rounds + 1):
+                    model = replace(base, ternary_weights=np.roll(base.ternary_weights, shift, axis=1))
+                    kernel = model.kernel_weights
+                    assert isinstance(kernel, FloatKernel) and kernel.dtype == np.float32
                     results = run_together(threads, lambda i, model=model: int_scores(model, calls[i]))
                     for X, scores in zip(calls, results):
                         np.testing.assert_array_equal(scores, int64_reference_scores(model, X))
+                    assert model.kernel_weights is kernel and vars(kernel).keys() == {"ternary", "dtype"}
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_concurrent_few_row_calls_keep_no_kernel(self):
+        # Eight threads project four rows each through the same kernel together, switching as
+        # often as the interpreter allows. Each casts W into a buffer of its own, so a buffer
+        # shared between calls is overwritten under another's product.
+        L, threads = 2000, 8
+        step = BUILD_BLOCK_BYTES // (4 * L)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (step - 1, 5 * step // 2):
+                model = random_quantized_model(make_rng(n), n=n, L=L, m=3, input_range=(0, 2**15))
+                X = make_rng(n + 1).integers(0, 2**15 + 1, size=(threads, 4, n))
+                kernel = model.kernel_weights
+                for _ in range(10):
+                    results = run_together(threads, lambda i, model=model: int_scores(model, X[i]))
+                    for rows, scores in zip(X, results):
+                        np.testing.assert_array_equal(scores, int64_reference_scores(model, rows))
+                    assert model.kernel_weights is kernel and vars(kernel).keys() == {"ternary", "dtype"}
         finally:
             sys.setswitchinterval(interval)
 
