@@ -4,7 +4,8 @@ Only train takes --preprocess: a model records its steps, and classify and
 select give it raw samples, to which it applies those steps itself.
 Errors are reported as a single machine-parseable key=value line on
 stderr. Exit codes: 0 success, 2 missing input file, 3 input/model shape
-mismatch, 4 invalid config key or option value, 1 anything else.
+mismatch, 4 invalid config key or option value, 1 anything else, as an
+output that exists (output_exists) or whose directory does not (output_dir_missing).
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ def _resolve(path: str) -> Path:
 
 def _check_output(path: str, force: bool) -> Path:
     p = Path(path)
+    if not p.parent.is_dir():
+        raise CliError(EXIT_ERROR, reason="output_dir_missing", path=path)
     if p.exists() and not force:
         raise CliError(EXIT_ERROR, reason="output_exists", path=path, hint="pass --force")
     return p
@@ -114,10 +117,10 @@ def cmd_train(args) -> int:
         dat.check_steps(steps)
     except ValueError:
         _check_option(False, "--preprocess")
+    out = _check_output(args.out, args.force)
     raw = dat.limit_rows(_load_dataset(args), args.train_limit, args.seed)
     norm = dat.preprocess(raw, steps)
     W = GENERATORS[args.weight_kind](norm.n, args.L, args.seed)
-    out = _check_output(args.out, args.force)
     t0 = time.perf_counter()
     model = train(
         norm.rows,
@@ -145,10 +148,10 @@ def cmd_quantize(args) -> int:
     except ValueError:
         lo, hi = 1, 0  # not two integers, as invalid as lo > hi
     _check_option(lo <= hi, "--input-range")
+    out = _check_output(args.out, args.force)
     model = load_model(_resolve(args.model))
     if not isinstance(model, FloatModel):
         raise CliError(EXIT_ERROR, reason="already_quantized", path=args.model)
-    out = _check_output(args.out, args.force)
     qm = exp.make_quantized(model, (lo, hi), fit_headroom=True)
     ib = qm.int_beta
     for _ in range(args.ladder_steps):

@@ -2,14 +2,14 @@
 
 Parsers cover the IDX container (MNIST), CIFAR-10 binary batches and a
 generic labeled CSV; the binary formats have matching writers so fixtures
-round-trip at byte level. A synthetic two-texture generator stands in for
-texture images that cannot be shipped with the repository.
+round-trip at byte level. IDX and IELM model files are read once through
+BoundedReader. A synthetic two-texture generator stands in for texture
+images that cannot be shipped with the repository.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 import struct
 from dataclasses import dataclass, field, replace
@@ -124,29 +124,34 @@ class NormalizedDataset:
 # --- IDX (MNIST) -----------------------------------------------------------
 
 
-def _read_u32s(fh, count, path, what):
-    data = fh.read(4 * count)
-    if len(data) != 4 * count:
-        raise DataFormatError(f"{path}: truncated while reading {what} at offset {fh.tell()}")
-    return struct.unpack(f">{count}I", data)
+class BoundedReader:
+    """A binary file read once, whose fields are taken in order; none may run past its end.
+
+    The one bounds check of IDX and IELM files: a field claimed past the end
+    raises the caller's error type, naming the path, the field and the file's end.
+    """
+
+    def __init__(self, path, error: type[ValueError]):
+        self.path, self.error = path, error
+        self.data, self.offset = Path(path).read_bytes(), 0
+
+    def take(self, count: int, what: str, dtype=np.uint8) -> np.ndarray:
+        """The next count items of dtype (bytes by default), as a read-only view of the file's bytes."""
+        size = np.dtype(dtype).itemsize * count
+        if size > len(self.data) - self.offset:
+            raise self.error(f"{self.path}: truncated {what} at offset {len(self.data)}")
+        self.offset += size
+        return np.frombuffer(self.data, dtype, count, self.offset - size)
 
 
 def _read_idx(path, magic: int, ndim: int, what: str) -> np.ndarray:
-    """Unsigned-byte IDX payload as (count, product of the other dimensions)."""
-    with open(path, "rb") as fh:
-        found, count, *dims = _read_u32s(fh, 1 + ndim, path, f"{what} header")
-        if found != magic:
-            raise DataFormatError(
-                f"{path}: bad magic 0x{found:08x} at offset 0 (expected 0x{magic:08x})"
-            )
-        size = count * math.prod(dims)
-        # bounded by the file size, so a hostile header cannot make read() allocate its claim
-        payload = fh.read(min(size, os.fstat(fh.fileno()).st_size))
-        if len(payload) != size:
-            raise DataFormatError(
-                f"{path}: truncated {what} payload at offset {4 * (1 + ndim) + len(payload)}"
-            )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(count, math.prod(dims))
+    """Unsigned-byte IDX payload as (count, product of the other dimensions); later bytes are ignored."""
+    file = BoundedReader(path, DataFormatError)
+    found, count, *dims = file.take(1 + ndim, f"{what} header", ">u4").tolist()
+    if found != magic:
+        raise DataFormatError(f"{path}: bad magic 0x{found:08x} at offset 0 (expected 0x{magic:08x})")
+    width = math.prod(dims)
+    return file.take(count * width, f"{what} payload").reshape(count, width)
 
 
 def load_idx_images(path) -> np.ndarray:

@@ -15,7 +15,8 @@ Layout (all little-endian):
     W       n*L f64 (continuous) or n*L i8 (ternary)
     beta    L*m f64 (float) or L*m i32 (integer)
 
-Writing the same model twice yields byte-identical files.
+Writing the same model twice yields byte-identical files. load_model reads
+a file once (data.BoundedReader); an integer model's W is a view of it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from intelm.data import BoundedReader
 from intelm.elm import FloatModel
 from intelm.intinfer import QuantizedModel
 from intelm.quantize import IntegerBeta
@@ -86,18 +88,8 @@ def save_model(model: FloatModel | QuantizedModel, path) -> None:
 
 def load_model(path) -> FloatModel | QuantizedModel:
     """Read an IELM file; any malformed file raises ModelFormatError."""
-    path = Path(path)
-    data, offset = path.read_bytes(), 0
-
-    def take(size: int, what: str) -> slice:
-        """The next size bytes of the file, which a hostile header may claim past its end."""
-        nonlocal offset
-        if size > len(data) - offset:
-            raise ModelFormatError(f"truncated model file while reading {what}")
-        offset += size
-        return slice(offset - size, offset)
-
-    magic, version, n, L, m, gamma, wcode, bcode, seed = _HEADER.unpack(data[take(_HEADER.size, "header")])
+    file = BoundedReader(path, ModelFormatError)
+    magic, version, n, L, m, gamma, wcode, bcode, seed = _HEADER.unpack(file.take(_HEADER.size, "header"))
     if magic != MAGIC:
         raise ModelFormatError(f"bad magic {magic!r} in {path}")
     if version != FORMAT_VERSION:
@@ -108,11 +100,11 @@ def load_model(path) -> FloatModel | QuantizedModel:
         raise ModelFormatError(f"unknown beta kind code {bcode}")
     kind = _WEIGHT_KINDS[wcode]
     if bcode == 1:
-        tau, ladder_step, lo, hi = _INT_EXTRA.unpack(data[take(_INT_EXTRA.size, "integer beta header")])
-    (prng_len,) = struct.unpack("<I", data[take(4, "prng id length")])
-    prng_bytes = data[take(prng_len, "prng id")]
-    (meta_len,) = struct.unpack("<I", data[take(4, "metadata length")])
-    meta_bytes = data[take(meta_len, "metadata")]
+        tau, ladder_step, lo, hi = _INT_EXTRA.unpack(file.take(_INT_EXTRA.size, "integer beta header"))
+    (prng_len,) = file.take(1, "prng id length", "<u4").tolist()
+    prng_bytes = file.take(prng_len, "prng id").tobytes()
+    (meta_len,) = file.take(1, "metadata length", "<u4").tolist()
+    meta_bytes = file.take(meta_len, "metadata").tobytes()
     try:
         prng_id = prng_bytes.decode()
         metadata = json.loads(meta_bytes or b"{}")
@@ -120,10 +112,9 @@ def load_model(path) -> FloatModel | QuantizedModel:
         raise ModelFormatError(f"{path}: {e}") from None
     if not isinstance(metadata, dict):
         raise ModelFormatError(f"metadata is a JSON {type(metadata).__name__}, not an object")
-    w_dtype, b_dtype = _weight_dtype(kind), np.dtype("<i4" if bcode else "<f8")
-    W = np.frombuffer(data, w_dtype, n * L, take(w_dtype.itemsize * n * L, "weights").start)
-    beta = np.frombuffer(data, b_dtype, L * m, take(b_dtype.itemsize * L * m, "beta").start)
-    if offset != len(data):
+    W = file.take(n * L, "weights", _weight_dtype(kind))
+    beta = file.take(L * m, "beta", "<i4" if bcode else "<f8")
+    if file.offset != len(file.data):
         raise ModelFormatError(f"trailing bytes after model payload in {path}")
     try:
         if bcode == 0:

@@ -683,13 +683,19 @@ class TestErrorReasons:
             ("sweep --config {unparsable}", 4, "reason=config_parse_error"),
             ("sweep --config {no_out_csv}", 4, "reason=invalid_config_key key=out_csv"),
             ("sweep --config {no_images} --out {out}", 2, "reason=missing_file"),
+            # an output in no directory is refused before training, quantizing or sweeping
+            ("train --images {imgs} --labels {lbls} --L 4 --out {out_in_no_dir}", 1, "reason=output_dir_missing"),
+            ("quantize --model {f} --out {out_in_no_dir}", 1, "reason=output_dir_missing"),
+            ("sweep --config {no_out_csv} --out {out_in_no_dir}", 1, "reason=output_dir_missing"),
         ],
         ids=["already_quantized", "select_requires_float_models", "labels_required_with_images",
-             "no_input_dataset", "shape_mismatch", "config_parse_error", "no_out_csv", "missing_file"],
+             "no_input_dataset", "shape_mismatch", "config_parse_error", "no_out_csv", "missing_file",
+             "train_output_dir_missing", "quantize_output_dir_missing", "sweep_output_dir_missing"],
     )
     def test_exit_code_and_reason(self, idx_dataset, rng, tmp_path, capsys, argv, code, fields):
         imgs, lbls = idx_dataset
         paths = {name: tmp_path / name for name in ("f", "q", "out", "wide", "unparsable", "no_out_csv", "no_images")}
+        paths["out_in_no_dir"] = tmp_path / "no_dir" / "out"
         assert main(train_args(idx_dataset, paths["f"])) == 0
         assert main(["quantize", "--model", str(paths["f"]), "--out", str(paths["q"])]) == 0
         wide_images = rng.integers(1, 255, size=(40, 5, 5)).astype(np.uint8)
@@ -703,7 +709,7 @@ class TestErrorReasons:
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert {f"code={code}", *fields.split()} <= set(captured.err.split())
-        assert not paths["out"].exists()
+        assert not paths["out"].exists() and not (tmp_path / "no_dir").exists()
 
 
 class TestConfigRanges:

@@ -16,6 +16,7 @@ from intelm.data import (
     load_csv,
     load_csv_samples,
     load_idx,
+    load_idx_images,
     preprocess,
     split_train_val,
     synthetic_texture_image,
@@ -70,6 +71,52 @@ class TestIdx:
         (tmp_path / "img").write_bytes(struct.pack(">4I", 0x00000803, 2**32 - 1, 2**16, 2**16))
         with pytest.raises(DataFormatError, match="truncated image payload at offset 16"):
             load_idx(tmp_path / "img", tmp_path / "lbl")
+
+    def test_header_shorter_than_its_size_names_the_header(self, tmp_path):
+        import struct
+
+        (tmp_path / "img").write_bytes(struct.pack(">3I", 0x00000803, 1, 2))
+        (tmp_path / "lbl").write_bytes(struct.pack(">I", 0x00000801) + b"\x00")
+        (tmp_path / "img1").write_bytes(struct.pack(">4I", 0x00000803, 1, 1, 1) + b"\x00")
+        with pytest.raises(DataFormatError, match="truncated image header at offset 12"):
+            load_idx(tmp_path / "img", tmp_path / "lbl")
+        with pytest.raises(DataFormatError, match="truncated label header at offset 5"):
+            load_idx(tmp_path / "img1", tmp_path / "lbl")
+
+    def test_hostile_header_reads_only_as_far_as_the_file_goes(self, tmp_path):
+        import struct
+
+        # the header claims (2**32 - 1) * 2**16 * 2**16 payload bytes; the file has none
+        (tmp_path / "img").write_bytes(struct.pack(">4I", 0x00000803, 2**32 - 1, 2**16, 2**16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="truncated image payload at offset 16"):
+                load_idx_images(tmp_path / "img")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_bytes_after_the_payload_are_ignored(self, rng, tmp_path):
+        images = rng.integers(0, 256, size=(3, 2, 2)).astype(np.uint8)
+        labels = np.array([0, 1, 0], dtype=np.uint8)
+        write_idx(images, labels, tmp_path / "img", tmp_path / "lbl")
+        for name in ("img", "lbl"):
+            (tmp_path / name).write_bytes((tmp_path / name).read_bytes() + b"\xff" * 7)
+        ds = load_idx(tmp_path / "img", tmp_path / "lbl")
+        np.testing.assert_array_equal(ds.samples, images.reshape(3, 4))
+        np.testing.assert_array_equal(ds.labels, labels)
+
+    def test_images_are_a_read_only_view_of_the_file_bytes(self, rng, tmp_path):
+        images = rng.integers(0, 256, size=(3, 2, 2)).astype(np.uint8)
+        write_idx(images, np.zeros(3, np.uint8), tmp_path / "img", tmp_path / "lbl")
+        samples = load_idx_images(tmp_path / "img")
+        assert samples.dtype == np.uint8 and not samples.flags.writeable
+        base = samples
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert base == (tmp_path / "img").read_bytes()
+        assert samples.ctypes.data == np.frombuffer(base, np.uint8).ctypes.data + 16  # past the header
 
     def test_count_mismatch(self, rng, tmp_path):
         images = rng.integers(0, 256, size=(2, 2, 2)).astype(np.uint8)

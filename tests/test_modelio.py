@@ -100,6 +100,16 @@ def test_malformed_file_raises_model_format_error(blobs, tmp_path, name, mutate,
         load_model(path)
 
 
+@pytest.mark.parametrize("name", ["continuous", "ternary", "quantized"])
+def test_a_file_cut_inside_a_matrix_names_it(blobs, tmp_path, name):
+    blob = blobs[name]
+    path = tmp_path / "cut.ielm"
+    for cut, field in ((weights_offset(blob, name == "quantized") + 1, "weights"), (len(blob) - 1, "beta")):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ModelFormatError, match=f"truncated {field} at offset {cut}"):
+            load_model(path)
+
+
 def test_metadata_must_be_an_object(blobs, tmp_path):
     blob = blobs["continuous"]
     at = metadata_offset(blob, False)
