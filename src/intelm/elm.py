@@ -31,6 +31,9 @@ from intelm.seeding import PRNG_ID, make_rng
 # accuracies are tied to a concrete encoding.
 TARGET_ENCODING = "onehot-01"
 
+# Rows per block of hidden_features's exact projection and of its two buffers.
+HIDDEN_BLOCK_ROWS = 128
+
 
 class ScoreOverflowError(ArithmeticError):
     """A float class score is not finite: the model's weights overflow float64 on the input."""
@@ -169,8 +172,9 @@ def hidden_features(W, X, row_scale=None) -> np.ndarray:
     dtype linalg.exact_dtype picks from the partial-sum bound
     n * max|x| * max|w|; ReLU acts on the exact integers, and the row scale
     (default 1) is the one rounding per element, so H does not depend on
-    BLAS's summation order or thread count. Float rows or float weights
-    take the float64 GEMM.
+    BLAS's summation order or thread count. H is filled in HIDDEN_BLOCK_ROWS
+    row blocks through two reused buffers. Float rows or weights take one
+    float64 GEMM, as do integer rows whose bound reaches 2**63: it rounds.
     """
     W = np.asarray(W)
     X = _sample_rows(X, "X")
@@ -178,16 +182,27 @@ def hidden_features(W, X, row_scale=None) -> np.ndarray:
         raise DimensionError(
             f"X has {X.shape[1]} features, weights expect {W.shape[0]}"
         )
-    dtype = np.float64
+    scale = np.ones(X.shape[0]) if row_scale is None else np.asarray(row_scale, dtype=np.float64)
+    if scale.shape != (X.shape[0],):
+        raise DimensionError(f"row_scale has shape {scale.shape}, X has {X.shape[0]} rows")
+    dtype = None
     if np.issubdtype(X.dtype, np.integer) and np.issubdtype(W.dtype, np.integer):
-        dtype = exact_dtype(X.shape[1] * max_abs(X) * max_abs(W)) or np.float64
-    P = X.astype(dtype, copy=False) @ W.astype(dtype, copy=False)
-    H = np.maximum(P, 0, out=P).astype(np.float64, copy=False)
-    if row_scale is not None:
-        scale = np.asarray(row_scale, dtype=np.float64)
-        if scale.shape != (X.shape[0],):
-            raise DimensionError(f"row_scale has shape {scale.shape}, X has {X.shape[0]} rows")
-        H *= scale[:, None]
+        dtype = exact_dtype(X.shape[1] * max_abs(X) * max_abs(W))
+    if dtype is None:
+        H = X.astype(np.float64, copy=False) @ W.astype(np.float64, copy=False)
+        np.maximum(H, 0, out=H)
+        if row_scale is not None:
+            H *= scale[:, None]
+        return H
+    H = np.empty((X.shape[0], W.shape[1]))  # before the temporaries, which then free one span
+    W = W.astype(dtype, copy=False)
+    most = min(X.shape[0], HIDDEN_BLOCK_ROWS)
+    x_block, p_block = np.empty((most, X.shape[1]), dtype), np.empty((most, W.shape[1]), dtype)
+    for start in range(0, X.shape[0], HIDDEN_BLOCK_ROWS):
+        rows = slice(start, min(start + HIDDEN_BLOCK_ROWS, X.shape[0]))
+        x, P = x_block[: rows.stop - start], p_block[: rows.stop - start]
+        np.copyto(x, X[rows])
+        np.multiply(np.maximum(np.matmul(x, W, out=P), 0, out=P), scale[rows, None], out=H[rows])
     return H
 
 

@@ -13,8 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import gauss_solve, kernel_form, naive_hidden, random_float_model
-from intelm.data import DataFormatError, InputError, RawDataset, preprocess
+from intelm.data import DataFormatError, InputError, RawDataset, max_abs, preprocess
 from intelm.elm import (
+    HIDDEN_BLOCK_ROWS,
     FloatModel,
     gen_weights_continuous,
     gen_weights_ternary,
@@ -27,7 +28,7 @@ from intelm.elm import (
     training_residual,
 )
 from intelm.intinfer import PackedKernel, QuantizedModel, classify_int_batch, int_scores
-from intelm.linalg import DimensionError, SpdSystem, solve_spd
+from intelm.linalg import DimensionError, SpdSystem, exact_dtype, solve_spd
 from intelm.modelio import load_model, save_model
 from intelm.quantize import IntegerBeta
 from intelm.seeding import make_rng
@@ -99,6 +100,47 @@ class TestHiddenFeatures:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             hidden_features(np.ones((3, 2)), np.ones((1, 4)))
+
+
+class TestBlockedProjection:
+    """The exact projection fills H block by block, bit for bit the int64 reference."""
+
+    B = HIDDEN_BLOCK_ROWS
+
+    @pytest.mark.parametrize("N", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("sample_dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize(
+        "steps, kernel_dtype",
+        [(["l2_normalize"], np.float32), (["zero_mean", "l2_normalize"], np.float64)],
+    )
+    def test_bit_identical_to_int64_reference(self, N, sample_dtype, steps, kernel_dtype):
+        n, most = 784, 2 * self.B + 3
+        samples = make_rng(N).integers(1, 256, size=(most, n)).astype(sample_dtype)
+        norm = preprocess(RawDataset(samples, np.zeros(most), 1), steps)
+        rows, row_scale = norm.rows[:N], norm.row_scale[:N]
+        W = gen_weights_ternary(n, 24, seed=3)
+        assert rows.dtype == (np.int64 if "zero_mean" in steps else sample_dtype)
+        assert exact_dtype(n * max_abs(norm.rows) * max_abs(W)) is kernel_dtype
+        P = np.maximum(rows @ W.astype(np.int64), 0)
+        for scale, reference in [(row_scale, P * row_scale[:, None]), (None, P.astype(np.float64))]:
+            H = hidden_features(W, rows, scale)
+            assert H.dtype == np.float64 and H.flags.c_contiguous and H.shape == (N, 24)
+            assert H.tobytes() == reference.tobytes()
+
+    def test_peak_memory_is_H_and_the_cast_weights(self):
+        # One GEMM, with a float32 copy of X and the whole projection beside H, traced 72 MB here.
+        N, n, L = 3000, 784, 2000
+        samples = make_rng(26).integers(0, 256, size=(N, n)).astype(np.uint8)
+        norm = preprocess(RawDataset(samples, np.zeros(N), 1), ["l2_normalize"])
+        W = gen_weights_ternary(n, L, 27)
+        tracemalloc.start()
+        try:
+            H = hidden_features(W, norm.rows, norm.row_scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert H.shape == (N, L)
+        assert peak < N * L * 8 + n * L * 4 + 4 * 2**20
 
 
 class TestTrain:
