@@ -19,6 +19,7 @@ import numpy as np
 from intelm.data import InputError, check_steps, integer_rows, max_abs, reject_blank_rows
 from intelm.linalg import (
     DimensionError,
+    FloatKernel,
     accumulate_gram,
     as_matrix,
     exact_dtype,
@@ -30,9 +31,6 @@ from intelm.seeding import PRNG_ID, make_rng
 # One-hot target rows use {0, 1}; recorded in model metadata so reported
 # accuracies are tied to a concrete encoding.
 TARGET_ENCODING = "onehot-01"
-
-# Rows per block of hidden_features's exact projection and of its two buffers.
-HIDDEN_BLOCK_ROWS = 128
 
 
 class ScoreOverflowError(ArithmeticError):
@@ -168,13 +166,13 @@ def _sample_rows(X, name: str) -> np.ndarray:
 def hidden_features(W, X, row_scale=None) -> np.ndarray:
     """ReLU-activated hidden layer outputs: H[j, i] = max(0, w_i . x_j) * row_scale[j].
 
-    Integer rows through integer weights are projected exactly, in the
-    dtype linalg.exact_dtype picks from the partial-sum bound
-    n * max|x| * max|w|; ReLU acts on the exact integers, and the row scale
-    (default 1) is the one rounding per element, so H does not depend on
-    BLAS's summation order or thread count. H is filled in HIDDEN_BLOCK_ROWS
-    row blocks through two reused buffers. Float rows or weights take one
-    float64 GEMM, as do integer rows whose bound reaches 2**63: it rounds.
+    Integer rows through integer weights are projected exactly by
+    linalg.FloatKernel, in the dtype linalg.exact_dtype picks from the
+    partial-sum bound n * max|x| * max|w|; ReLU acts on the exact integers
+    of each block, and the row scale (default 1) is the one rounding per
+    element, so H does not depend on BLAS's summation order or thread
+    count. Float rows or weights take one float64 GEMM, as do integer rows
+    whose bound reaches 2**63: it rounds.
     """
     W = np.asarray(W)
     X = _sample_rows(X, "X")
@@ -194,15 +192,9 @@ def hidden_features(W, X, row_scale=None) -> np.ndarray:
         if row_scale is not None:
             H *= scale[:, None]
         return H
-    H = np.empty((X.shape[0], W.shape[1]))  # before the temporaries, which then free one span
-    W = W.astype(dtype, copy=False)
-    most = min(X.shape[0], HIDDEN_BLOCK_ROWS)
-    x_block, p_block = np.empty((most, X.shape[1]), dtype), np.empty((most, W.shape[1]), dtype)
-    for start in range(0, X.shape[0], HIDDEN_BLOCK_ROWS):
-        rows = slice(start, min(start + HIDDEN_BLOCK_ROWS, X.shape[0]))
-        x, P = x_block[: rows.stop - start], p_block[: rows.stop - start]
-        np.copyto(x, X[rows])
-        np.multiply(np.maximum(np.matmul(x, W, out=P), 0, out=P), scale[rows, None], out=H[rows])
+    H = np.empty((X.shape[0], W.shape[1]))  # before the kernel's temporaries, which then free one span
+    for rows, P in FloatKernel(W, np.dtype(dtype)).blocks(X):
+        np.multiply(np.maximum(P, 0, out=P), scale[rows, None], out=H[rows])
     return H
 
 

@@ -10,24 +10,10 @@ The rows projected are data.integer_rows of the raw samples under the
 model's recorded preprocessing: x, or n*x - sum(x) under zero_mean, the
 same integer rows training scaled. Every partial sum of z.w over ternary
 w is a subset sum of the +/-z_j, so its magnitude is at most
-hidden_bound(n, input_range, centred), and linalg.exact_dtype (the rule
-training's projection uses too) picks a float GEMM that rounds nothing,
-whatever order BLAS sums in: W as float32 when the bound is under 2**24
-and as float64 otherwise (the proof caps it at 2**31 - 1).
-
-That float W (FloatKernel) is never kept: every projection casts it
-again from the model's read-only int8 W into arrays of its own, freed on
-return, so a kernel takes no lock and a model holds no float copy of W.
-A projection whose output is at most a quarter of BUILD_BLOCK_BYTES, one
-row included, casts W in blocks of its rows of about BUILD_BLOCK_BYTES
-into one block buffer, multiplies each block by the matching columns of
-the rows while it is still in cache and sums the partial products in the
-kernel dtype. Each running sum is again a subset sum of the +/-z_j, so
-this is exact too. A larger projection casts all of W and runs one GEMM.
-The cast is most of a small call's cost (median timeit, 2-core host, one
-BLAS thread): a one-row call costs about 0.22 ms on a 3072x500 float32
-W, 0.44 ms on a centred 784x2000 float64 W and 1.0 ms on a 3072x2000
-float32 W, and a four-row call about as much.
+hidden_bound(n, input_range, centred), and the model projects through
+linalg.FloatKernel, training's exact projection, in exact_dtype of that
+bound: float32 under 2**24, float64 otherwise (the proof caps it at
+2**31 - 1).
 
 An uncentred model whose columns are narrow enough packs three of them
 into each float64 word instead (PackedKernel), so one dgemv reads a
@@ -53,13 +39,11 @@ import numpy as np
 
 from intelm.data import InputError, centred_rows_fit_int64, check_steps, integer_rows, reject_blank_rows
 from intelm.elm import check_ternary
-from intelm.linalg import DimensionError, exact_dtype
+from intelm.linalg import BUILD_BLOCK_BYTES, DimensionError, FloatKernel, exact_dtype  # noqa: F401 (re-exported)
 from intelm.quantize import IntegerBeta
 
 INT32_MAX = 2**31 - 1
 INT64_MAX = 2**63 - 1
-# Bytes of float W a FloatKernel projection casts per block: half of a common 1 MB L2.
-BUILD_BLOCK_BYTES = 512 * 1024
 
 
 def hidden_bound(n: int, input_range: tuple[int, int], centred: bool = False) -> int:
@@ -170,40 +154,6 @@ class PackedKernel:
         np.right_shift(t, self.shift, out=out[..., 2 * w :])
         out -= self.bottom
         return out[..., : self.L]
-
-
-@dataclass(frozen=True, eq=False)
-class FloatKernel:
-    """Ternary W projected in float32 or float64, cast from its int8 form by every projection.
-
-    ternary is the model's read-only int8 W and dtype the exact_dtype of
-    its hidden bound. The kernel keeps nothing else: each project() casts
-    W into arrays of its own and frees them on return (see the module
-    docstring).
-    """
-
-    ternary: np.ndarray  # (n, L) int8
-    dtype: np.dtype
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.ternary.shape
-
-    def project(self, X: np.ndarray) -> np.ndarray:
-        """The exact int64 product X @ W, for rows X whose every subset sum fits dtype's mantissa."""
-        X = X.astype(self.dtype, copy=False)
-        (n, L), size = self.ternary.shape, self.dtype.itemsize
-        # Past a quarter of the budget, re-reading the output for every block costs more than it saves.
-        if X.size // n * L * size > BUILD_BLOCK_BYTES // 4:
-            return (X @ self.ternary.astype(self.dtype)).astype(np.int64)
-        step = max(1, BUILD_BLOCK_BYTES // (L * size))
-        block = np.empty((min(n, step), L), self.dtype)
-        out = np.zeros(X.shape[:-1] + (L,), self.dtype)
-        for start in range(0, n, step):
-            rows = block[: min(step, n - start)]
-            rows[...] = self.ternary[start : start + step]
-            out += X[..., start : start + step] @ rows
-        return out.astype(np.int64)
 
 
 class HeadroomError(ValueError):

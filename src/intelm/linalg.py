@@ -5,8 +5,19 @@ memory at once) and a symmetric-positive-definite solve via Cholesky. The
 first block's products start the system, so training holds one L x L Gram
 next to one block.
 Everything is float64 row-major; shapes are explicit and checked.
-exact_dtype is the one rule for exact integer products, shared by the
-training projection and the integer classifier's kernel.
+exact_dtype is the one rule for exact integer products. FloatKernel is
+the one exact projection of integer rows through integer W, for
+training, the float scorer and the integer classifier: W cast to
+exact_dtype of the rows' partial-sum bound, in which a GEMM rounds
+nothing, whatever order BLAS sums in. Every projection casts W again
+into arrays of its own, freed on return, so a kernel holds no float W
+and takes no lock. A call whose rows' inputs and outputs each fit a
+quarter of BUILD_BLOCK_BYTES casts W in blocks of its rows of that size
+into one buffer and sums their products with the matching columns of
+the rows while each block is in cache; every running sum is again a
+subset sum, so this is exact too. Any other call casts W once and
+projects BLOCK_ROWS rows at a time through two reused buffers, so
+neither a cast copy of all rows nor the whole float projection exists.
 
 The solve is the package's only use of scipy: LAPACK's dpotrf and dpotrs,
 from the extension module scipy.linalg._flapack. load_lapack loads that
@@ -28,6 +39,10 @@ import numpy as np
 
 # Each dtype with the magnitude below which it holds every integer exactly.
 EXACT_INTEGER_LIMITS = ((np.float32, 2**24), (np.float64, 2**53), (np.int64, 2**63))
+# Bytes of float W a few-row FloatKernel projection casts per block: half of a common 1 MB L2.
+BUILD_BLOCK_BYTES = 512 * 1024
+# Rows per block of every other FloatKernel projection, and of its two buffers.
+BLOCK_ROWS = 128
 
 
 class DimensionError(ValueError):
@@ -68,6 +83,49 @@ def exact_dtype(bound: int) -> type | None:
         if bound < limit:
             return dtype
     return None
+
+
+@dataclass(frozen=True, eq=False)
+class FloatKernel:
+    """Integer W (a model's read-only int8 W) and the exact_dtype of its rows' bound; nothing else is kept."""
+
+    ternary: np.ndarray  # (n, L) integer
+    dtype: np.dtype
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.ternary.shape
+
+    def blocks(self, X: np.ndarray):
+        """Yield (rows, P) over the 2-D integer rows X: P is X[rows] @ W, exact in dtype, valid until the next yield."""
+        (n, L), size, N = self.ternary.shape, self.dtype.itemsize, X.shape[0]
+        # Past a quarter of the budget, re-reading P per W block, or casting all of X, costs more than it saves.
+        if N * max(n, L) * size <= BUILD_BLOCK_BYTES // 4:
+            X = X.astype(self.dtype, copy=False)
+            step = max(1, BUILD_BLOCK_BYTES // (L * size))
+            block = np.empty((min(n, step), L), self.dtype)
+            P = np.zeros((N, L), self.dtype)
+            for start in range(0, n, step):
+                W = block[: min(step, n - start)]
+                W[...] = self.ternary[start : start + step]
+                P += X[:, start : start + step] @ W
+            yield slice(0, N), P
+            return
+        W = self.ternary.astype(self.dtype)
+        most = min(N, BLOCK_ROWS)
+        x_block, p_block = np.empty((most, n), self.dtype), np.empty((most, L), self.dtype)
+        for start in range(0, N, BLOCK_ROWS):
+            rows = slice(start, min(start + BLOCK_ROWS, N))
+            x, P = x_block[: rows.stop - start], p_block[: rows.stop - start]
+            np.copyto(x, X[rows])
+            yield rows, np.matmul(x, W, out=P)
+
+    def project(self, X: np.ndarray) -> np.ndarray:
+        """The exact int64 product X @ W, for one row or rows X whose every partial sum is exact in dtype."""
+        (n, L), out = self.shape, np.empty(X.shape[:-1] + self.shape[1:], np.int64)
+        for rows, P in self.blocks(X.reshape(-1, n)):
+            out.reshape(-1, L)[rows] = P
+        return out
 
 
 LAPACK_MODULE = "scipy.linalg._flapack"

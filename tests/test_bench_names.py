@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intelm import cli, elm, experiments, intinfer, modelio, quantize
+from intelm import cli, elm, experiments, intinfer, linalg, modelio, quantize
 from intelm.data import write_idx
 from intelm.quantize import IntegerBeta
 from intelm.seeding import make_rng
@@ -138,6 +138,22 @@ def test_integer_classifiers_reach_the_traced_kernel_layers(monkeypatch, n, L, p
     assert projections == ["ternary_project"] and relus == ["relu_int"]
     assert intinfer.classify_int(model, X[0]) == labels[0]
     assert len(projections) == len(relus) == 2
+
+
+def test_training_and_both_scorers_reach_the_one_exact_projection(monkeypatch):
+    # linalg.FloatKernel.blocks is the one exact projection of integer rows: training's
+    # hidden layer, the float scorer and the integer scorer of an unpacked model run it.
+    calls = _counting(monkeypatch, linalg.FloatKernel, "blocks")
+    X = make_rng(10).integers(0, 256, size=(10, 6)).astype(np.uint8)
+    W = elm.gen_weights_ternary(6, 5, 11)
+    model = elm.train(X, elm.one_hot(np.arange(10) % 3, 3), W, weight_kind="ternary", block_size=4)
+    assert len(calls) == 3
+    elm.scores_float(model, X)
+    assert len(calls) == 4
+    intinfer.int_scores(_served_shape_model(3072, 500, 8), X.repeat(512, axis=1)[:3])
+    assert len(calls) == 5
+    intinfer.int_scores(_served_shape_model(784, 2000, 8), X.repeat(131, axis=1)[:3, :784])
+    assert len(calls) == 5  # the packed kernel has its own projection
 
 
 def test_classify_int_allocates_no_copy_of_the_packed_kernel():

@@ -128,10 +128,11 @@ class TestIdx:
     def test_training_inputs_stay_near_the_u8_payload_in_memory(self, tmp_path):
         """Reading, l2-normalizing and projecting 2,000 MNIST-shaped images peaks below 2x their bytes.
 
-        That is the u8 payload itself plus one block of HIDDEN_BLOCK_ROWS
-        rows cast to float32, with H and the scale beside them: about 1.5x
-        measured at L=16. A float32 copy of all the samples would alone be
-        4x, an int64 copy 8x.
+        That is the u8 payload itself plus one block of linalg.BLOCK_ROWS
+        rows cast to float32 by linalg.FloatKernel, with H and the scale
+        beside them: about 1.5x measured at L=16. A float32 copy of all the
+        samples, which a few-row path chosen by output size alone would
+        make at this narrow L, would alone be 4x, an int64 copy 8x.
         """
         N, side = 2000, 28
         images = make_rng(5).integers(0, 256, size=(N, side, side)).astype(np.uint8)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import gauss_solve, kernel_form, naive_hidden, random_float_model
 from intelm.data import DataFormatError, InputError, RawDataset, max_abs, preprocess
 from intelm.elm import (
-    HIDDEN_BLOCK_ROWS,
     FloatModel,
     gen_weights_continuous,
     gen_weights_ternary,
@@ -28,7 +27,7 @@ from intelm.elm import (
     training_residual,
 )
 from intelm.intinfer import PackedKernel, QuantizedModel, classify_int_batch, int_scores
-from intelm.linalg import DimensionError, SpdSystem, exact_dtype, solve_spd
+from intelm.linalg import BLOCK_ROWS, BUILD_BLOCK_BYTES, DimensionError, FloatKernel, SpdSystem, exact_dtype, solve_spd
 from intelm.modelio import load_model, save_model
 from intelm.quantize import IntegerBeta
 from intelm.seeding import make_rng
@@ -105,7 +104,7 @@ class TestHiddenFeatures:
 class TestBlockedProjection:
     """The exact projection fills H block by block, bit for bit the int64 reference."""
 
-    B = HIDDEN_BLOCK_ROWS
+    B = BLOCK_ROWS
 
     @pytest.mark.parametrize("N", [0, 1, B - 1, B, B + 1, 2 * B + 3])
     @pytest.mark.parametrize("sample_dtype", [np.uint8, np.int64])
@@ -141,6 +140,66 @@ class TestBlockedProjection:
             tracemalloc.stop()
         assert H.shape == (N, L)
         assert peak < N * L * 8 + n * L * 4 + 4 * 2**20
+
+    @staticmethod
+    def spy_on_blocks(monkeypatch):
+        """Record [dtype, blocks yielded] of each FloatKernel.blocks call."""
+        real, calls = FloatKernel.blocks, []
+
+        def blocks(kernel, X):
+            calls.append([kernel.dtype, 0])
+            for block in real(kernel, X):
+                calls[-1][1] += 1
+                yield block
+
+        monkeypatch.setattr(FloatKernel, "blocks", blocks)
+        return calls
+
+    @pytest.mark.parametrize("N, blocks", [(3, 1), (300, 3)], ids=["few-rows", "row-blocks"])
+    def test_bounds_from_2_53_to_2_63_take_the_int64_kernel(self, monkeypatch, N, blocks):
+        # n * max|x| = 16 * 2**55: the sums reach 2**59, where float64 rounds and int64 does not.
+        n, L = 16, 64
+        X = make_rng(N).integers(-(2**55), 2**55, size=(N, n), endpoint=True)
+        X[0, 0] = 2**55
+        W = gen_weights_ternary(n, L, seed=5)
+        scale = make_rng(N + 1).random(N) + 0.5
+        assert exact_dtype(n * max_abs(X) * max_abs(W)) is np.int64
+        calls = self.spy_on_blocks(monkeypatch)
+        H = hidden_features(W, X, scale)
+        assert calls == [[np.int64, blocks]]
+        reference = np.maximum(X @ W.astype(np.int64), 0) * scale[:, None]
+        assert H.tobytes() == reference.tobytes()
+        rounded = np.maximum(X.astype(np.float64) @ W.astype(np.float64), 0) * scale[:, None]
+        assert rounded.tobytes() != reference.tobytes()
+
+    def test_bounds_past_2_63_take_the_float64_gemm(self, monkeypatch):
+        X = make_rng(4).integers(2**61, 2**62, size=(3, 4))
+        W = gen_weights_ternary(4, 8, seed=6)
+        scale = make_rng(5).random(3) + 0.5
+        assert exact_dtype(4 * max_abs(X) * max_abs(W)) is None
+        calls = self.spy_on_blocks(monkeypatch)
+        H = hidden_features(W, X, scale)
+        assert calls == []
+        expected = np.maximum(X.astype(np.float64) @ W.astype(np.float64), 0) * scale[:, None]
+        assert H.tobytes() == expected.tobytes()
+
+    def test_scoring_few_rows_of_a_wide_float_model_holds_no_float_w(self):
+        # A float32 W of this model is 6.1 MB; four rows are summed through one block buffer.
+        W = gen_weights_ternary(3072, 500, 8)
+        beta = make_rng(8).standard_normal((500, 10))
+        model = FloatModel(W, beta, gamma=1.0, weight_kind="ternary", seed=8,
+                           metadata={"preprocessing": ["l2_normalize"]})
+        X = make_rng(9).integers(1, 256, size=(4, 3072)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            labels = predict_float_batch(model, X)
+            scores = scores_float(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < BUILD_BLOCK_BYTES + 2**20
+        np.testing.assert_array_equal(scores, np.maximum(X @ W.astype(np.int64), 0) @ beta)
+        np.testing.assert_array_equal(labels, scores.argmax(axis=1))
 
 
 class TestTrain:

@@ -618,10 +618,10 @@ class TestFloatKernel:
     def test_concurrent_first_calls_read_a_complete_kernel(self):
         # Eight threads make the first call on each fresh model together, switching as often
         # as the interpreter allows: a 1-D sample or a (1, n) row (summed per block), or one
-        # row past the quarter block (one GEMM). Each call casts W into arrays of its own, so
-        # one published to the kernel before its last block is cast is read partly unwritten.
-        # Each round rolls W's columns, so an allocation reusing the last round's cast does not
-        # hold this one.
+        # row past the quarter block (row blocks through a whole cast W). Each call casts W
+        # into arrays of its own, so one published to the kernel before its last block is
+        # cast is read partly unwritten. Each round rolls W's columns, so an allocation
+        # reusing the last round's cast does not hold this one.
         L, threads = 2000, 8
         step = BUILD_BLOCK_BYTES // (4 * L)
         quarter = BUILD_BLOCK_BYTES // 4 // (4 * L)
@@ -668,7 +668,7 @@ class TestFloatKernel:
 
     def test_a_loaded_wide_model_holds_no_float_w_after_scoring(self, tmp_path):
         # classify_cli's model: its float32 W would be 6.1 MB. One sample is summed per block
-        # and rows past the quarter block run one GEMM; neither leaves a float W behind.
+        # and rows past the quarter block run in row blocks; neither leaves a float W behind.
         W = gen_weights_ternary(3072, 500, 8)
         values = make_rng(8).integers(-(2**20), 2**20, size=(500, 10))
         save_model(QuantizedModel(W, IntegerBeta(values=values, tau=1.0)), tmp_path / "q.ielm")
@@ -687,6 +687,22 @@ class TestFloatKernel:
         assert held < 2**20
         assert label == scores[0].argmax()
         np.testing.assert_array_equal(scores, int64_reference_scores(model, X))
+
+    def test_bulk_scoring_holds_no_float_copy_of_the_rows_or_of_the_projection(self):
+        # 2,000 u8 rows of classify_cli's model project in row blocks: a float32 copy of all rows
+        # (24.6 MB), or the whole float32 projection beside W's cast and its int64 result
+        # (18.2 MB), passes the bound, which admits the int64 projection beside its ReLU.
+        model = random_quantized_model(make_rng(10), n=3072, L=500, m=10)
+        assert isinstance(model.kernel_weights, FloatKernel) and model.kernel_weights.dtype == np.float32
+        X = make_rng(11).integers(1, 256, size=(2000, 3072)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            scores = int_scores(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * X.shape[0] * model.L * 8 + 2**20
+        np.testing.assert_array_equal(scores[::37], int64_reference_scores(model, X[::37]))  # a row of each block
 
 
 class TestShapeRule:
