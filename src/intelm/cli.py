@@ -26,12 +26,13 @@ from intelm import experiments as exp
 from intelm.elm import (
     GENERATORS,
     FloatModel,
+    class_labels,
     one_hot,
     predict_float_batch,
     scores_float,
     train,
 )
-from intelm.intinfer import QuantizedModel, classify_int_batch, int_scores
+from intelm.intinfer import QuantizedModel, int_scores
 from intelm.linalg import DimensionError
 from intelm.modelio import load_model, save_model
 from intelm.quantize import bit_width, reduce_precision_step
@@ -167,17 +168,11 @@ def cmd_quantize(args) -> int:
 def cmd_classify(args) -> int:
     model = load_model(_resolve(args.model))
     samples = _load_inputs(args)
-    if isinstance(model, QuantizedModel):
-        classify, score = classify_int_batch, int_scores
-    else:
-        classify, score = predict_float_batch, scores_float
-    preds = classify(model, samples)
-    if args.scores:
-        for label, row_scores in zip(preds, score(model, samples)):
-            print(f"{int(label)}," + ",".join(str(v) for v in row_scores))
-    else:
-        for label in preds:
-            print(int(label))
+    score = int_scores if isinstance(model, QuantizedModel) else scores_float
+    scores = score(model, samples)
+    labels = class_labels(model, samples, scores)  # every row is checked before anything is printed
+    for label, row in zip(labels.tolist(), scores.tolist()):
+        print(",".join(map(str, [label, *row])) if args.scores else label)
     return EXIT_OK
 
 

@@ -260,12 +260,8 @@ def scores_float(model: FloatModel, X) -> np.ndarray:
     only weights far beyond any trained model's can cause, raises
     ScoreOverflowError instead of yielding an arbitrary argmax.
     """
-    return _row_scores(model, integer_rows(X, model.steps))
-
-
-def _row_scores(model: FloatModel, rows) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        S = hidden_features(model.input_weights, rows) @ model.beta
+        S = hidden_features(model.input_weights, integer_rows(X, model.steps)) @ model.beta
     if not np.isfinite(S).all():
         raise ScoreOverflowError("float class scores overflow float64 on this input")
     return S
@@ -277,15 +273,24 @@ def predict_float(model: FloatModel, x) -> int:
 
 
 def predict_float_batch(model: FloatModel, X) -> np.ndarray:
-    """Predicted class of each row of X; a blank row is an InputError (data.reject_blank_rows).
+    """Predicted class of each row of X, checked by class_labels."""
+    return class_labels(model, X, scores_float(model, X))
 
-    So is a sample that is not blank but whose float64 integer row (where
+
+def class_labels(model, X, scores) -> np.ndarray:
+    """The label of each row of samples X: the lowest-index argmax of its row of the model's scores.
+
+    scores are the model's scorer's (scores_float, or intinfer.int_scores)
+    on the 2-D X, so a sample of the wrong width, dtype or range has failed
+    there first. A blank row is an InputError (data.reject_blank_rows). So
+    is a sample that is not blank but whose float64 integer row (where
     int64 would overflow) rounds to all zero: its scores would all be 0.
+    Only a float model can be given such a sample; a QuantizedModel's
+    headroom proof keeps its rows exact.
     """
-    rows = integer_rows(X, model.steps)
-    labels = np.argmax(_row_scores(model, rows), axis=1)
+    labels = np.argmax(scores, axis=1)
     reject_blank_rows(X, model.steps)
-    rounded = ~rows.any(axis=-1)
+    rounded = ~integer_rows(X, model.steps).any(axis=-1)
     if rounded.any():
         raise InputError(
             f"cannot classify the sample at row {int(np.argmax(rounded))}: "

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from intelm.data import InputError, centred_rows_fit_int64, check_steps, integer_rows, reject_blank_rows
-from intelm.elm import check_ternary
+from intelm.elm import check_ternary, class_labels
 from intelm.linalg import BUILD_BLOCK_BYTES, DimensionError, FloatKernel, exact_dtype  # noqa: F401 (re-exported)
 from intelm.quantize import IntegerBeta
 
@@ -363,12 +363,10 @@ def classify_int(model: QuantizedModel, x) -> int:
 
 
 def classify_int_batch(model: QuantizedModel, X) -> np.ndarray:
-    """Classify each row of an integer sample matrix (one 1-D sample is one row); a blank row is an InputError."""
+    """Classify each row of an integer sample matrix (one 1-D sample is one row), checked by elm.class_labels."""
     X = np.asarray(X)
     X = X[None] if X.ndim == 1 else X
-    labels = np.argmax(int_scores(model, X), axis=1)
-    reject_blank_rows(X, model.steps)
-    return labels
+    return class_labels(model, X, int_scores(model, X))
 
 
 # --- audited reference path ------------------------------------------------

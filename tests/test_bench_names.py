@@ -38,7 +38,8 @@ def test_every_tracer_target_resolves():
 def test_traced_callers_bind_the_defining_functions():
     assert cli.train is elm.train
     assert cli.int_scores is intinfer.int_scores
-    assert cli.classify_int_batch is intinfer.classify_int_batch
+    assert cli.scores_float is elm.scores_float
+    assert cli.class_labels is elm.class_labels
     assert experiments.quantize_beta is quantize.quantize_beta
 
 
@@ -73,14 +74,28 @@ def test_cmd_train_calls_cli_train(tmp_path, monkeypatch):
     assert calls == ["train"]
 
 
-def test_classify_scores_calls_cli_int_scores_and_classify_int_batch(tmp_path, monkeypatch, capsys):
+def test_classify_scores_calls_cli_int_scores_once_and_labels_those_scores(tmp_path, monkeypatch, capsys):
     assert cli.main(["train", *_tiny_task(tmp_path), "--L", "4", "--out", str(tmp_path / "f.ielm")]) == 0
     assert cli.main(["quantize", "--model", str(tmp_path / "f.ielm"), "--out", str(tmp_path / "q.ielm")]) == 0
-    scores = _counting(monkeypatch, cli, "int_scores")
-    labels = _counting(monkeypatch, cli, "classify_int_batch")
+    real_scores, real_labels, calls = cli.int_scores, cli.class_labels, []
+
+    def int_scores(*args):
+        calls.append(("int_scores", real_scores(*args)))
+        return calls[-1][1]
+
+    def class_labels(model, X, scores):
+        calls.append(("class_labels", scores))
+        return real_labels(model, X, scores)
+
+    monkeypatch.setattr(cli, "int_scores", int_scores)
+    monkeypatch.setattr(cli, "class_labels", class_labels)
+    capsys.readouterr()
     argv = ["classify", "--model", str(tmp_path / "q.ielm"), "--input", str(tmp_path / "img.idx"), "--scores"]
     assert cli.main(argv) == 0
-    assert scores and labels
+    assert [name for name, _ in calls] == ["int_scores", "class_labels"]
+    assert calls[1][1] is calls[0][1]  # the label step reads the very scores that are printed
+    printed = [[int(v) for v in line.split(",")] for line in capsys.readouterr().out.splitlines()]
+    assert [row[1:] for row in printed] == calls[0][1].tolist()
 
 
 def test_train_folds_each_block_through_the_traced_calls(monkeypatch):
@@ -154,6 +169,31 @@ def test_training_and_both_scorers_reach_the_one_exact_projection(monkeypatch):
     assert len(calls) == 5
     intinfer.int_scores(_served_shape_model(784, 2000, 8), X.repeat(131, axis=1)[:3, :784])
     assert len(calls) == 5  # the packed kernel has its own projection
+
+
+# Per model kind, the kernel method that each projection of a classify input calls once.
+KERNEL_PROJECTIONS = {"float32": (linalg.FloatKernel, "blocks"), "float": (linalg.FloatKernel, "blocks"),
+                      "packed": (intinfer.PackedKernel, "project")}
+
+
+@pytest.mark.parametrize("scores", [False, True], ids=["labels", "scores"])
+@pytest.mark.parametrize("kind", sorted(KERNEL_PROJECTIONS))
+def test_classify_projects_each_file_once(tmp_path, monkeypatch, capsys, kind, scores):
+    # classify_cli's 3072x500 integer model, a float model of the same W, and serve_single's packed 784x2000.
+    n, L, side = (784, 2000, 28) if kind == "packed" else (3072, 500, 32)
+    if kind == "float":
+        beta = make_rng(8).standard_normal((L, 10))
+        model = elm.FloatModel(elm.gen_weights_ternary(n, L, 8), beta, gamma=1.0, weight_kind="ternary", seed=0)
+    else:
+        model = _served_shape_model(n, L, 8)
+    modelio.save_model(model, tmp_path / "m.ielm")
+    images = make_rng(9).integers(1, 256, size=(3, side, n // side)).astype(np.uint8)
+    write_idx(images, np.zeros(3, np.uint8), tmp_path / "img.idx", tmp_path / "lbl.idx")
+    calls = _counting(monkeypatch, *KERNEL_PROJECTIONS[kind])
+    argv = ["classify", "--model", str(tmp_path / "m.ielm"), "--input", str(tmp_path / "img.idx")]
+    assert cli.main(argv + ["--scores"] * scores) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert len(calls) == 1
 
 
 def test_classify_int_allocates_no_copy_of_the_packed_kernel():

@@ -17,10 +17,11 @@ from conftest import near_zero_beta_model, write_texture_csvs
 from intelm import cli
 from intelm.cli import main
 from intelm.data import load_idx, preprocess, write_cifar10_batch, write_idx
-from intelm.elm import hidden_features, one_hot, predict_float_batch, training_residual
+from intelm.elm import FloatModel, gen_weights_ternary, hidden_features, one_hot, predict_float_batch, training_residual
 from intelm.experiments import make_quantized, select_model
+from intelm.intinfer import QuantizedModel
 from intelm.modelio import ModelFormatError, load_model, save_model
-from intelm.quantize import precision_ladder, quantize_beta
+from intelm.quantize import IntegerBeta, precision_ladder, quantize_beta
 from intelm.seeding import make_rng
 
 
@@ -171,6 +172,25 @@ class TestQuantizeAndClassify:
                 assert len(scores) == 2  # one score per class
                 # np.argmax picks the lowest index among tied scores
                 assert int(label) == int(np.argmax([parse(v) for v in scores]))
+
+    def test_tied_scores_print_the_lowest_index(self, rng, tmp_path, capsys):
+        # Two equal beta columns tie both scores of every row; integer-valued floats keep the tie exact.
+        W, column = gen_weights_ternary(16, 6, seed=0), rng.integers(1, 6, size=(6, 1))
+        float_model = FloatModel(W, np.hstack([column, column]).astype(np.float64), gamma=1.0,
+                                 weight_kind="ternary", seed=0)
+        int_model = QuantizedModel(W, IntegerBeta(values=np.hstack([column, column]), tau=1.0))
+        (tmp_path / "x.csv").write_text("\n".join(",".join(map(str, row)) for row in rng.integers(1, 256, (5, 16))))
+        for model, parse in ((float_model, float), (int_model, int)):
+            save_model(model, tmp_path / "m.ielm")
+            capsys.readouterr()
+            assert main(["classify", "--model", str(tmp_path / "m.ielm"), "--input", str(tmp_path / "x.csv"), "--scores"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 5
+            for line in lines:
+                label, *scores = line.split(",")
+                scores = [parse(v) for v in scores]
+                assert int(label) == 0 == int(np.argmax(scores))
+                assert scores[0] == scores[1] > 0
 
     def test_truncated_idx_exit_1(self, idx_dataset, tmp_path, capsys):
         model_path = self._trained(idx_dataset, tmp_path)
@@ -557,6 +577,22 @@ class TestRecordedPreprocessing:
             captured = capsys.readouterr()
             assert captured.out == "" and "reason=InputError" in captured.err
             assert "constant_sample_at_row_1" in captured.err
+
+    def test_row_that_float64_rounds_to_zero_exit_1(self, rng, tmp_path, capsys):
+        # As in test_elm: 2n * max|x| passes 2**63, so the centred row is formed in float64 and rounds to zero.
+        n = 100
+        model = FloatModel(gen_weights_ternary(n, 6, seed=0), rng.standard_normal((6, 3)), gamma=1.0,
+                           weight_kind="ternary", seed=0, metadata={"preprocessing": ["zero_mean"]})
+        save_model(model, tmp_path / "z.ielm")
+        for row in ([2**62] * (n - 1) + [2**62 + 1], [2**62 + 7] + [2**62] * (n - 1)):
+            (tmp_path / "x.csv").write_text(",".join(map(str, range(n))) + "\n" + ",".join(map(str, row)) + "\n")
+            for flags in ([], ["--scores"]):
+                capsys.readouterr()
+                argv = ["classify", "--model", str(tmp_path / "z.ielm"), "--input", str(tmp_path / "x.csv"), *flags]
+                assert main(argv) == 1
+                captured = capsys.readouterr()
+                assert captured.out == "" and "reason=InputError" in captured.err
+                assert "sample_at_row_1:_its_float64_integer_row_rounds_to_all_zero" in captured.err
 
     def test_all_zero_sample_exit_1_for_float_and_integer_models(self, idx_dataset, tmp_path, capsys):
         fpath, qpath = tmp_path / "f.ielm", tmp_path / "q.ielm"
