@@ -21,7 +21,6 @@ from intelm.quantize import (
     bit_width,
     precision_ladder,
     quantize_beta,
-    reduce_precision_step,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "predict_float",
     "predict_float_batch",
     "quantize_beta",
-    "reduce_precision_step",
     "relu_int",
     "ternary_project",
     "train",

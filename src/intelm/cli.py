@@ -35,7 +35,7 @@ from intelm.elm import (
 from intelm.intinfer import QuantizedModel, int_scores
 from intelm.linalg import DimensionError
 from intelm.modelio import load_model, save_model
-from intelm.quantize import bit_width, reduce_precision_step
+from intelm.quantize import bit_width, quantize_beta
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -155,8 +155,8 @@ def cmd_quantize(args) -> int:
         raise CliError(EXIT_ERROR, reason="already_quantized", path=args.model)
     qm = exp.make_quantized(model, (lo, hi), fit_headroom=True)
     ib = qm.int_beta
-    for _ in range(args.ladder_steps):
-        ib = reduce_precision_step(ib)
+    if args.ladder_steps:
+        ib = quantize_beta(model.beta, ib.ladder_step + args.ladder_steps)
     save_model(dataclasses.replace(qm, int_beta=ib), out)
     print(
         f"quantized tau={ib.tau:.6g} ladder_step={ib.ladder_step} "

@@ -25,7 +25,7 @@ from intelm import data as dat
 from intelm.elm import GENERATORS, FloatModel, one_hot, predict_float_batch, train
 from intelm.intinfer import QuantizedModel, classify_int_batch, output_beta_limit
 from intelm.linalg import DimensionError
-from intelm.quantize import bit_width, precision_ladder, quantize_beta, reduce_precision_step
+from intelm.quantize import bit_width, precision_ladder, quantize_beta
 from intelm.seeding import split_seed
 
 REPORT_COLUMNS = [
@@ -275,9 +275,9 @@ def make_quantized(
 ) -> QuantizedModel:
     """Quantize a ternary-weight model's beta into the integer-only pipeline.
 
-    With fit_headroom, the precision ladder is climbed until max |v| is at
-    most output_beta_limit, the one beta rule of the headroom proof; a
-    near-zero beta entry can otherwise make min-magnitude scaling explode it.
+    With fit_headroom, it takes the first ladder rung with max |v| at most
+    output_beta_limit, the one beta rule of the headroom proof; a near-zero
+    beta entry can otherwise make min-magnitude scaling explode it.
     """
     if model.weight_kind != "ternary":
         raise ValueError(f"integer path needs ternary weights, model has {model.weight_kind}")
@@ -289,7 +289,7 @@ def make_quantized(
         centred = "zero_mean" in model.steps
         limit = output_beta_limit(model.n, model.L, input_range, centred)
         while ib.max_abs > max(1, limit):
-            ib = reduce_precision_step(ib)
+            ib = quantize_beta(model.beta, ib.ladder_step + 1)
     return QuantizedModel(
         ternary_weights=model.input_weights,
         int_beta=ib,
@@ -333,7 +333,7 @@ def run_bit_sweep(model: FloatModel, test_raw: dat.RawDataset) -> SweepReport:
     report = SweepReport()
     float_pred = predict_float_batch(model, test_raw.samples)
     base = make_quantized(model, test_raw.value_range, fit_headroom=True)
-    for rung in precision_ladder(base.int_beta):
+    for rung in precision_ladder(model.beta)[base.int_beta.ladder_step :]:
         pred = classify_int_batch(replace(base, int_beta=rung), test_raw.samples)
         report.add(
             dataset=test_raw.source,

@@ -237,8 +237,9 @@ def solve_spd(system: SpdSystem) -> np.ndarray:
     """
     lapack = load_lapack()
     gram = system.symmetrized()
-    # dpotrf factors this F-ordered copy in place; the residual reads gram.
-    factor, info = lapack.dpotrf(np.array(gram, order="F"), lower=1, overwrite_a=1)
+    # dpotrf factors this F-ordered copy in place; the residual reads gram. As gram ==
+    # gram.T exactly, the copy is of gram.T, already F-ordered: a memcpy, not a transpose.
+    factor, info = lapack.dpotrf(np.array(gram.T, order="F"), lower=1, overwrite_a=1)
     if info > 0:
         raise CholeskyError(pivot_index=info - 1)
     if info < 0:

@@ -179,7 +179,7 @@ def test_criterion_05_quantizer_contract():
         flat = beta.ravel()
         assert abs(q.values.ravel()[np.argmin(np.abs(flat))]) == 1
         assert np.all(np.abs(q.values - beta / q.tau) <= 0.5 + 1e-12)
-        rungs = precision_ladder(q)
+        rungs = precision_ladder(beta)
         assert rungs[-1].max_abs == 1
         steps = len(rungs) - 1
         assert abs(steps - int(np.floor(np.log2(q.max_abs)))) <= 1

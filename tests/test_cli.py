@@ -375,9 +375,7 @@ class TestQuantizeAndClassify:
     def test_quantize_near_zero_beta_climbs_to_storable_rung(self, tmp_path, capsys):
         fm = near_zero_beta_model()
         save_model(fm, tmp_path / "float.ielm")
-        storable = next(
-            r.ladder_step for r in precision_ladder(quantize_beta(fm.beta)) if r.max_abs <= 2**31 - 1
-        )
+        storable = next(r.ladder_step for r in precision_ladder(fm.beta) if r.max_abs <= 2**31 - 1)
         assert storable > 0
         for extra, step in (((), storable), (("--ladder-steps", "2"), storable + 2)):
             capsys.readouterr()
@@ -387,6 +385,9 @@ class TestQuantizeAndClassify:
             ib = load_model(tmp_path / "q.ielm").int_beta
             assert ib.ladder_step == step
             assert 0 < ib.max_abs <= 2**31 - 1
+            rung = quantize_beta(fm.beta, step)
+            assert ib.tau == rung.tau
+            np.testing.assert_array_equal(ib.values, rung.values)
 
 
 class TestSweep:

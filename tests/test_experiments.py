@@ -157,7 +157,9 @@ class TestBitSweep:
         report = run_bit_sweep(model, test_raw)
         steps = [int(r["note"].removeprefix("ladder_step=")) for r in report.rows]
         assert steps == list(range(fitted.int_beta.ladder_step, fitted.int_beta.ladder_step + len(steps)))
-        assert len(steps) == len(precision_ladder(fitted.int_beta))
+        ladder = precision_ladder(model.beta)
+        assert len(steps) == len(ladder) - fitted.int_beta.ladder_step
+        assert [int(r["bit_width"]) for r in report.rows] == [bit_width(r) for r in ladder[steps[0] :]]
         assert int(report.rows[0]["bit_width"]) == bit_width(fitted.int_beta) <= 32
 
     def test_parallel_matches_serial(self, monkeypatch):

@@ -1,16 +1,21 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_float_model
+from conftest import near_zero_beta_model, random_float_model
 from intelm.elm import FloatModel, predict_float
 from intelm.experiments import make_quantized
+from intelm.intinfer import output_beta_limit
 from intelm.quantize import (
     IntegerBeta,
     QuantizationError,
     bit_width,
     precision_ladder,
     quantize_beta,
-    reduce_precision_step,
     round_half_away,
 )
 
@@ -77,55 +82,95 @@ class TestRoundHalfAway:
 
 
 class TestPrecisionLadder:
-    def test_halving_with_ties_away(self):
-        b = IntegerBeta(values=np.array([2, -6, 1]), tau=0.25)
-        stepped = reduce_precision_step(b)
-        np.testing.assert_array_equal(stepped.values, [1, -3, 1])
-        assert stepped.tau == 0.5
-        assert stepped.ladder_step == 1
+    def test_rung_one_rounds_beta_once(self):
+        q = quantize_beta([0.5, -1.5, 0.25], 1)
+        np.testing.assert_array_equal(q.values, [1, -3, 1])
+        assert q.tau == 0.5
+        assert q.ladder_step == 1
 
     def test_two_steps(self):
-        b = IntegerBeta(values=np.array([4, 8]), tau=1.0)
-        b = reduce_precision_step(reduce_precision_step(b))
-        np.testing.assert_array_equal(b.values, [1, 2])
+        # Halving rung 1's [1, 3] would give [1, 2], 0.75 tau_2 away from beta;
+        # rounding beta once at tau_2 = 4 stays within tau_2 / 2.
+        q = quantize_beta([1.0, 5.0], 2)
+        np.testing.assert_array_equal(q.values, [0, 1])
+        assert q.tau == 4.0
 
     def test_exhausted_ladder_rejected(self):
-        b = IntegerBeta(values=np.array([1, -1, 0]), tau=1.0)
         with pytest.raises(QuantizationError, match="exhausted"):
-            reduce_precision_step(b)
+            quantize_beta([1.0, -1.0, 0.0], 1)
+        with pytest.raises(QuantizationError, match="exhausted"):
+            quantize_beta([1.0, 5.0], 10**6)
+        with pytest.raises(QuantizationError, match="at least 0"):
+            quantize_beta([1.0, 5.0], -1)
 
     def test_full_ladder_length_and_terminal(self, rng):
-        # big-integer oracle: simulate the halving with Python ints
+        # exact oracle: rung r is round(beta / (tau * 2**r)) in rational arithmetic
         for _ in range(30):
-            vals = rng.integers(-10_000, 10_000, size=(5, 3)).astype(np.int64)
+            vals = rng.integers(-10_000, 10_000, size=(5, 3))
             if np.abs(vals).max() <= 1:
                 vals[0, 0] = int(rng.integers(2, 10_000))
-            b = IntegerBeta(values=vals, tau=1.0)
-            rungs = precision_ladder(b)
+            rungs = precision_ladder(vals.astype(np.float64))
             assert rungs[-1].max_abs == 1
-            oracle = [[int(v) for v in vals.ravel()]]
-            while max(abs(v) for v in oracle[-1]) > 1:
-                oracle.append(
-                    [(1 if v > 0 else -1) * ((abs(v) + 1) // 2) if v else 0 for v in oracle[-1]]
-                )
+            tau = int(np.abs(vals[vals != 0]).min())
+            oracle = []
+            while not oracle or max(map(abs, oracle[-1])) > 1:
+                scale = tau * 2 ** len(oracle)
+                oracle.append([(1 if v > 0 else -1) * math.floor(Fraction(abs(int(v)), scale) + Fraction(1, 2))
+                               for v in vals.ravel()])
             assert len(rungs) == len(oracle)
-            np.testing.assert_array_equal(rungs[-1].values.ravel(), oracle[-1])
+            for rung, expected in zip(rungs, oracle):
+                np.testing.assert_array_equal(rung.values.ravel(), expected)
             steps = len(rungs) - 1
-            expected = int(np.floor(np.log2(b.max_abs)))
+            expected = int(np.floor(np.log2(rungs[0].max_abs)))
             assert abs(steps - expected) <= 1
 
     def test_error_growth_bound_per_step(self, rng):
-        # one halving adds at most 2^(step-1) to the error against beta/tau
+        # every rung is within tau_r / 2 of beta, so no rung adds more than 2^(step-1)
         for _ in range(20):
             beta = rng.standard_normal(40) * 100
             q = quantize_beta(beta)
             exact = beta / q.tau
-            rungs = precision_ladder(q)
+            rungs = precision_ladder(beta)
             prev_err = np.abs(rungs[0].values - exact)
             for rung in rungs[1:]:
                 err = np.abs(rung.values * 2.0**rung.ladder_step - exact)
+                assert np.all(err <= 2.0 ** (rung.ladder_step - 1) + 1e-9)
                 assert np.all(err <= prev_err + 2.0 ** (rung.ladder_step - 1) + 1e-9)
                 prev_err = err
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_every_rung_is_beta_rounded_once(self, data):
+        rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+        entry = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(1e-3, 1e3)).map(lambda t: t[0] * t[1])
+        beta = np.array(data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
+        beta = beta.reshape(rows, cols)
+        if not beta.any():
+            beta[0, 0] = 1.0
+        if data.draw(st.booleans()):  # a hidden unit fed only by rounding noise
+            near_zero = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(1e-15, 1e-12))
+            beta.flat[data.draw(st.integers(0, beta.size - 1))] = near_zero
+        tau = float(np.abs(beta[beta != 0]).min())
+        rungs = precision_ladder(beta)
+        np.testing.assert_array_equal(rungs[0].values, round_half_away(beta / tau))
+        for r, rung in enumerate(rungs):
+            assert rung.ladder_step == r
+            assert rung.tau == tau * 2.0**r
+            assert np.all(np.abs(rung.values * rung.tau - beta) <= rung.tau / 2 + 1e-12 * np.abs(beta))
+        widths = [bit_width(rung) for rung in rungs]
+        assert widths == sorted(widths, reverse=True)
+        assert rungs[-1].max_abs == 1
+        with pytest.raises(QuantizationError, match="exhausted"):
+            quantize_beta(beta, len(rungs))
+
+    def test_fit_headroom_returns_first_rung_within_limit(self):
+        model = near_zero_beta_model()
+        limit = output_beta_limit(model.n, model.L, (0, 255))
+        fitted = make_quantized(model, (0, 255), fit_headroom=True).int_beta
+        first = next(rung for rung in precision_ladder(model.beta) if rung.max_abs <= limit)
+        assert fitted.ladder_step == first.ladder_step > 0
+        assert fitted.tau == first.tau
+        np.testing.assert_array_equal(fitted.values, first.values)
 
 
 class TestBitWidth:
@@ -142,10 +187,10 @@ class TestBitWidth:
         assert bit_width(IntegerBeta(values=np.zeros(3, dtype=np.int64), tau=1.0)) == 1
 
     def test_decreases_by_one_per_rung(self, rng):
-        b = IntegerBeta(values=rng.integers(-500, 500, size=(4, 4)).astype(np.int64), tau=1.0)
-        if b.max_abs <= 1:
-            b.values[0, 0] = 500
-        rungs = precision_ladder(b)
+        beta = rng.integers(-500, 500, size=(4, 4)).astype(np.float64)
+        if np.abs(beta).max() <= 1:
+            beta[0, 0] = 500
+        rungs = precision_ladder(beta)
         widths = [bit_width(r) for r in rungs]
         assert widths == sorted(widths, reverse=True)
         assert widths[-1] == 2
