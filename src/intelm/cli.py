@@ -109,10 +109,10 @@ def _check_option(ok: bool, option: str) -> None:
 
 
 def cmd_train(args) -> int:
-    _check_option(exp.in_range("L", args.L), "--L")
-    _check_option(exp.in_range("gamma", args.gamma), "--gamma")
-    _check_option(exp.in_range("seed", args.seed), "--seed")
-    _check_option(exp.in_range("train_limit", args.train_limit), "--train-limit")
+    _check_option(dat.in_range("L", args.L), "--L")
+    _check_option(dat.in_range("gamma", args.gamma), "--gamma")
+    _check_option(dat.in_range("seed", args.seed), "--seed")
+    _check_option(dat.in_range("train_limit", args.train_limit), "--train-limit")
     steps = [s for s in args.preprocess.split(",") if s]
     try:
         dat.check_steps(steps)
@@ -154,10 +154,10 @@ def cmd_quantize(args) -> int:
     if not isinstance(model, FloatModel):
         raise CliError(EXIT_ERROR, reason="already_quantized", path=args.model)
     qm = exp.make_quantized(model, (lo, hi), fit_headroom=True)
-    ib = qm.int_beta
     if args.ladder_steps:
-        ib = quantize_beta(model.beta, ib.ladder_step + args.ladder_steps)
-    save_model(dataclasses.replace(qm, int_beta=ib), out)
+        qm = dataclasses.replace(qm, int_beta=quantize_beta(model.beta, qm.int_beta.ladder_step + args.ladder_steps))
+    save_model(qm, out)
+    ib = qm.int_beta
     print(
         f"quantized tau={ib.tau:.6g} ladder_step={ib.ladder_step} "
         f"bit_width={bit_width(ib)} out={out}"
@@ -199,7 +199,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_select(args) -> int:
-    _check_option(exp.in_range("selection_threshold", args.threshold), "--threshold")
+    _check_option(dat.in_range("selection_threshold", args.threshold), "--threshold")
     raw = _load_dataset(args)
     candidates = []
     for path in args.models:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -198,6 +199,7 @@ def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) 
 
 def load_cifar10(batch_paths, class_filter: tuple[str, str] | None = None) -> RawDataset:
     """Parse CIFAR-10 binary batches; optionally keep two classes relabeled {0, 1}."""
+    check_range("class_filter", class_filter, DataFormatError)
     samples, labels = [], []
     for path in map(Path, batch_paths):
         blob = path.read_bytes()
@@ -212,11 +214,7 @@ def load_cifar10(batch_paths, class_filter: tuple[str, str] | None = None) -> Ra
     labels = np.concatenate(labels) if labels else np.zeros(0, dtype=np.uint8)
     if class_filter is None:
         return RawDataset(samples, labels, class_count=10, source="cifar10")
-    wanted = []
-    for name in class_filter:
-        if name not in CIFAR10_CLASSES:
-            raise DataFormatError(f"unknown CIFAR-10 class {name!r}")
-        wanted.append(CIFAR10_CLASSES.index(name))
+    wanted = [CIFAR10_CLASSES.index(name) for name in class_filter]
     keep = np.isin(labels, wanted)
     relabeled = (labels[keep] == wanted[1]).astype(np.int64)
     return RawDataset(samples[keep], relabeled, class_count=2, source="cifar10")
@@ -405,6 +403,31 @@ def check_steps(steps) -> tuple[str, ...]:
     return tuple(steps)
 
 
+# The one range of each parameter, for config and dataset keys, CLI options and library calls.
+# gamma compares as is (a JSON integer past float64 is refused, not cast); 1/gamma overflows to inf, not a warning.
+RANGES = {
+    **dict.fromkeys(("L", "models_per_L", "pairs", "jobs", "count", "patch_size", "train_limit"),
+                    (lambda v: v >= 1, ">= 1")),
+    "seed": (lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
+    "gamma": (lambda v: 0 < v <= sys.float_info.max and 1 / float(v) <= sys.float_info.max,
+              "> 0 with gamma and 1/gamma finite"),
+    "selection_threshold": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "split_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "class_filter": (lambda v: len(v) == len(set(v) & set(CIFAR10_CLASSES)) == 2, "two different CIFAR-10 classes"),
+}
+
+
+def in_range(param: str, value) -> bool:
+    """Whether value lies in param's range; an absent (None) value always does."""
+    return value is None or RANGES[param][0](value)
+
+
+def check_range(param: str, value, error=ValueError) -> None:
+    """Raise error(message) when value lies outside param's range (in_range)."""
+    if not in_range(param, value):
+        raise error(f"{param} must be {RANGES[param][1]}, got {value}")
+
+
 def max_abs(X: np.ndarray) -> int:
     """Largest magnitude in an integer array, 0 when empty."""
     return max(-int(X.min(initial=0)), int(X.max(initial=0)))
@@ -497,8 +520,7 @@ def limit_rows(raw: RawDataset, limit: int | None, seed: int) -> RawDataset:
 
 def split_train_val(dataset: RawDataset, fraction: float = 0.8, seed: int = 0):
     """Stratified random split of a RawDataset into (train, val), deterministic per seed."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    check_range("split_fraction", fraction)
     labels = dataset.labels
     rng = make_rng(seed)
     train_idx, val_idx = [], []

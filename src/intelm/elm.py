@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from intelm.data import InputError, check_steps, integer_rows, max_abs, reject_blank_rows
+from intelm.data import InputError, check_range, check_steps, integer_rows, max_abs, reject_blank_rows
 from intelm.linalg import (
     DimensionError,
     FloatKernel,
@@ -76,15 +76,9 @@ class FloatModel:
     def __post_init__(self):
         if self.weight_kind not in GENERATORS:
             raise ValueError(f"unknown weight kind {self.weight_kind!r}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.beta.shape[0] != self.input_weights.shape[1]:
-            raise DimensionError(
-                f"beta has {self.beta.shape[0]} rows, input weights have "
-                f"{self.input_weights.shape[1]} columns"
-            )
-        if min(self.n, self.L, self.m) < 1:
-            raise DimensionError(f"model has an empty dimension: n={self.n}, L={self.L}, m={self.m}")
+        check_range("gamma", self.gamma)
+        check_range("seed", self.seed)
+        check_shape(self.input_weights, self.beta)
         if not np.all(np.isfinite(self.beta)):
             raise ValueError("beta contains NaN or Inf")
         self.steps = check_steps(self.metadata.get("preprocessing", []))
@@ -109,6 +103,15 @@ class FloatModel:
     @property
     def m(self) -> int:
         return self.beta.shape[1]
+
+
+def check_shape(W: np.ndarray, beta: np.ndarray) -> None:
+    """The model-shape rule: beta has one row per column of W, and n, L and m are each at least 1."""
+    (n, L), m = W.shape, beta.shape[1]
+    if beta.shape[0] != L:
+        raise DimensionError(f"beta has {beta.shape[0]} rows, input weights have {L} columns")
+    if min(n, L, m) < 1:
+        raise DimensionError(f"model has an empty dimension: n={n}, L={L}, m={m}")
 
 
 def check_ternary(W: np.ndarray) -> None:
@@ -221,6 +224,8 @@ def train(
     ones are folded into them, and no block outlives its fold, so the
     solve runs with the Gram alone.
     """
+    check_range("gamma", gamma)
+    check_range("seed", seed)
     X = _sample_rows(X_norm, "X_norm")
     targets = as_matrix(targets, "targets")
     W = np.asarray(W)

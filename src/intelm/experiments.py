@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import inspect
-import sys
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -69,28 +68,8 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
-# The range of each parameter, shared by the config keys, the dataset keys
-# and the CLI options. A seed is stored as u64 in model files; gamma
-# compares as is, so a JSON integer beyond float64 is refused, not cast.
-RANGES = {
-    **dict.fromkeys(("L", "models_per_L", "pairs", "jobs", "count", "patch_size", "train_limit"),
-                    (lambda v: v >= 1, ">= 1")),
-    "seed": (lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
-    "gamma": (lambda v: 0 < v and max(v, 1 / v) <= sys.float_info.max, "> 0 with gamma and 1/gamma finite"),
-    "selection_threshold": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "split_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "class_filter": (lambda v: v[0] != v[1] and set(v) <= set(dat.CIFAR10_CLASSES), "two different CIFAR-10 classes"),
-}
-
-
-def in_range(param: str, value) -> bool:
-    """Whether value lies in param's range; an absent (None) value always does."""
-    return value is None or RANGES[param][0](value)
-
-
 def _check_range(key: str, param: str, value) -> None:
-    if not in_range(param, value):
-        raise ConfigError(key, f"{key} must be {RANGES[param][1]}, got {value}")
+    dat.check_range(param, value, lambda message: ConfigError(key, message))
 
 
 @dataclass
@@ -116,7 +95,7 @@ class ExperimentConfig:
         for L in self.L_list:
             _check_range("L_list", "L", L)
         for f in fields(self):
-            if f.name in RANGES:
+            if f.name in dat.RANGES:
                 _check_range(f.name, f.name, getattr(self, f.name))
         kind = self.dataset.get("kind")
         if kind not in DATASET_KINDS:
@@ -226,7 +205,7 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[dat.RawDataset, dat.RawDa
 
 
 def _check_keys(obj: dict, required: dict, optional: dict, prefix: str = "") -> None:
-    """Name prefix + the first key that is unknown, of the wrong type or out of RANGES, then the first missing one."""
+    """Name prefix + the first key that is unknown, of the wrong type or out of data.RANGES, then the first missing one."""
     for key, value in obj.items():
         name = f"{prefix}{key}"
         hint = required.get(key, optional.get(key))
@@ -234,7 +213,7 @@ def _check_keys(obj: dict, required: dict, optional: dict, prefix: str = "") -> 
             raise ConfigError(name, f"invalid config key {name}")
         if not _has_json_type(value, hint):
             raise ConfigError(name, f"config key {name} has the wrong type: {value!r}")
-        if key in RANGES:
+        if key in dat.RANGES:
             _check_range(name, key, value)
     for key in required:
         if key not in obj:
@@ -255,6 +234,7 @@ def select_model(candidates, threshold: float = 0.95):
     candidates: iterable of (model, val_accuracy). Ties on energy break by
     lowest seed, so the result is independent of candidate order.
     """
+    dat.check_range("selection_threshold", threshold)
     candidates = list(candidates)
     if not candidates:
         raise ValueError("no candidate models to select from")

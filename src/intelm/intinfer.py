@@ -37,8 +37,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from intelm.data import InputError, centred_rows_fit_int64, check_steps, integer_rows, reject_blank_rows
-from intelm.elm import check_ternary, class_labels
+from intelm.data import InputError, centred_rows_fit_int64, check_range, check_steps, integer_rows, reject_blank_rows
+from intelm.elm import check_shape, check_ternary, class_labels
 from intelm.linalg import BUILD_BLOCK_BYTES, DimensionError, FloatKernel, exact_dtype  # noqa: F401 (re-exported)
 from intelm.quantize import IntegerBeta
 
@@ -197,16 +197,11 @@ class QuantizedModel:
 
     def __post_init__(self):
         check_ternary(self.ternary_weights)
+        check_shape(self.ternary_weights, self.int_beta.values)
+        check_range("seed", self.seed)
         W = self.ternary_weights
         if not (W.dtype == np.int8 and _views_bytes(W)):
             W = _read_only(W.astype(np.int8))
-        if self.int_beta.values.shape[0] != W.shape[1]:
-            raise DimensionError(
-                f"int beta has {self.int_beta.values.shape[0]} rows, "
-                f"weights have {W.shape[1]} columns"
-            )
-        if min(self.n, self.L, self.m) < 1:
-            raise DimensionError(f"model has an empty dimension: n={self.n}, L={self.L}, m={self.m}")
         lo, hi = self.input_range
         if lo > hi:
             raise ValueError(f"input range ({lo}, {hi}) has lo > hi")

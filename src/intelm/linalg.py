@@ -37,6 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
+from intelm.data import check_range
+
 # Each dtype with the magnitude below which it holds every integer exactly.
 EXACT_INTEGER_LIMITS = ((np.float32, 2**24), (np.float64, 2**53), (np.int64, 2**63))
 # Bytes of float W a few-row FloatKernel projection casts per block: half of a common 1 MB L2.
@@ -177,9 +179,8 @@ class SpdSystem:
         return self.gram.shape[0]
 
     def add_ridge(self, gamma: float) -> None:
-        """Add the I/gamma shift that makes the system strictly positive definite."""
-        if not gamma > 0 or np.isinf(1.0 / float(gamma)):
-            raise ValueError(f"gamma must be positive with a finite 1/gamma, got {gamma}")
+        """Add the I/gamma shift that makes the system strictly positive definite; gamma in data.RANGES."""
+        check_range("gamma", gamma)
         self.gram[np.diag_indices(self.size)] += 1.0 / gamma
 
     def symmetrized(self) -> np.ndarray:

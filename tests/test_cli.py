@@ -239,6 +239,18 @@ class TestQuantizeAndClassify:
         assert code == 1 and captured.out == ""
         assert "reason=ModelFormatError" in captured.err and "NaN" in captured.err
 
+    @pytest.mark.parametrize("gamma", [0.0, float("inf"), 1e-320])
+    def test_model_with_a_refused_gamma_exit_1(self, idx_dataset, tmp_path, capsys, gamma):
+        model_path = self._trained(idx_dataset, tmp_path)
+        blob = bytearray(model_path.read_bytes())
+        struct.pack_into("<d", blob, 20, gamma)  # header: magic, version, n, L, m, then f64 gamma
+        model_path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["classify", "--model", str(model_path), "--input", str(idx_dataset[0]), "--scores"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "reason=ModelFormatError" in captured.err
+        assert "gamma_must_be_>_0_with_gamma_and_1/gamma_finite" in captured.err
+
     @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
     @pytest.mark.parametrize("dim", ["L", "m"])
     def test_model_with_an_empty_dimension_exit_1(self, tmp_path, capsys, dim, integer):

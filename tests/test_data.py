@@ -1,15 +1,21 @@
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_float_model
+from intelm import data
+from intelm.cli import main
 from intelm.data import (
     DataFormatError,
     RawDataset,
     check_steps,
     extract_patches,
+    in_range,
     integer_rows,
     limit_rows,
     load_cifar10,
@@ -24,7 +30,11 @@ from intelm.data import (
     write_cifar10_batch,
     write_idx,
 )
-from intelm.elm import gen_weights_ternary, hidden_features
+from intelm.elm import FloatModel, gen_weights_ternary, hidden_features, one_hot, train
+from intelm.experiments import ConfigError, ExperimentConfig, select_model
+from intelm.intinfer import QuantizedModel
+from intelm.linalg import SpdSystem
+from intelm.quantize import IntegerBeta
 from intelm.seeding import make_rng
 
 
@@ -182,7 +192,8 @@ class TestCifar10:
             np.array([4], dtype=np.uint8),
             tmp_path / "b.bin",
         )
-        with pytest.raises(DataFormatError, match="unknown CIFAR-10 class"):
+        with pytest.raises(DataFormatError, match=r"class_filter must be two different CIFAR-10 classes, "
+                                                  r"got \('deer', 'unicorn'\)"):
             load_cifar10([tmp_path / "b.bin"], class_filter=("deer", "unicorn"))
 
 
@@ -513,3 +524,135 @@ def test_damaged_input_parses_or_raises_data_format_error(valid_inputs, tmp_path
     except DataFormatError:
         return
     assert isinstance(parsed, (RawDataset, np.ndarray))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda d: RawDataset(np.zeros((2, 3), np.uint8), [0], class_count=1), DataFormatError,
+         "2 samples but 1 labels"),
+        (lambda d: RawDataset(np.zeros((2, 3), np.uint8), [0, 2], class_count=2), DataFormatError,
+         r"labels outside \[0, 2\)"),
+        (lambda d: RawDataset(np.zeros((1, 3), np.uint8), [-1], class_count=2), DataFormatError,
+         r"labels outside \[0, 2\)"),
+        (lambda d: write_idx(np.zeros((1, 5)), [0], d / "i", d / "l"), DataFormatError,
+         "flattened images must be square to write IDX"),
+        (lambda d: write_cifar10_batch(np.zeros((1, 10)), [0], d / "b.bin"), DataFormatError,
+         "record length 11 != 3073"),
+        (lambda d: extract_patches(np.zeros((8, 8)), 2, 1, region="top"), ValueError, "unknown region 'top'"),
+        (lambda d: synthetic_texture_image("diagonal", 4, seed=0), ValueError, "unknown axis 'diagonal'"),
+    ],
+    ids=["count_mismatch", "label_above", "label_below", "idx_not_square", "cifar_record", "region", "axis"],
+)
+def test_typed_errors(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
+
+
+def refuses(param: str, call) -> bool:
+    """Whether call raises the ValueError of param's range; any warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except ValueError as e:
+            assert f"{param} must be {data.RANGES[param][1]}, got " in str(e)
+            return True
+    return False
+
+
+def small_task():
+    """Positive rows through positive weights: a full-rank hidden layer, solvable at any ridge."""
+    rng = make_rng(3)
+    return rng.random((12, 4)) + 0.5, one_hot(np.arange(12) % 2, 2), rng.random((4, 3)) + 0.5
+
+
+def fit(gamma=1.0, seed=0):
+    X, targets, W = small_task()
+    return train(X, targets, W, gamma, seed=seed)
+
+
+def ternary_model(gamma=1.0, seed=0):
+    return FloatModel(np.ones((2, 2), np.int8), np.ones((2, 1)), gamma, "ternary", seed)
+
+
+def quantized_model(seed=0):
+    return QuantizedModel(np.ones((2, 2), np.int8), IntegerBeta(np.ones((2, 1), np.int64), tau=1.0), seed=seed)
+
+
+def cifar_batch(path):
+    labels = np.array([3, 5, 0, 3], np.uint8)  # cat, dog, airplane, cat
+    write_cifar10_batch(np.zeros((4, 3072), np.uint8), labels, path)
+    return path
+
+
+def split_input():
+    return RawDataset(np.arange(20).reshape(10, 2), np.arange(10) % 2, class_count=2)
+
+
+def candidates():
+    rng = make_rng(4)
+    return [(random_float_model(rng), 0.9), (random_float_model(rng), 0.8)]
+
+
+GAMMAS = {"0": 0, "-1": -1, "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "5e-324": 5e-324,
+          "1e-320": 1e-320, "1e-300": 1e-300, "1.0": 1.0, "float_max": sys.float_info.max,
+          "np.float64(1e-320)": np.float64(1e-320), "10**400": 10**400}
+# (test id, parameter, value, entry point, whether the range refuses the value)
+RANGE_CASES = [
+    *((f"gamma-{entry}-{name}", "gamma", v, entry, name not in ("1e-300", "1.0", "float_max"))
+      for name, v in GAMMAS.items() for entry in ("FloatModel", "add_ridge", "train")),
+    *((f"split_fraction-{v}", "split_fraction", v, "split_train_val", v != 0.5) for v in (0, 1, -0.5, float("nan"), 0.5)),
+    *((f"class_filter-{v}", "class_filter", v, "load_cifar10", v != ("cat", "dog"))
+      for v in (("cat", "cat"), ("cat", "unicorn"), ("cat", "dog"))),
+    *((f"seed-{entry}-{v}", "seed", v, entry, v in (-1, 2**64)) for v in (-1, 0, 2**64 - 1, 2**64)
+      for entry in ("FloatModel", "QuantizedModel", "train")),
+    *((f"selection_threshold-{v}", "selection_threshold", v, "select_model", v not in (0.5, 1))
+      for v in (0, -1, 0.5, 1, 1.5)),
+]
+ENTRY_POINTS = {
+    ("gamma", "FloatModel"): lambda v, d: ternary_model(gamma=v),
+    ("gamma", "add_ridge"): lambda v, d: SpdSystem(np.eye(2), np.zeros((2, 1))).add_ridge(v),
+    ("gamma", "train"): lambda v, d: fit(gamma=v),
+    ("split_fraction", "split_train_val"): lambda v, d: split_train_val(split_input(), v),
+    ("class_filter", "load_cifar10"): lambda v, d: load_cifar10([cifar_batch(d / "b.bin")], v),
+    ("seed", "FloatModel"): lambda v, d: ternary_model(seed=v),
+    ("seed", "QuantizedModel"): lambda v, d: quantized_model(seed=v),
+    ("seed", "train"): lambda v, d: fit(seed=v),
+    ("selection_threshold", "select_model"): lambda v, d: select_model(candidates(), v),
+}
+
+
+class TestRanges:
+    """Every library function that takes a parameter refuses exactly what data.RANGES refuses."""
+
+    @pytest.mark.parametrize("param, value, entry, refused", [case[1:] for case in RANGE_CASES],
+                             ids=[case[0] for case in RANGE_CASES])
+    def test_entry_point_refuses_exactly_what_the_table_refuses(self, tmp_path, param, value, entry, refused):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bool(in_range(param, value)) != refused
+        assert refuses(param, lambda: ENTRY_POINTS[param, entry](value, tmp_path)) == refused
+
+    def test_class_filter_refusal_is_a_data_format_error(self, tmp_path):
+        path = cifar_batch(tmp_path / "b.bin")
+        for pair in (("cat", "cat"), ("cat", "unicorn"), ("cat", "dog", "frog"), ("cat",)):
+            with pytest.raises(DataFormatError, match="class_filter must be two different CIFAR-10 classes"):
+                load_cifar10([path], pair)
+        cats_and_dogs = load_cifar10([path], ("cat", "dog"))
+        assert cats_and_dogs.labels.tolist() == [0, 1, 0] and cats_and_dogs.class_count == 2
+
+    def test_config_options_and_library_read_one_table(self, tmp_path, monkeypatch, capsys):
+        """A range changed in data.RANGES changes the config check, the CLI check and the library's."""
+        missing = str(tmp_path / "missing" / "m.ielm")
+        argv = ["train", "--images", missing, "--labels", missing, "--L", "4", "--out", missing, "--gamma", "2"]
+        assert main(argv) == 1  # in range: the missing output directory is the first error
+        monkeypatch.setitem(data.RANGES, "gamma", (lambda v: v != 2, "not 2"))
+        assert main(argv) == 4
+        assert {"reason=invalid_option", "option=--gamma"} <= set(capsys.readouterr().err.split())
+        with pytest.raises(ConfigError, match="gamma must be not 2") as err:
+            ExperimentConfig(mode="size_sweep", dataset={"kind": "textures"}, gamma=2)
+        assert err.value.key == "gamma"
+        for entry in ("FloatModel", "add_ridge", "train"):
+            assert refuses("gamma", lambda: ENTRY_POINTS["gamma", entry](2, tmp_path))
+            assert not refuses("gamma", lambda: ENTRY_POINTS["gamma", entry](3, tmp_path))

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import gauss_solve, kernel_form, naive_hidden, random_float_model
+from intelm import elm
 from intelm.data import DataFormatError, InputError, RawDataset, max_abs, preprocess
 from intelm.elm import (
     FloatModel,
@@ -657,3 +658,34 @@ class TestSampleDtypeInvariance:
             else:
                 np.testing.assert_array_equal(labels, expected_labels)
             assert [scores_float(m, samples).tobytes() for m in float_models] == expected_float
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: one_hot([[0, 1]], 2), ValueError, r"labels must be 1-D, got shape \(1, 2\)"),
+        (lambda: FloatModel(np.ones((2, 3)), np.ones((3, 1)), 1.0, "binary", 0), ValueError,
+         "unknown weight kind 'binary'"),
+        (lambda: hidden_features(np.ones((3, 2), np.int8), np.zeros((1, 2, 3), np.int64)), DimensionError,
+         r"X must be 2-D, got shape \(1, 2, 3\)"),
+        (lambda: FloatModel(np.ones((2, 3)), np.ones((2, 1)), 1.0, "continuous", 0), DimensionError,
+         "beta has 2 rows, input weights have 3 columns"),
+    ],
+    ids=["one_hot_2d", "weight_kind", "integer_x_3d", "beta_rows"],
+)
+def test_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("gamma, seed", [(0.0, 0), (float("inf"), 0), (1e-320, 0), (1.0, -1), (1.0, 2**64)])
+def test_train_refuses_gamma_and_seed_before_projecting(monkeypatch, gamma, seed):
+    calls = []
+    project = elm.hidden_features
+    monkeypatch.setattr(elm, "hidden_features", lambda *args: calls.append(1) or project(*args))
+    X, W = np.ones((4, 3)), np.ones((3, 2))
+    with pytest.raises(ValueError, match="gamma must be|seed must be"):
+        train(X, one_hot([0, 1, 0, 1], 2), W, gamma, seed=seed)
+    assert calls == []
+    train(X, one_hot([0, 1, 0, 1], 2), W, 1.0, seed=0)
+    assert calls == [1]

@@ -267,3 +267,8 @@ class TestBetaEnergy:
     def test_is_frobenius_norm(self, rng):
         model = random_float_model(rng)
         assert beta_energy(model) == pytest.approx(float(np.sqrt((model.beta**2).sum())))
+
+
+def test_make_quantized_refuses_continuous_weights():
+    with pytest.raises(ValueError, match="integer path needs ternary weights, model has continuous"):
+        make_quantized(random_float_model(make_rng(1)), (0, 255))

@@ -979,3 +979,18 @@ class TestFloatOpAudit:
         model = random_quantized_model(rng)
         s = int_scores(model, random_sample(rng, model))
         assert np.issubdtype(s.dtype, np.integer)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda m: ternary_project(m.kernel_weights, np.ones((2, m.n + 1), np.int64)), DimensionError,
+         "sample has 9 values, weights expect 8"),
+        (lambda m: QuantizedModel(m.ternary_weights, IntegerBeta(np.ones((m.L - 1, 2), np.int64), tau=1.0)),
+         DimensionError, "beta has 5 rows, input weights have 6 columns"),
+    ],
+    ids=["project_width", "beta_rows"],
+)
+def test_typed_errors(rng, call, error, match):
+    with pytest.raises(error, match=match):
+        call(random_quantized_model(rng))

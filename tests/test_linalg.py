@@ -103,7 +103,7 @@ class TestSolveSpd:
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), 1e-320])
     def test_ridge_needs_a_finite_inverse(self, gamma):
-        with pytest.raises(ValueError, match="gamma must be positive with a finite 1/gamma"):
+        with pytest.raises(ValueError, match=r"gamma must be > 0 with gamma and 1/gamma finite, got"):
             SpdSystem(np.zeros((2, 2)), np.zeros((2, 1))).add_ridge(gamma)
 
     def test_breakdown_names_pivot(self):
@@ -141,6 +141,12 @@ class TestSolveSpd:
         for start in (acc, None):
             with pytest.raises(ValueError, match="NaN"):
                 accumulate_gram([[np.nan, 1.0]], start, [[1.0]])
+
+
+@pytest.mark.parametrize("diagonal", [[0.0, 1.0], [1.0, -2.0]], ids=["zero", "negative"])
+def test_non_positive_gram_diagonal_is_refused(diagonal):
+    with pytest.raises(ValueError, match=r"gram diagonal has non-positive entries \(missing ridge shift\?\)"):
+        solve_spd(SpdSystem(np.diag(diagonal), np.ones((2, 1))))
 
 
 @pytest.mark.parametrize(

@@ -73,6 +73,12 @@ class TestQuantizeBeta:
         assert np.all(np.sign(q.values[big]) == np.sign(beta[big]))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+def test_integer_beta_refuses_values_that_are_not_integers(dtype):
+    with pytest.raises(QuantizationError, match=f"values must be integers, got dtype {np.dtype(dtype)}"):
+        IntegerBeta(values=np.ones((2, 1), dtype), tau=1.0)
+
+
 class TestRoundHalfAway:
     @pytest.mark.parametrize(
         "x,expected", [(0.5, 1), (-0.5, -1), (1.5, 2), (-1.5, -2), (2.4, 2), (-2.6, -3)]
