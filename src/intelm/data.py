@@ -406,7 +406,7 @@ def check_steps(steps) -> tuple[str, ...]:
 # The one range of each parameter, for config and dataset keys, CLI options and library calls.
 # gamma compares as is (a JSON integer past float64 is refused, not cast); 1/gamma overflows to inf, not a warning.
 RANGES = {
-    **dict.fromkeys(("L", "models_per_L", "pairs", "jobs", "count", "patch_size", "train_limit"),
+    **dict.fromkeys(("n", "L", "m", "models_per_L", "pairs", "jobs", "count", "patch_size", "train_limit"),
                     (lambda v: v >= 1, ">= 1")),
     "seed": (lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
     "gamma": (lambda v: 0 < v <= sys.float_info.max and 1 / float(v) <= sys.float_info.max,
@@ -418,8 +418,11 @@ RANGES = {
 
 
 def in_range(param: str, value) -> bool:
-    """Whether value lies in param's range; an absent (None) value always does."""
-    return value is None or RANGES[param][0](value)
+    """Whether value lies in param's range: always an absent (None) value, never one it cannot compare."""
+    try:
+        return value is None or RANGES[param][0](value)
+    except TypeError:
+        return False
 
 
 def check_range(param: str, value, error=ValueError) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from intelm.data import InputError, check_range, check_steps, integer_rows, max_abs, reject_blank_rows
+from intelm.data import InputError, blank_rows, check_range, check_steps, integer_rows, max_abs, reject_blank_rows
 from intelm.linalg import (
     DimensionError,
     FloatKernel,
@@ -106,12 +106,12 @@ class FloatModel:
 
 
 def check_shape(W: np.ndarray, beta: np.ndarray) -> None:
-    """The model-shape rule: beta has one row per column of W, and n, L and m are each at least 1."""
+    """The model-shape rule: beta has one row per column of W, and n, L and m lie in data.RANGES."""
     (n, L), m = W.shape, beta.shape[1]
     if beta.shape[0] != L:
         raise DimensionError(f"beta has {beta.shape[0]} rows, input weights have {L} columns")
-    if min(n, L, m) < 1:
-        raise DimensionError(f"model has an empty dimension: n={n}, L={L}, m={m}")
+    for param, size in (("n", n), ("L", L), ("m", m)):
+        check_range(param, size, DimensionError)
 
 
 def check_ternary(W: np.ndarray) -> None:
@@ -122,14 +122,10 @@ def check_ternary(W: np.ndarray) -> None:
         raise ValueError("ternary weights must lie in {-1, 0, 1}")
 
 
-def _check_size(n: int, L: int) -> None:
-    if n < 1 or L < 1:
-        raise ValueError(f"weight matrix sizes must be >= 1, got n={n}, L={L}")
-
-
 def gen_weights_continuous(n: int, L: int, seed: int) -> np.ndarray:
     """i.i.d. uniform on the open interval (0, 1)."""
-    _check_size(n, L)
+    check_range("n", n)
+    check_range("L", L)
     rng = make_rng(seed)
     w = rng.random((n, L))
     # random() covers [0, 1); resample the (measure-zero) exact zeros.
@@ -146,7 +142,8 @@ def gen_weights_ternary(n: int, L: int, seed: int) -> np.ndarray:
     numpy draws int32 and int64 values below 2**32 from one 32-bit stream,
     so the int32 draw gives the weights of the default int64 one, faster.
     """
-    _check_size(n, L)
+    check_range("n", n)
+    check_range("L", L)
     return make_rng(seed).integers(-1, 2, size=(n, L), dtype=np.int32).astype(np.int8)
 
 
@@ -263,18 +260,36 @@ def scores_float(model: FloatModel, X) -> np.ndarray:
     and the scores are a positive multiple of those of the preprocessed
     samples, with the same argmax. A score that overflows float64, which
     only weights far beyond any trained model's can cause, raises
-    ScoreOverflowError instead of yielding an arbitrary argmax.
+    ScoreOverflowError instead of yielding an arbitrary argmax. A sample
+    that is not blank but whose float64 row (where int64 would overflow)
+    rounds to all zero would score all 0 and is an InputError; only this
+    scorer forms such rows, as a QuantizedModel's headroom proof keeps its exact.
     """
+    Z = integer_rows(X, model.steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        S = hidden_features(model.input_weights, integer_rows(X, model.steps)) @ model.beta
+        S = hidden_features(model.input_weights, Z) @ model.beta
     if not np.isfinite(S).all():
         raise ScoreOverflowError("float class scores overflow float64 on this input")
+    if Z.dtype == np.float64:
+        rounded = ~Z.any(axis=-1) & ~blank_rows(X, model.steps)
+        if rounded.any():
+            raise InputError(
+                f"cannot classify the sample at row {int(np.argmax(rounded))}: "
+                "its float64 integer row rounds to all zero"
+            )
     return S
+
+
+def _one_sample(x, caller: str) -> np.ndarray:
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise DimensionError(f"{caller} takes one sample, got shape {x.shape}")
+    return x
 
 
 def predict_float(model: FloatModel, x) -> int:
     """Predicted class index of one sample; ties break to the lowest index."""
-    return int(predict_float_batch(model, np.asarray(x)[None])[0])
+    return int(predict_float_batch(model, _one_sample(x, "predict_float")[None])[0])
 
 
 def predict_float_batch(model: FloatModel, X) -> np.ndarray:
@@ -285,23 +300,14 @@ def predict_float_batch(model: FloatModel, X) -> np.ndarray:
 def class_labels(model, X, scores) -> np.ndarray:
     """The label of each row of samples X: the lowest-index argmax of its row of the model's scores.
 
-    scores are the model's scorer's (scores_float, or intinfer.int_scores)
-    on the 2-D X, so a sample of the wrong width, dtype or range has failed
-    there first. A blank row is an InputError (data.reject_blank_rows). So
-    is a sample that is not blank but whose float64 integer row (where
-    int64 would overflow) rounds to all zero: its scores would all be 0.
-    Only a float model can be given such a sample; a QuantizedModel's
-    headroom proof keeps its rows exact.
+    The one label step of both paths. scores are the model's scorer's
+    (scores_float, or intinfer.int_scores) on the 2-D X, so a sample of the
+    wrong width, dtype or range, or one whose float64 row rounds to all
+    zero, has failed there first. A blank row is an InputError
+    (data.reject_blank_rows).
     """
-    labels = np.argmax(scores, axis=1)
     reject_blank_rows(X, model.steps)
-    rounded = ~integer_rows(X, model.steps).any(axis=-1)
-    if rounded.any():
-        raise InputError(
-            f"cannot classify the sample at row {int(np.argmax(rounded))}: "
-            "its float64 integer row rounds to all zero"
-        )
-    return labels
+    return np.argmax(scores, axis=1)
 
 
 def training_residual(model: FloatModel, X_norm, targets, row_scale=None) -> float:

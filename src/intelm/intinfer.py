@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from intelm.data import InputError, centred_rows_fit_int64, check_range, check_steps, integer_rows, reject_blank_rows
-from intelm.elm import check_shape, check_ternary, class_labels
+from intelm.elm import _one_sample, check_shape, check_ternary, class_labels
 from intelm.linalg import BUILD_BLOCK_BYTES, DimensionError, FloatKernel, exact_dtype  # noqa: F401 (re-exported)
 from intelm.quantize import IntegerBeta
 
@@ -199,6 +199,7 @@ class QuantizedModel:
         check_ternary(self.ternary_weights)
         check_shape(self.ternary_weights, self.int_beta.values)
         check_range("seed", self.seed)
+        check_range("gamma", self.metadata.get("gamma"))
         W = self.ternary_weights
         if not (W.dtype == np.int8 and _views_bytes(W)):
             W = _read_only(W.astype(np.int8))
@@ -339,22 +340,10 @@ def int_scores(model: QuantizedModel, X) -> np.ndarray:
     return (H.astype(V.dtype, copy=False) @ V).astype(np.int64, copy=False)
 
 
-def _one_sample(x, caller: str) -> np.ndarray:
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise DimensionError(f"{caller} takes one sample, got shape {x.shape}")
-    return x
-
-
 def classify_int(model: QuantizedModel, x) -> int:
-    """Predicted class of a raw integer sample, scored as a vector (gemv, not a one-row gemm).
-
-    Ties break to the lowest index; a blank sample is an InputError, as in classify_int_batch.
-    """
+    """Class of a raw integer sample by elm.class_labels, scored as a vector (gemv, not a one-row gemm)."""
     x = _one_sample(x, "classify_int")
-    label = int(np.argmax(int_scores(model, x)))
-    reject_blank_rows(x, model.steps)
-    return label
+    return int(class_labels(model, x[None], int_scores(model, x)[None])[0])
 
 
 def classify_int_batch(model: QuantizedModel, X) -> np.ndarray:

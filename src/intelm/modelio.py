@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from intelm.data import BoundedReader
+from intelm.data import BoundedReader, check_range
 from intelm.elm import FloatModel
 from intelm.intinfer import QuantizedModel
 from intelm.quantize import IntegerBeta
@@ -117,6 +117,7 @@ def load_model(path) -> FloatModel | QuantizedModel:
     if file.offset != len(file.data):
         raise ModelFormatError(f"trailing bytes after model payload in {path}")
     try:
+        check_range("gamma", gamma)  # the header's, in every file; a QuantizedModel checks its metadata's on its own
         if bcode == 0:
             return FloatModel(
                 input_weights=W.reshape(n, L).copy(),

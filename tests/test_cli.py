@@ -14,12 +14,20 @@ from hypothesis import strategies as st
 
 import intelm
 from conftest import near_zero_beta_model, write_texture_csvs
-from intelm import cli
+from intelm import cli, data, elm, intinfer
 from intelm.cli import main
 from intelm.data import load_idx, preprocess, write_cifar10_batch, write_idx
-from intelm.elm import FloatModel, gen_weights_ternary, hidden_features, one_hot, predict_float_batch, training_residual
+from intelm.elm import (
+    FloatModel,
+    gen_weights_ternary,
+    hidden_features,
+    one_hot,
+    predict_float,
+    predict_float_batch,
+    training_residual,
+)
 from intelm.experiments import make_quantized, select_model
-from intelm.intinfer import QuantizedModel
+from intelm.intinfer import QuantizedModel, classify_int, classify_int_batch
 from intelm.modelio import ModelFormatError, load_model, save_model
 from intelm.quantize import IntegerBeta, precision_ladder, quantize_beta
 from intelm.seeding import make_rng
@@ -239,9 +247,13 @@ class TestQuantizeAndClassify:
         assert code == 1 and captured.out == ""
         assert "reason=ModelFormatError" in captured.err and "NaN" in captured.err
 
+    @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
     @pytest.mark.parametrize("gamma", [0.0, float("inf"), 1e-320])
-    def test_model_with_a_refused_gamma_exit_1(self, idx_dataset, tmp_path, capsys, gamma):
+    def test_model_with_a_refused_gamma_exit_1(self, idx_dataset, tmp_path, capsys, gamma, integer):
         model_path = self._trained(idx_dataset, tmp_path)
+        if integer:  # the header gamma of an integer file is checked too, not only the float model's
+            assert main(["quantize", "--model", str(model_path), "--out", str(tmp_path / "q.ielm")]) == 0
+            model_path = tmp_path / "q.ielm"
         blob = bytearray(model_path.read_bytes())
         struct.pack_into("<d", blob, 20, gamma)  # header: magic, version, n, L, m, then f64 gamma
         model_path.write_bytes(bytes(blob))
@@ -266,7 +278,7 @@ class TestQuantizeAndClassify:
         code = main(["classify", "--model", str(path), "--input", str(tmp_path / "x.csv"), "--scores"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert "reason=ModelFormatError" in captured.err and "empty_dimension" in captured.err
+        assert "reason=ModelFormatError" in captured.err and f"{dim}_must_be_>=_1,_got_0" in captured.err
 
     def test_overflowing_float_scores_exit_1(self, tmp_path, capsys):
         # A beta entry near float64's largest value, as a flipped exponent bit in a file gives.
@@ -578,6 +590,43 @@ class TestRecordedPreprocessing:
             got = np.array([int(v) for v in capsys.readouterr().out.split()])
             assert np.mean(got == exact) >= 0.99
             assert np.mean(got == norm.labels) >= 0.9
+
+    @pytest.mark.parametrize("steps", [[], ["zero_mean"], ["l2_normalize"], ["zero_mean", "l2_normalize"]])
+    def test_every_classifier_forms_rows_once_and_labels_them_in_class_labels(
+        self, rng, tmp_path, capsys, monkeypatch, steps
+    ):
+        fm = FloatModel(gen_weights_ternary(16, 8, seed=1), rng.standard_normal((8, 3)), gamma=1.0,
+                        weight_kind="ternary", seed=1, metadata={"preprocessing": steps})
+        qm = make_quantized(fm, (0, 255), fit_headroom=True)
+        X = rng.integers(1, 256, size=(5, 16))
+        (tmp_path / "x.csv").write_text("\n".join(",".join(map(str, row)) for row in X) + "\n")
+        save_model(fm, tmp_path / "f.ielm")
+        save_model(qm, tmp_path / "q.ielm")
+        calls = []
+
+        def counted(name, f):
+            def call(*args):
+                calls.append(name)
+                return f(*args)
+            return call
+
+        rows, labels = counted("integer_rows", data.integer_rows), counted("class_labels", elm.class_labels)
+        for module in (elm, intinfer):
+            monkeypatch.setattr(module, "integer_rows", rows)
+        for module in (elm, intinfer, cli):
+            monkeypatch.setattr(module, "class_labels", labels)
+        classifiers = [
+            lambda: classify_int(qm, X[0]), lambda: classify_int_batch(qm, X),
+            lambda: predict_float(fm, X[0]), lambda: predict_float_batch(fm, X),
+            *(lambda path=path, flags=flags: main(["classify", "--model", str(tmp_path / path),
+                                                   "--input", str(tmp_path / "x.csv"), *flags])
+              for path in ("q.ielm", "f.ielm") for flags in ([], ["--scores"])),
+        ]
+        for classify in classifiers:
+            calls.clear()
+            classify()
+            assert sorted(calls) == ["class_labels", "integer_rows"]
+        assert capsys.readouterr().err == ""
 
     def test_constant_sample_exit_1_under_zero_mean(self, idx_dataset, tmp_path, capsys):
         fpath, qpath = tmp_path / "f.ielm", tmp_path / "q.ielm"

@@ -30,7 +30,7 @@ from intelm.data import (
     write_cifar10_batch,
     write_idx,
 )
-from intelm.elm import FloatModel, gen_weights_ternary, hidden_features, one_hot, train
+from intelm.elm import FloatModel, gen_weights_continuous, gen_weights_ternary, hidden_features, one_hot, train
 from intelm.experiments import ConfigError, ExperimentConfig, select_model
 from intelm.intinfer import QuantizedModel
 from intelm.linalg import SpdSystem
@@ -576,8 +576,9 @@ def ternary_model(gamma=1.0, seed=0):
     return FloatModel(np.ones((2, 2), np.int8), np.ones((2, 1)), gamma, "ternary", seed)
 
 
-def quantized_model(seed=0):
-    return QuantizedModel(np.ones((2, 2), np.int8), IntegerBeta(np.ones((2, 1), np.int64), tau=1.0), seed=seed)
+def quantized_model(seed=0, metadata=None):
+    return QuantizedModel(np.ones((2, 2), np.int8), IntegerBeta(np.ones((2, 1), np.int64), tau=1.0), seed=seed,
+                          metadata=metadata or {})
 
 
 def cifar_batch(path):
@@ -597,11 +598,11 @@ def candidates():
 
 GAMMAS = {"0": 0, "-1": -1, "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "5e-324": 5e-324,
           "1e-320": 1e-320, "1e-300": 1e-300, "1.0": 1.0, "float_max": sys.float_info.max,
-          "np.float64(1e-320)": np.float64(1e-320), "10**400": 10**400}
+          "np.float64(1e-320)": np.float64(1e-320), "10**400": 10**400, "'1.0'": "1.0"}
 # (test id, parameter, value, entry point, whether the range refuses the value)
 RANGE_CASES = [
     *((f"gamma-{entry}-{name}", "gamma", v, entry, name not in ("1e-300", "1.0", "float_max"))
-      for name, v in GAMMAS.items() for entry in ("FloatModel", "add_ridge", "train")),
+      for name, v in GAMMAS.items() for entry in ("FloatModel", "QuantizedModel", "add_ridge", "train")),
     *((f"split_fraction-{v}", "split_fraction", v, "split_train_val", v != 0.5) for v in (0, 1, -0.5, float("nan"), 0.5)),
     *((f"class_filter-{v}", "class_filter", v, "load_cifar10", v != ("cat", "dog"))
       for v in (("cat", "cat"), ("cat", "unicorn"), ("cat", "dog"))),
@@ -609,9 +610,12 @@ RANGE_CASES = [
       for entry in ("FloatModel", "QuantizedModel", "train")),
     *((f"selection_threshold-{v}", "selection_threshold", v, "select_model", v not in (0.5, 1))
       for v in (0, -1, 0.5, 1, 1.5)),
+    *((f"{param}-{entry}-{v}", param, v, entry, v < 1) for param in ("n", "L") for v in (-1, 0, 1)
+      for entry in ("gen_weights_continuous", "gen_weights_ternary")),
 ]
 ENTRY_POINTS = {
     ("gamma", "FloatModel"): lambda v, d: ternary_model(gamma=v),
+    ("gamma", "QuantizedModel"): lambda v, d: quantized_model(metadata={"gamma": v}),
     ("gamma", "add_ridge"): lambda v, d: SpdSystem(np.eye(2), np.zeros((2, 1))).add_ridge(v),
     ("gamma", "train"): lambda v, d: fit(gamma=v),
     ("split_fraction", "split_train_val"): lambda v, d: split_train_val(split_input(), v),
@@ -620,6 +624,8 @@ ENTRY_POINTS = {
     ("seed", "QuantizedModel"): lambda v, d: quantized_model(seed=v),
     ("seed", "train"): lambda v, d: fit(seed=v),
     ("selection_threshold", "select_model"): lambda v, d: select_model(candidates(), v),
+    **{("n", f.__name__): lambda v, d, f=f: f(v, 2, 0) for f in (gen_weights_continuous, gen_weights_ternary)},
+    **{("L", f.__name__): lambda v, d, f=f: f(2, v, 0) for f in (gen_weights_continuous, gen_weights_ternary)},
 }
 
 

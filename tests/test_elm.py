@@ -355,8 +355,16 @@ class TestPredict:
         )
         for row in ([2**62] * (n - 1) + [2**62 + 1], [2**62 + 7] + [2**62] * (n - 1)):
             X = np.array([np.arange(n), row])
-            with pytest.raises(InputError, match="sample at row 1: its float64 integer row rounds"):
-                predict_float_batch(model, X)
+            for classify in (scores_float, predict_float_batch):  # the scorer refuses it, before any label
+                with pytest.raises(InputError, match="sample at row 1: its float64 integer row rounds"):
+                    classify(model, X)
+            # With a blank row as well, the rounded row is reported, whichever comes first.
+            for X, at in ((np.array([[5] * n, row]), 1), (np.array([row, [5] * n]), 0)):
+                with pytest.raises(InputError, match=f"sample at row {at}: its float64 integer row rounds"):
+                    predict_float_batch(model, X)
+        # float64 rows that do not round leave a blank row to class_labels
+        with pytest.raises(InputError, match="constant sample at row 1"):
+            predict_float_batch(model, np.array([[0] * (n - 1) + [2**62], [5] * n]))
 
     def test_length_mismatch(self, rng):
         model = random_float_model(rng)
@@ -379,9 +387,9 @@ class TestOneHot:
 
 
 class TestModelFile:
-    @pytest.mark.parametrize("n, L, m", [(0, 3, 2), (4, 0, 2), (4, 3, 0)])
-    def test_empty_dimension_refused(self, n, L, m):
-        with pytest.raises(DimensionError, match="empty dimension"):
+    @pytest.mark.parametrize("n, L, m, dim", [(0, 3, 2, "n"), (4, 0, 2, "L"), (4, 3, 0, "m")])
+    def test_empty_dimension_refused(self, n, L, m, dim):
+        with pytest.raises(DimensionError, match=f"^{dim} must be >= 1, got 0$"):
             FloatModel(np.zeros((n, L), dtype=np.int8), np.ones((L, m)), 1.0, "ternary", 0)
 
     def test_float_model_roundtrip_bitwise(self, rng, tmp_path):

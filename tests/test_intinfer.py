@@ -225,11 +225,19 @@ class TestHeadroom:
             QuantizedModel(np.ones((100, 2), dtype=np.int8), beta, (2**62, 2**62 + 7), metadata=centred)
         QuantizedModel(np.ones((100, 2), dtype=np.int8), beta, (2**55, 2**55 + 7), metadata=centred)
 
-    @pytest.mark.parametrize("n, L, m", [(0, 3, 2), (4, 0, 2), (4, 3, 0)])
-    def test_empty_dimension_refused(self, n, L, m):
-        with pytest.raises(DimensionError, match="empty dimension"):
+    @pytest.mark.parametrize("n, L, m, dim", [(0, 3, 2, "n"), (4, 0, 2, "L"), (4, 3, 0, "m")])
+    def test_empty_dimension_refused(self, n, L, m, dim):
+        with pytest.raises(DimensionError, match=f"^{dim} must be >= 1, got 0$"):
             QuantizedModel(np.zeros((n, L), dtype=np.int8), IntegerBeta(values=np.ones((L, m), dtype=np.int64),
                                                                         tau=1.0))
+
+    @pytest.mark.parametrize("gamma", [-5, 0, float("inf"), 1e-320, "1.0", [1.0]])
+    def test_metadata_gamma_outside_its_range_refused(self, gamma):
+        # save_model writes metadata["gamma"] into the file header; a value that is no number is a ValueError too.
+        beta = IntegerBeta(values=np.ones((2, 2), dtype=np.int64), tau=1.0)
+        with pytest.raises(ValueError, match="gamma must be > 0 with gamma and 1/gamma finite"):
+            QuantizedModel(np.ones((4, 2), dtype=np.int8), beta, metadata={"gamma": gamma})
+        assert QuantizedModel(np.ones((4, 2), dtype=np.int8), beta, metadata={"gamma": 0.5}).metadata["gamma"] == 0.5
 
     def test_mnist_scale_model_passes(self, rng):
         QuantizedModel(
@@ -731,6 +739,9 @@ class TestShapeRule:
             classify_int_counted(model, X, OpCounter())
         with pytest.raises(DimensionError, match="classify_int takes one sample"):
             classify_int(model, X)
+        for x in (X, X[0, 0]):  # predict_float shares the one-sample rule
+            with pytest.raises(DimensionError, match=r"predict_float takes one sample, got shape \("):
+                predict_float(float_twin(model), x)
         assert classify_int_batch(model, X).tolist() == [classify_int(model, x) for x in X]
         assert classify_int_batch(model, X[0]).tolist() == [classify_int(model, X[0])]
 

@@ -76,6 +76,8 @@ def weights_offset(blob: bytes, integer: bool) -> int:
         ("continuous", lambda b: patched(b, "<d", GAMMA_AT, float("nan")), "gamma"),
         ("continuous", lambda b: patched(b, "<d", GAMMA_AT, float("inf")), "gamma must be > 0 with gamma and 1/gamma"),
         ("ternary", lambda b: patched(b, "<d", GAMMA_AT, 1e-320), "gamma must be > 0 with gamma and 1/gamma"),
+        *(("quantized", lambda b, g=g: patched(b, "<d", GAMMA_AT, g), "gamma must be > 0 with gamma and 1/gamma")
+          for g in (float("inf"), 0.0, 1e-320)),
         ("quantized", lambda b: patched(b, "<qq", LO_AT, 0, 2**40), "hidden accumulator"),
         ("ternary", lambda b: b[:-1], "truncated"),
         ("quantized", lambda b: b + b"\0", "trailing"),
@@ -91,7 +93,8 @@ def weights_offset(blob: bytes, integer: bool) -> int:
     ids=[
         "dims_2p32", "dims_1e5", "dims_1e5_f64", "beta_code_2_quantized", "beta_code_2_float",
         "bad_json", "non_utf8_prng", "nan_tau", "inf_tau", "range_lo_above_hi", "negative_gamma",
-        "nan_gamma", "inf_gamma", "subnormal_gamma", "range_past_headroom", "truncated", "trailing", "weight_code_2_ternary",
+        "nan_gamma", "inf_gamma", "subnormal_gamma",
+        "inf_gamma_quantized", "zero_gamma_quantized", "subnormal_gamma_quantized", "range_past_headroom", "truncated", "trailing", "weight_code_2_ternary",
         "weight_code_2_quantized", "weight_code_3_continuous", "nan_weight", "inf_weight", "beta_minus_2p31",
     ],
 )
