@@ -18,12 +18,14 @@ import numpy as np
 
 from intelm.data import InputError, blank_rows, check_range, check_steps, integer_rows, max_abs, reject_blank_rows
 from intelm.linalg import (
+    BLAS_MODULE,
+    LAPACK_MODULE,
     DimensionError,
     FloatKernel,
     accumulate_gram,
     as_matrix,
     exact_dtype,
-    load_lapack,
+    load_extension,
     solve_spd,
 )
 from intelm.seeding import PRNG_ID, make_rng
@@ -230,7 +232,9 @@ def train(
         row_scale = np.asarray(row_scale, dtype=np.float64)
     if X.shape[0] != targets.shape[0]:
         raise DimensionError(f"{X.shape[0]} samples but {targets.shape[0]} target rows")
-    load_lapack()  # for solve_spd; before the hidden layer exists, so not on top of its peak
+    # For accumulate_gram and solve_spd; before the hidden layer exists, so not on top of its peak.
+    load_extension(BLAS_MODULE)
+    load_extension(LAPACK_MODULE)
     acc = None
     # One block at least, so that no samples still give an L x L system.
     for start in range(0, max(X.shape[0], 1), block_size):

@@ -3,8 +3,12 @@
 Streaming Gram accumulation (so the hidden matrix never has to be held in
 memory at once) and a symmetric-positive-definite solve via Cholesky. The
 first block's products start the system, so training holds one L x L Gram
-next to one block.
-Everything is float64 row-major; shapes are explicit and checked.
+next to one block. A Gram is its lower triangle (LAPACK's convention):
+BLAS dsyrk forms only that triangle of each block's product, blocks fold
+by adding triangles, and the factor, the solve and the residual read
+nothing else.
+Everything is float64, row-major but for dsyrk's column-major Gram;
+shapes are explicit and checked.
 exact_dtype is the one rule for exact integer products. FloatKernel is
 the one exact projection of integer rows through integer W, for
 training, the float scorer and the integer classifier: W cast to
@@ -19,11 +23,12 @@ subset sum, so this is exact too. Any other call casts W once and
 projects BLOCK_ROWS rows at a time through two reused buffers, so
 neither a cast copy of all rows nor the whole float projection exists.
 
-The solve is the package's only use of scipy: LAPACK's dpotrf and dpotrs,
-from the extension module scipy.linalg._flapack. load_lapack loads that
-extension alone on the first call, never the scipy.linalg package, so a
-process that only loads models and classifies never loads scipy and one
-that trains loads only what the solve runs.
+Training is the package's only use of scipy: BLAS's dsyrk and dsymm and
+LAPACK's dpotrf and dpotrs, from the extension modules scipy.linalg._fblas
+and scipy.linalg._flapack. load_extension loads each alone on its first
+call, never the scipy.linalg package, so a process that only loads models
+and classifies never loads scipy and one that trains loads only what the
+Gram and the solve run.
 """
 
 from __future__ import annotations
@@ -130,36 +135,38 @@ class FloatKernel:
         return out
 
 
+BLAS_MODULE = "scipy.linalg._fblas"
 LAPACK_MODULE = "scipy.linalg._flapack"
-_lapack_lock = threading.Lock()
+_load_lock = threading.Lock()
 
 
-def load_lapack():
-    """scipy's LAPACK extension, scipy.linalg._flapack, loaded alone on the first call.
+def load_extension(name: str):
+    """scipy's BLAS or LAPACK extension, BLAS_MODULE or LAPACK_MODULE, loaded alone on the first call.
 
     The scipy.linalg package would add 26 MB resident, 85 scipy modules and
-    0.18 s; the extension alone adds 3.3 MB, 11 modules and 0.013 s (2-core
-    host, after `import intelm.cli`). It is registered under its own name,
-    so a later `import scipy.linalg` reuses it. A trainer calls this before
-    it allocates its large arrays, so that the load's transient allocations
-    do not add to their peak. The lock makes concurrent first calls load it
-    once. ImportError, naming the directory searched, if the file is missing.
+    0.18 s; _flapack alone adds 3.3 MB, 11 modules and 0.013 s, and _fblas
+    1.2 MB, one module and 0.001 s more (2-core host, after `import
+    intelm.cli`). Each is registered under its own name, so a later `import
+    scipy.linalg` reuses it. A trainer calls this before it allocates its
+    large arrays, so that the load's transient allocations do not add to
+    their peak. The lock makes concurrent first calls load each once.
+    ImportError, naming the directory searched, if the file is missing.
     """
-    with _lapack_lock:
-        module = sys.modules.get(LAPACK_MODULE)
+    with _load_lock:
+        module = sys.modules.get(name)
         if module is not None:
             return module
         import scipy  # a light init: sets up the paths of scipy's bundled libraries
 
-        directory = Path(scipy.__file__).parent / "linalg"
-        paths = (directory / f"_flapack{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+        directory, stem = Path(scipy.__file__).parent / "linalg", name.rpartition(".")[2]
+        paths = (directory / f"{stem}{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES)
         path = next((path for path in paths if path.is_file()), None)
         if path is None:
-            raise ImportError(f"no LAPACK extension _flapack in {directory}", name=LAPACK_MODULE)
-        spec = importlib.util.spec_from_file_location(LAPACK_MODULE, path)
+            raise ImportError(f"no extension {stem} in {directory}", name=name)
+        spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        sys.modules[LAPACK_MODULE] = module
+        sys.modules[name] = module
         return module
 
 
@@ -167,7 +174,9 @@ def load_lapack():
 class SpdSystem:
     """Normal-equation accumulator: gram (L x L, symmetric) and rhs (L x m).
 
-    residual is set by solve_spd: the max-abs residual of the solved system.
+    The system is gram's lower triangle (LAPACK's convention): solve_spd
+    reads nothing above the diagonal. residual is set by solve_spd: the
+    max-abs residual of the solved system.
     """
 
     gram: np.ndarray
@@ -183,27 +192,13 @@ class SpdSystem:
         check_range("gamma", gamma)
         self.gram[np.diag_indices(self.size)] += 1.0 / gamma
 
-    def symmetrized(self) -> np.ndarray:
-        """gram, once it is exactly symmetric with a positive diagonal; a ValueError otherwise.
-
-        accumulate_gram's sums are (numpy forms block.T @ block from one triangle),
-        and exact symmetry keeps dpotrf's result independent of the triangle it reads.
-        """
-        if not np.array_equal(self.gram, self.gram.T):
-            raise ValueError("gram matrix is not exactly symmetric")
-        if np.any(np.diag(self.gram) <= 0):
-            raise ValueError("gram diagonal has non-positive entries (missing ridge shift?)")
-        return self.gram
-
 
 def accumulate_gram(row_block, acc: SpdSystem | None, target_block) -> SpdSystem:
     """Fold a block of rows into the accumulator, or start one from the block when acc is None.
 
-    acc.gram += block^T block, acc.rhs += block^T targets. The block has
-    acc.size columns; targets have the same row count as the block. A new
-    system is block^T block and block^T targets plus 0.0, in place: x + 0.0
-    is 0.0 + x bit for bit (-0.0 becomes +0.0), so it equals folding the
-    block into zeros without allocating them.
+    acc.gram += block^T block, its lower triangle from dsyrk, and acc.rhs +=
+    block^T targets. The block has acc.size columns; targets have the same
+    row count as the block. A new system is the block's two products.
     """
     block = as_matrix(row_block, "row_block")
     targets = as_matrix(target_block, "target_block")
@@ -211,45 +206,44 @@ def accumulate_gram(row_block, acc: SpdSystem | None, target_block) -> SpdSystem
         raise DimensionError(
             f"target_block has {targets.shape[0]} rows, row_block has {block.shape[0]}"
         )
+    if acc is not None:
+        widths = (("row_block", block.shape[1], acc.size), ("target_block", targets.shape[1], acc.rhs.shape[1]))
+        for name, got, expected in widths:
+            if got != expected:
+                raise DimensionError(f"{name} has {got} columns, accumulator expects {expected}")
+    # block.T is F-ordered, so dsyrk reads it in place; its upper triangle comes back zero.
+    gram = load_extension(BLAS_MODULE).dsyrk(1.0, block.T, lower=1)
     if acc is None:
-        acc = SpdSystem(block.T @ block, block.T @ targets)
-        acc.gram += 0.0
-        acc.rhs += 0.0
-        return acc
-    if block.shape[1] != acc.size:
-        raise DimensionError(
-            f"row_block has {block.shape[1]} columns, accumulator expects {acc.size}"
-        )
-    if targets.shape[1] != acc.rhs.shape[1]:
-        raise DimensionError(
-            f"target_block has {targets.shape[1]} columns, accumulator expects {acc.rhs.shape[1]}"
-        )
-    acc.gram += block.T @ block
+        return SpdSystem(gram, block.T @ targets)
+    acc.gram += gram
     acc.rhs += block.T @ targets
     return acc
 
 
 def solve_spd(system: SpdSystem) -> np.ndarray:
-    """Solve gram @ beta = rhs by Cholesky factorization.
+    """Solve gram @ beta = rhs by Cholesky factorization of gram's lower triangle.
 
-    Raises CholeskyError naming the offending pivot if the matrix is not
-    positive definite. The max-abs residual |gram @ beta - rhs| is checked
-    against 1e-8 * max(1, max |rhs|) and kept as system.residual.
+    A ValueError if gram's diagonal is not positive. Raises CholeskyError
+    naming the offending pivot if the matrix is not positive definite. The
+    max-abs residual |gram @ beta - rhs| is checked against
+    1e-8 * max(1, max |rhs|) and kept as system.residual.
     """
-    lapack = load_lapack()
-    gram = system.symmetrized()
-    # dpotrf factors this F-ordered copy in place; the residual reads gram. As gram ==
-    # gram.T exactly, the copy is of gram.T, already F-ordered: a memcpy, not a transpose.
-    factor, info = lapack.dpotrf(np.array(gram.T, order="F"), lower=1, overwrite_a=1)
+    blas, lapack = load_extension(BLAS_MODULE), load_extension(LAPACK_MODULE)
+    gram = system.gram
+    if np.any(np.diag(gram) <= 0):
+        raise ValueError("gram diagonal has non-positive entries (missing ridge shift?)")
+    # dpotrf factors an F-ordered copy (a memcpy of accumulate_gram's F-ordered gram) and,
+    # with clean=0, leaves its strict upper triangle as it found it; the residual reads gram.
+    factor, info = lapack.dpotrf(gram, lower=1, clean=0)
     if info > 0:
         raise CholeskyError(pivot_index=info - 1)
     if info < 0:
         raise RuntimeError(f"dpotrf: illegal argument {-info}")
-    beta, info = lapack.dpotrs(factor, np.asfortranarray(system.rhs), lower=1)
+    beta, info = lapack.dpotrs(factor, system.rhs, lower=1)
     if info != 0:
         raise RuntimeError(f"dpotrs failed with info={info}")
     beta = np.ascontiguousarray(beta)
-    residual = float(np.abs(gram @ beta - system.rhs).max())
+    residual = float(np.abs(blas.dsymm(1.0, gram, beta, lower=1) - system.rhs).max())
     bound = 1e-8 * max(1.0, float(np.abs(system.rhs).max()))
     system.residual = residual
     if not residual <= bound:

@@ -66,6 +66,30 @@ def naive_hidden(W, X):
     return H
 
 
+def pyint_label(model, x):
+    """Lowest-index argmax of relu(z W) beta in Python ints, z = n*x - sum(x) for a centring model, else x."""
+    z = [int(v) for v in x]
+    if "zero_mean" in model.metadata.get("preprocessing", []):
+        z = [len(z) * v - sum(z) for v in z]
+    W, beta = model.ternary_weights.tolist(), model.int_beta.values.tolist()
+    h = [max(0, sum(z[j] * W[j][i] for j in range(len(z)))) for i in range(len(W[0]))]
+    scores = [sum(h[i] * beta[i][k] for i in range(len(h))) for k in range(len(beta[0]))]
+    return scores.index(max(scores))
+
+
+def audited_counts(model):
+    """The (int_adds, int_muls) classify_int_counted must count for one sample of the model.
+
+    The projection adds once per nonzero weight, the output layer adds and
+    multiplies once per beta entry, and centring adds 2n and multiplies n.
+    """
+    n, L, m = model.ternary_weights.shape + (model.int_beta.values.shape[1],)
+    adds, muls = int(np.count_nonzero(model.ternary_weights)) + L * m, L * m
+    if "zero_mean" in model.metadata.get("preprocessing", []):
+        return adds + 2 * n, muls + n
+    return adds, muls
+
+
 def random_float_model(rng, n=6, L=8, m=3, weight_kind="continuous"):
     if weight_kind == "continuous":
         W = rng.random((n, L))

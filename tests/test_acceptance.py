@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import gauss_solve, naive_hidden, random_quantized_model
+from conftest import audited_counts, gauss_solve, naive_hidden, pyint_label, random_quantized_model
 from intelm.data import (
     load_cifar10,
     load_idx,
@@ -188,18 +188,23 @@ def test_criterion_05_quantizer_contract():
 
 def test_criterion_06_no_float_ops_on_integer_path():
     rng = make_rng(6)
-    total = OpCounter()
-    for _ in range(25):
-        model = random_quantized_model(rng, n=6, L=5, m=3)
-        x = rng.integers(1, 256, size=model.n)
-        proj = OpCounter()
-        ternary_project_counted(model.ternary_weights, x, proj)
-        assert proj.int_muls == 0  # input projection is add/subtract only
-        classify_int_counted(model, x, total)
+    checked = []
+    for steps in ((), ("zero_mean",)):
+        for _ in range(12):
+            model = random_quantized_model(rng, n=6, L=5, m=3, steps=steps)
+            x = rng.integers(1, 256, size=model.n)
+            proj = OpCounter()
+            ternary_project_counted(model.ternary_weights, x, proj)
+            assert proj.int_muls == 0  # input projection is add/subtract only
+            counter = OpCounter()
+            label = classify_int_counted(model, x, counter)
+            assert label == pyint_label(model, x)
+            checked.append((counter.int_adds, counter.int_muls, counter.float_ops) == (*audited_counts(model), 0))
     report(
         "criterion 6 (no-float-op audit)",
-        total.float_ops == 0,
-        f"float ops = {total.float_ops}, projection multiplies = 0",
+        all(checked),
+        f"{sum(checked)}/{len(checked)} samples count exactly nnz(W) + L*m adds and L*m multiplies "
+        "(2n and n more when centred), no float op, and give the Python-int label",
     )
 
 

@@ -110,6 +110,28 @@ class TestTrain:
         assert main(train_args(idx_dataset, b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_fresh_processes_at_a_fixed_blas_thread_count_write_identical_files(self, rng, tmp_path):
+        # The README's determinism condition. 600 rows and L=300 are enough for OpenBLAS to
+        # split dsyrk, dpotrf and the projection across 2 threads.
+        labels = (np.arange(600) % 3).astype(np.uint8)
+        write_idx(rng.integers(0, 256, size=(600, 8, 8)).astype(np.uint8), labels,
+                  tmp_path / "imgs.idx", tmp_path / "lbls.idx")
+        env = dict(os.environ, PYTHONPATH=str(Path(intelm.__file__).parents[1]))
+        for threads in ("2", "1"):
+            files = []
+            for run in ("a", "b"):
+                out = tmp_path / f"{threads}{run}.ielm"
+                argv = train_args((tmp_path / "imgs.idx", tmp_path / "lbls.idx"), out, L=300,
+                                  extra=("--preprocess", "l2_normalize"))
+                subprocess.run(
+                    [sys.executable, "-c", "import sys; from intelm.cli import main; sys.exit(main(sys.argv[1:]))",
+                     *argv],
+                    env=dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+                    capture_output=True, check=True, timeout=120,
+                )
+                files.append(out.read_bytes())
+            assert files[0] == files[1], f"two trainings at {threads} BLAS threads differ"
+
     @pytest.mark.parametrize(
         "text, detail",
         [

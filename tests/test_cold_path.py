@@ -1,10 +1,10 @@
-"""Only training loads scipy, and only LAPACK's extension from it.
+"""Only training loads scipy, and only its BLAS and LAPACK extensions.
 
-linalg.load_lapack loads scipy.linalg._flapack (dpotrf and dpotrs) by its
-file on the first training solve; the scipy.linalg package is never
-imported. This pytest process may have imported scipy long ago, so these
-checks run fresh interpreters; the source check reads every module's
-import statements.
+linalg.load_extension loads scipy.linalg._fblas (dsyrk and dsymm) and
+scipy.linalg._flapack (dpotrf and dpotrs) by their files when training
+starts; the scipy.linalg package is never imported. This pytest process
+may have imported scipy long ago, so these checks run fresh interpreters;
+the source check reads every module's import statements.
 """
 
 import ast
@@ -19,6 +19,7 @@ import pytest
 
 from intelm.cli import main
 from intelm.data import write_idx
+from intelm.linalg import BLAS_MODULE, LAPACK_MODULE
 from intelm.seeding import make_rng
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -62,9 +63,10 @@ step("integer scorers", lambda: (intinfer.classify_int(qm, X[0]), intinfer.class
                                  intinfer.int_scores(qm, X)))
 step("make_quantized", lambda: experiments.make_quantized(fm, (0, 255), fit_headroom=True))
 cli_step("train", train_argv("cold.ielm"))
-extension_loaded = linalg.LAPACK_MODULE in sys.modules
-from scipy.linalg import lapack
-reused = lapack.dpotrf is linalg.load_lapack().dpotrf
+extension_loaded = [name in sys.modules for name in (linalg.BLAS_MODULE, linalg.LAPACK_MODULE)]
+from scipy.linalg import blas, lapack
+reused = [blas.dsyrk is linalg.load_extension(linalg.BLAS_MODULE).dsyrk,
+          lapack.dpotrf is linalg.load_extension(linalg.LAPACK_MODULE).dpotrf]
 cli.main(train_argv("warm.ielm")) == 0 or sys.exit("intelm train after scipy.linalg failed")
 print(json.dumps({"loaded": loaded, "extension_loaded": extension_loaded, "reused": reused}))
 """
@@ -74,13 +76,14 @@ import importlib.machinery, json, sys, threading
 from intelm import linalg
 
 THREADS = 8
+NAMES = (linalg.BLAS_MODULE, linalg.LAPACK_MODULE)
 loads = []
 exec_module = importlib.machinery.ExtensionFileLoader.exec_module
 
 
 def counted_exec_module(self, module):
-    if module.__name__ == linalg.LAPACK_MODULE:
-        loads.append(module)
+    if module.__name__ in NAMES:
+        loads.append(module.__name__)
     return exec_module(self, module)
 
 
@@ -92,7 +95,7 @@ modules = [None] * THREADS
 
 def first_call(i):
     barrier.wait()
-    modules[i] = linalg.load_lapack()
+    modules[i] = [linalg.load_extension(name) for name in NAMES[i % 2:] + NAMES[:i % 2]]
 
 
 threads = [threading.Thread(target=first_call, args=(i,)) for i in range(THREADS)]
@@ -100,8 +103,9 @@ for t in threads:
     t.start()
 for t in threads:
     t.join()
-print(json.dumps({"distinct": len({id(m) for m in modules}), "loads": len(loads),
-                  "registered": sys.modules[linalg.LAPACK_MODULE] is modules[0]}))
+distinct = {name: len({id(m) for loaded in modules for m in loaded if m.__name__ == name}) for name in NAMES}
+print(json.dumps({"distinct": distinct, "loads": sorted(loads),
+                  "registered": all(sys.modules[m.__name__] is m for m in modules[0])}))
 """
 
 
@@ -130,17 +134,18 @@ def test_only_training_loads_scipy(idx_set):
     loaded = result["loaded"]
     assert loaded.pop("train") == [True, False]
     assert len(loaded) == 10 and loaded == dict.fromkeys(loaded, [False, False]), loaded
-    assert result["extension_loaded"] is True
-    assert result["reused"] is True
+    assert result["extension_loaded"] == [True, True]
+    assert result["reused"] == [True, True]
     assert (d / "warm.ielm").read_bytes() == (d / "cold.ielm").read_bytes()
 
 
-def test_concurrent_first_calls_load_the_extension_once():
+def test_concurrent_first_calls_load_each_extension_once():
     result = json.loads(run_fresh("-c", CONCURRENT_LOAD_SCRIPT).stdout.splitlines()[-1])
-    assert result == {"distinct": 1, "loads": 1, "registered": True}
+    assert result == {"distinct": {BLAS_MODULE: 1, LAPACK_MODULE: 1},
+                      "loads": sorted([BLAS_MODULE, LAPACK_MODULE]), "registered": True}
 
 
-def test_train_without_the_lapack_extension_fails_in_one_line(idx_set):
+def test_train_without_the_scipy_extensions_fails_in_one_line(idx_set):
     import scipy
 
     d = idx_set
@@ -174,7 +179,7 @@ def _imported_roots(node):
 
 
 def test_no_module_imports_scipy_when_imported():
-    """One scipy import in the package, inside linalg.load_lapack."""
+    """One scipy import in the package, inside linalg.load_extension."""
     scipy_imports = []
     for path in sorted((SRC / "intelm").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

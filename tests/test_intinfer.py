@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import int64_project, kernel_form, random_float_model, random_quantized_model
+from conftest import audited_counts, int64_project, kernel_form, pyint_label, random_float_model, random_quantized_model
 from intelm import data, intinfer
 from intelm.data import integer_rows
 from intelm.elm import (
@@ -973,8 +973,9 @@ class TestTernaryCheck:
 
 class TestFloatOpAudit:
     def test_zero_float_ops_and_no_projection_multiplies(self, rng):
-        for _ in range(10):
-            model = random_quantized_model(rng, n=6, L=5, m=3)
+        # Exact counts: nnz(W) + L*m adds and L*m multiplies, 2n and n more when centred.
+        for steps in [()] * 10 + [("zero_mean",)] * 10:
+            model = random_quantized_model(rng, n=6, L=5, m=3, steps=steps)
             x = random_sample(rng, model)
             proj_counter = OpCounter()
             ternary_project_counted(model.ternary_weights, x, proj_counter)
@@ -983,8 +984,8 @@ class TestFloatOpAudit:
 
             full_counter = OpCounter()
             label = classify_int_counted(model, x, full_counter)
-            assert full_counter.float_ops == 0
-            assert label == classify_int(model, x)
+            assert (full_counter.int_adds, full_counter.int_muls, full_counter.float_ops) == (*audited_counts(model), 0)
+            assert label == classify_int(model, x) == pyint_label(model, x)
 
     def test_scores_are_integers(self, rng):
         model = random_quantized_model(rng)

@@ -35,7 +35,7 @@ class TestAccumulateGram:
         block = rng.standard_normal((8, 5))
         targets = rng.standard_normal((8, 2))
         acc = accumulate_gram(block, None, targets)
-        np.testing.assert_allclose(acc.gram, naive_matmul(block.T, block), atol=1e-12)
+        np.testing.assert_allclose(np.tril(acc.gram), np.tril(naive_matmul(block.T, block)), atol=1e-12)
         np.testing.assert_allclose(acc.rhs, naive_matmul(block.T, targets), atol=1e-12)
 
     def test_dimension_mismatch_names_shapes(self):
@@ -55,7 +55,7 @@ class TestAccumulateGram:
         streamed = None
         for start, stop in [(0, 13), (13, 14), (14, 40), (40, 60)]:
             streamed = accumulate_gram(H[start:stop], streamed, T[start:stop])
-        np.testing.assert_allclose(streamed.gram, single.gram, rtol=1e-10)
+        np.testing.assert_allclose(np.tril(streamed.gram), np.tril(single.gram), rtol=1e-10)
         np.testing.assert_allclose(streamed.rhs, single.rhs, rtol=1e-10)
 
 
@@ -111,30 +111,41 @@ class TestSolveSpd:
         with pytest.raises(CholeskyError, match="pivot at index 1"):
             solve_spd(SpdSystem(gram, np.ones((2, 1))))
 
-    def test_exactly_symmetric_gram_is_factored_as_is_and_left_unchanged(self, rng):
+    def test_gram_is_factored_as_is_and_left_unchanged(self, rng):
         acc = accumulate_gram(rng.standard_normal((9, 6)), None, rng.standard_normal((9, 2)))
         acc.add_ridge(1.0)
-        assert np.array_equal(acc.gram, acc.gram.T)
-        assert acc.symmetrized() is acc.gram
         before = acc.gram.copy()
         beta = solve_spd(acc)
         np.testing.assert_array_equal(acc.gram, before)
-        assert acc.residual == np.abs(before @ beta - acc.rhs).max()
+        lower = np.tril(before)
+        full = lower + np.tril(lower, -1).T
+        assert acc.residual == np.abs(full @ beta - acc.rhs).max()
 
-    def test_nearly_symmetric_gram_is_refused(self, rng):
-        # Exact symmetry is a precondition of the solve: one ulp off is refused.
+    def test_strict_upper_triangle_is_never_read(self, rng):
+        # The system is its lower triangle: NaN above the diagonal changes no bit of beta or the residual.
+        A = rng.standard_normal((12, 7))
+        rhs = rng.standard_normal((7, 3))
+        gram = A.T @ A + np.eye(7)
+        hidden = gram.copy()
+        hidden[np.triu_indices(7, 1)] = np.nan
+        system, hidden_system = SpdSystem(gram, rhs), SpdSystem(hidden, rhs)
+        beta, hidden_beta = solve_spd(system), solve_spd(hidden_system)
+        assert hidden_beta.tobytes() == beta.tobytes()
+        assert hidden_system.residual == system.residual
+        assert np.isnan(hidden[np.triu_indices(7, 1)]).all()  # nor written
+
+    def test_nearly_symmetric_gram_is_solved_from_its_lower_triangle(self, rng):
+        # One ulp off above the diagonal is not read, so it changes nothing.
         A = rng.standard_normal((6, 4))
         gram = A.T @ A + np.eye(4)
-        gram[0, 1] = np.nextafter(gram[0, 1], np.inf)
-        with pytest.raises(ValueError, match="not exactly symmetric"):
-            SpdSystem(gram, np.ones((4, 1))).symmetrized()
-        with pytest.raises(ValueError, match="not exactly symmetric"):
-            solve_spd(SpdSystem(gram, np.ones((4, 1))))
+        nudged = gram.copy()
+        nudged[0, 1] = np.nextafter(nudged[0, 1], np.inf)
+        beta = solve_spd(SpdSystem(gram, np.ones((4, 1))))
+        assert solve_spd(SpdSystem(nudged, np.ones((4, 1)))).tobytes() == beta.tobytes()
 
-    def test_asymmetric_gram_rejected(self):
-        gram = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            solve_spd(SpdSystem(gram, np.ones((2, 1))))
+    def test_asymmetric_gram_is_read_as_its_lower_triangle(self):
+        gram = np.array([[1.0, 0.5], [0.0, 1.0]])  # its lower triangle is the identity
+        np.testing.assert_array_equal(solve_spd(SpdSystem(gram, np.array([[3.0], [4.0]]))), [[3.0], [4.0]])
 
     def test_nan_rejected_on_accumulate(self):
         acc = accumulate_gram([[0.0, 1.0]], None, [[1.0]])
@@ -159,8 +170,8 @@ def test_exact_dtype_limits(bound, dtype):
 
 
 # Accumulates Grams over several shapes, block splits and memory orders; prints one line per
-# Gram that is not exactly symmetric, or that symmetrized does not return as it is.
-GRAM_SYMMETRY_SCRIPT = """
+# Gram whose lower triangle differs in any bit from numpy's block.T @ block folded the same way.
+GRAM_TRIANGLE_SCRIPT = """
 import numpy as np
 from intelm.linalg import accumulate_gram
 rng = np.random.default_rng(0)
@@ -168,23 +179,25 @@ for N, L in ((1, 1), (3, 2), (17, 9), (64, 33), (300, 200), (1000, 129), (2000, 
     H, T = rng.standard_normal((N, L)) * 10, rng.standard_normal((N, 3))
     for block in (N, 97, 7):
         for order in ("C", "F"):
-            acc = None
+            acc, reference = None, np.zeros((L, L))
             for start in range(0, N, block):
-                acc = accumulate_gram(np.array(H[start:start + block], order=order), acc, T[start:start + block])
-            acc.add_ridge(1.0)
-            if not (np.array_equal(acc.gram, acc.gram.T) and acc.symmetrized() is acc.gram):
+                rows = np.array(H[start:start + block], order=order)
+                acc = accumulate_gram(rows, acc, T[start:start + block])
+                reference += rows.T @ rows
+            if np.tril(acc.gram).tobytes() != np.tril(reference).tobytes():
                 print(N, L, block, order)
 print("done")
 """
 
 
-def test_accumulated_gram_is_exactly_symmetric_across_blas_thread_counts():
-    """symmetrized refuses an asymmetric Gram, so every Gram accumulate_gram forms must be
-    exactly symmetric, whatever the shape, the block split or the BLAS thread count."""
+def test_accumulated_gram_lower_triangle_matches_numpy_across_blas_thread_counts():
+    """dsyrk's lower triangle is numpy's block.T @ block's, bit for bit, whatever the shape, the
+    block split or the BLAS thread count: so a model trained from it is the one numpy's full
+    Gram gave."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", GRAM_SYMMETRY_SCRIPT], env=env,
+        run = subprocess.run([sys.executable, "-c", GRAM_TRIANGLE_SCRIPT], env=env,
                              capture_output=True, text=True, check=True)
-        assert run.stdout == "done\n", f"asymmetric Grams at {threads} BLAS threads:\n{run.stdout}"
+        assert run.stdout == "done\n", f"Grams that differ from numpy's at {threads} BLAS threads:\n{run.stdout}"
