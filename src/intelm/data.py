@@ -514,7 +514,12 @@ def preprocess(raw: RawDataset, steps: list[str]) -> NormalizedDataset:
 
 
 def limit_rows(raw: RawDataset, limit: int | None, seed: int) -> RawDataset:
-    """The first limit rows of one seeded permutation of raw, in file order; raw itself if it has no more."""
+    """The first limit rows of one seeded permutation of raw, in file order; raw itself if it has no more.
+
+    limit (None for no limit) and seed lie in RANGES, as train_limit and seed.
+    """
+    check_range("train_limit", limit)
+    check_range("seed", seed)
     if limit is None or raw.N <= limit:
         return raw
     idx = np.sort(make_rng(seed).permutation(raw.N)[:limit])

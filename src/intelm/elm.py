@@ -168,6 +168,9 @@ def _sample_rows(X, name: str) -> np.ndarray:
 def hidden_features(W, X, row_scale=None) -> np.ndarray:
     """ReLU-activated hidden layer outputs: H[j, i] = max(0, w_i . x_j) * row_scale[j].
 
+    That is the hidden layer of the scaled rows, so each row's scale must
+    be finite and positive (a ValueError otherwise).
+
     Integer rows through integer weights are projected exactly by
     linalg.FloatKernel, in the dtype linalg.exact_dtype picks from the
     partial-sum bound n * max|x| * max|w|; ReLU acts on the exact integers
@@ -185,6 +188,8 @@ def hidden_features(W, X, row_scale=None) -> np.ndarray:
     scale = np.ones(X.shape[0]) if row_scale is None else np.asarray(row_scale, dtype=np.float64)
     if scale.shape != (X.shape[0],):
         raise DimensionError(f"row_scale has shape {scale.shape}, X has {X.shape[0]} rows")
+    if not np.all((scale > 0) & (scale < np.inf)):
+        raise ValueError("row_scale must be finite and > 0: ReLU commutes with a positive scale only")
     dtype = None
     if np.issubdtype(X.dtype, np.integer) and np.issubdtype(W.dtype, np.integer):
         dtype = exact_dtype(X.shape[1] * max_abs(X) * max_abs(W))
@@ -218,10 +223,12 @@ def train(
     row_scale when given (data.preprocess's rows and row_scale); integer
     rows take hidden_features's exact projection. targets is the (N, m)
     target matrix, one_hot's for class labels.
-    Peak memory stays at one L x L Gram plus one block_size x L block of
-    hidden features: the first block starts the normal equations, later
-    ones are folded into them, and no block outlives its fold, so the
-    solve runs with the Gram alone.
+    The first block of hidden features starts the normal equations, later
+    ones are folded into them, and no block outlives its fold. The first
+    block holds one L x L Gram next to one block_size x L block (a later
+    fold adds its block's L x L product); the solve holds the Gram and its
+    ridged factor, two L x L matrices, which set the peak where L exceeds
+    the rows of the first block.
     """
     check_range("gamma", gamma)
     check_range("seed", seed)
@@ -242,8 +249,7 @@ def train(
         acc = accumulate_gram(
             hidden_features(W, X[rows], None if row_scale is None else row_scale[rows]), acc, targets[rows]
         )
-    acc.add_ridge(gamma)
-    beta = solve_spd(acc)
+    beta, residual = solve_spd(*acc, gamma)
     meta = dict(metadata or {})
     meta.setdefault("target_encoding", TARGET_ENCODING)
     return FloatModel(
@@ -253,7 +259,7 @@ def train(
         weight_kind=weight_kind,
         seed=seed,
         metadata=meta,
-        solve_residual=acc.residual,
+        solve_residual=residual,
     )
 
 

@@ -1,12 +1,14 @@
 """Dense linear algebra for closed-form training.
 
 Streaming Gram accumulation (so the hidden matrix never has to be held in
-memory at once) and a symmetric-positive-definite solve via Cholesky. The
-first block's products start the system, so training holds one L x L Gram
-next to one block. A Gram is its lower triangle (LAPACK's convention):
-BLAS dsyrk forms only that triangle of each block's product, blocks fold
-by adding triangles, and the factor, the solve and the residual read
-nothing else.
+memory at once) into the normal equations (gram, rhs), started by the
+first block's products, and their ridge solve by Cholesky. Accumulation
+holds one L x L Gram next to one block; the solve factors a copy with
+I/gamma added, so it holds two L x L matrices (training's peak where L
+exceeds the first block's rows) and leaves the Gram for another gamma.
+A Gram is its lower triangle (LAPACK's convention): BLAS dsyrk forms only
+that triangle of each block's product, blocks fold by adding triangles,
+and the factor, the solve and the residual read nothing else.
 Everything is float64, row-major but for dsyrk's column-major Gram;
 shapes are explicit and checked.
 exact_dtype is the one rule for exact integer products. FloatKernel is
@@ -59,8 +61,8 @@ class DimensionError(ValueError):
 class CholeskyError(RuntimeError):
     """Non-positive pivot during factorization.
 
-    Usually means the ridge shift I/gamma was never added, or the input
-    contained NaN/Inf.
+    Means the Gram has a negative direction the ridge I/gamma does not
+    lift (a Gram of real rows has none), or contains NaN/Inf.
     """
 
     def __init__(self, pivot_index: int):
@@ -170,35 +172,13 @@ def load_extension(name: str):
         return module
 
 
-@dataclass
-class SpdSystem:
-    """Normal-equation accumulator: gram (L x L, symmetric) and rhs (L x m).
+def accumulate_gram(row_block, acc: tuple | None, target_block) -> tuple[np.ndarray, np.ndarray]:
+    """Fold a block of rows into the normal equations acc = (gram, rhs), or start them from the block when acc is None.
 
-    The system is gram's lower triangle (LAPACK's convention): solve_spd
-    reads nothing above the diagonal. residual is set by solve_spd: the
-    max-abs residual of the solved system.
-    """
-
-    gram: np.ndarray
-    rhs: np.ndarray
-    residual: float | None = None
-
-    @property
-    def size(self) -> int:
-        return self.gram.shape[0]
-
-    def add_ridge(self, gamma: float) -> None:
-        """Add the I/gamma shift that makes the system strictly positive definite; gamma in data.RANGES."""
-        check_range("gamma", gamma)
-        self.gram[np.diag_indices(self.size)] += 1.0 / gamma
-
-
-def accumulate_gram(row_block, acc: SpdSystem | None, target_block) -> SpdSystem:
-    """Fold a block of rows into the accumulator, or start one from the block when acc is None.
-
-    acc.gram += block^T block, its lower triangle from dsyrk, and acc.rhs +=
-    block^T targets. The block has acc.size columns; targets have the same
-    row count as the block. A new system is the block's two products.
+    gram (L x L) += block^T block, its lower triangle from dsyrk, and rhs
+    (L x m) += block^T targets, both in place. The block has L columns;
+    targets have the same row count as the block. New normal equations are
+    the block's two products.
     """
     block = as_matrix(row_block, "row_block")
     targets = as_matrix(target_block, "target_block")
@@ -207,45 +187,47 @@ def accumulate_gram(row_block, acc: SpdSystem | None, target_block) -> SpdSystem
             f"target_block has {targets.shape[0]} rows, row_block has {block.shape[0]}"
         )
     if acc is not None:
-        widths = (("row_block", block.shape[1], acc.size), ("target_block", targets.shape[1], acc.rhs.shape[1]))
+        widths = (("row_block", block.shape[1], acc[0].shape[0]), ("target_block", targets.shape[1], acc[1].shape[1]))
         for name, got, expected in widths:
             if got != expected:
                 raise DimensionError(f"{name} has {got} columns, accumulator expects {expected}")
     # block.T is F-ordered, so dsyrk reads it in place; its upper triangle comes back zero.
     gram = load_extension(BLAS_MODULE).dsyrk(1.0, block.T, lower=1)
     if acc is None:
-        return SpdSystem(gram, block.T @ targets)
-    acc.gram += gram
-    acc.rhs += block.T @ targets
+        return gram, block.T @ targets
+    total, rhs = acc
+    total += gram
+    rhs += block.T @ targets
     return acc
 
 
-def solve_spd(system: SpdSystem) -> np.ndarray:
-    """Solve gram @ beta = rhs by Cholesky factorization of gram's lower triangle.
+def solve_spd(gram: np.ndarray, rhs: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
+    """Solve the ridge normal equations (gram + I/gamma) beta = rhs: (beta, its max-abs residual).
 
-    A ValueError if gram's diagonal is not positive. Raises CholeskyError
-    naming the offending pivot if the matrix is not positive definite. The
-    max-abs residual |gram @ beta - rhs| is checked against
-    1e-8 * max(1, max |rhs|) and kept as system.residual.
+    gamma lies in data.RANGES. The system is gram's lower triangle: dpotrf
+    factors a copy of it with I/gamma added, in place, so the solve holds
+    gram and that factor, and writes neither gram nor rhs; one Gram serves
+    any number of gammas. Raises CholeskyError naming the offending pivot
+    if gram + I/gamma is not positive definite. The residual
+    max |gram @ beta + beta/gamma - rhs| is checked against
+    1e-8 * max(1, max |rhs|).
     """
+    check_range("gamma", gamma)
     blas, lapack = load_extension(BLAS_MODULE), load_extension(LAPACK_MODULE)
-    gram = system.gram
-    if np.any(np.diag(gram) <= 0):
-        raise ValueError("gram diagonal has non-positive entries (missing ridge shift?)")
-    # dpotrf factors an F-ordered copy (a memcpy of accumulate_gram's F-ordered gram) and,
-    # with clean=0, leaves its strict upper triangle as it found it; the residual reads gram.
-    factor, info = lapack.dpotrf(gram, lower=1, clean=0)
+    factor = np.array(gram, order="F")  # a memcpy of accumulate_gram's F-ordered gram
+    factor[np.diag_indices_from(factor)] += 1.0 / gamma
+    # clean=0: no pass zeroes the copy's strict upper triangle, which nothing reads.
+    factor, info = lapack.dpotrf(factor, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise CholeskyError(pivot_index=info - 1)
     if info < 0:
         raise RuntimeError(f"dpotrf: illegal argument {-info}")
-    beta, info = lapack.dpotrs(factor, system.rhs, lower=1)
+    beta, info = lapack.dpotrs(factor, rhs, lower=1)
     if info != 0:
         raise RuntimeError(f"dpotrs failed with info={info}")
     beta = np.ascontiguousarray(beta)
-    residual = float(np.abs(blas.dsymm(1.0, gram, beta, lower=1) - system.rhs).max())
-    bound = 1e-8 * max(1.0, float(np.abs(system.rhs).max()))
-    system.residual = residual
+    residual = float(np.abs(blas.dsymm(1.0, gram, beta, 1.0, beta / gamma - rhs, lower=1)).max())
+    bound = 1e-8 * max(1.0, float(np.abs(rhs).max()))
     if not residual <= bound:
         raise RuntimeError(f"solve residual {residual:.3e} exceeds bound {bound:.3e}")
-    return beta
+    return beta, residual

@@ -33,7 +33,7 @@ from intelm.data import (
 from intelm.elm import FloatModel, gen_weights_continuous, gen_weights_ternary, hidden_features, one_hot, train
 from intelm.experiments import ConfigError, ExperimentConfig, select_model
 from intelm.intinfer import QuantizedModel
-from intelm.linalg import SpdSystem
+from intelm.linalg import solve_spd
 from intelm.quantize import IntegerBeta
 from intelm.seeding import make_rng
 
@@ -602,12 +602,13 @@ GAMMAS = {"0": 0, "-1": -1, "nan": float("nan"), "inf": float("inf"), "-inf": -f
 # (test id, parameter, value, entry point, whether the range refuses the value)
 RANGE_CASES = [
     *((f"gamma-{entry}-{name}", "gamma", v, entry, name not in ("1e-300", "1.0", "float_max"))
-      for name, v in GAMMAS.items() for entry in ("FloatModel", "QuantizedModel", "add_ridge", "train")),
+      for name, v in GAMMAS.items() for entry in ("FloatModel", "QuantizedModel", "solve_spd", "train")),
     *((f"split_fraction-{v}", "split_fraction", v, "split_train_val", v != 0.5) for v in (0, 1, -0.5, float("nan"), 0.5)),
     *((f"class_filter-{v}", "class_filter", v, "load_cifar10", v != ("cat", "dog"))
       for v in (("cat", "cat"), ("cat", "unicorn"), ("cat", "dog"))),
     *((f"seed-{entry}-{v}", "seed", v, entry, v in (-1, 2**64)) for v in (-1, 0, 2**64 - 1, 2**64)
-      for entry in ("FloatModel", "QuantizedModel", "train")),
+      for entry in ("FloatModel", "QuantizedModel", "train", "limit_rows")),
+    *((f"train_limit-limit_rows-{v}", "train_limit", v, "limit_rows", v < 1) for v in (-3, 0, 1, 20)),
     *((f"selection_threshold-{v}", "selection_threshold", v, "select_model", v not in (0.5, 1))
       for v in (0, -1, 0.5, 1, 1.5)),
     *((f"{param}-{entry}-{v}", param, v, entry, v < 1) for param in ("n", "L") for v in (-1, 0, 1)
@@ -616,13 +617,16 @@ RANGE_CASES = [
 ENTRY_POINTS = {
     ("gamma", "FloatModel"): lambda v, d: ternary_model(gamma=v),
     ("gamma", "QuantizedModel"): lambda v, d: quantized_model(metadata={"gamma": v}),
-    ("gamma", "add_ridge"): lambda v, d: SpdSystem(np.eye(2), np.zeros((2, 1))).add_ridge(v),
+    ("gamma", "solve_spd"): lambda v, d: solve_spd(np.eye(2), np.zeros((2, 1)), v),
     ("gamma", "train"): lambda v, d: fit(gamma=v),
     ("split_fraction", "split_train_val"): lambda v, d: split_train_val(split_input(), v),
     ("class_filter", "load_cifar10"): lambda v, d: load_cifar10([cifar_batch(d / "b.bin")], v),
     ("seed", "FloatModel"): lambda v, d: ternary_model(seed=v),
     ("seed", "QuantizedModel"): lambda v, d: quantized_model(seed=v),
     ("seed", "train"): lambda v, d: fit(seed=v),
+    # a limit past the dataset's 10 rows: no permutation is drawn, and the seed is still checked
+    ("seed", "limit_rows"): lambda v, d: limit_rows(split_input(), 20, v),
+    ("train_limit", "limit_rows"): lambda v, d: limit_rows(split_input(), v, 0),
     ("selection_threshold", "select_model"): lambda v, d: select_model(candidates(), v),
     **{("n", f.__name__): lambda v, d, f=f: f(v, 2, 0) for f in (gen_weights_continuous, gen_weights_ternary)},
     **{("L", f.__name__): lambda v, d, f=f: f(2, v, 0) for f in (gen_weights_continuous, gen_weights_ternary)},
@@ -659,6 +663,6 @@ class TestRanges:
         with pytest.raises(ConfigError, match="gamma must be not 2") as err:
             ExperimentConfig(mode="size_sweep", dataset={"kind": "textures"}, gamma=2)
         assert err.value.key == "gamma"
-        for entry in ("FloatModel", "add_ridge", "train"):
+        for entry in ("FloatModel", "solve_spd", "train"):
             assert refuses("gamma", lambda: ENTRY_POINTS["gamma", entry](2, tmp_path))
             assert not refuses("gamma", lambda: ENTRY_POINTS["gamma", entry](3, tmp_path))

@@ -28,7 +28,15 @@ from intelm.elm import (
     training_residual,
 )
 from intelm.intinfer import PackedKernel, QuantizedModel, classify_int_batch, int_scores
-from intelm.linalg import BLOCK_ROWS, BUILD_BLOCK_BYTES, DimensionError, FloatKernel, SpdSystem, exact_dtype, solve_spd
+from intelm.linalg import (
+    BLOCK_ROWS,
+    BUILD_BLOCK_BYTES,
+    DimensionError,
+    FloatKernel,
+    accumulate_gram,
+    exact_dtype,
+    solve_spd,
+)
 from intelm.modelio import load_model, save_model
 from intelm.quantize import IntegerBeta
 from intelm.seeding import make_rng
@@ -257,14 +265,13 @@ class TestTrain:
 def zero_start_beta(W, X, targets, gamma, block_size, row_scale=None):
     """Reference: the training loop that folds every block into a zero-filled system."""
     L = W.shape[1]
-    acc = SpdSystem(np.zeros((L, L)), np.zeros((L, targets.shape[1])))
+    gram, rhs = np.zeros((L, L)), np.zeros((L, targets.shape[1]))
     for start in range(0, len(X), block_size):
         rows = slice(start, start + block_size)
         block = hidden_features(W, X[rows], None if row_scale is None else row_scale[rows])
-        acc.gram += block.T @ block
-        acc.rhs += block.T @ targets[rows]
-    acc.add_ridge(gamma)
-    return solve_spd(acc)
+        gram += block.T @ block
+        rhs += block.T @ targets[rows]
+    return solve_spd(gram, rhs, gamma)[0]
 
 
 class TestFirstBlockStart:
@@ -300,10 +307,18 @@ class TestFirstBlockStart:
         model = train(np.zeros((0, 4)), np.zeros((0, 2)), gen_weights_continuous(4, 3, 1))
         assert model.beta.tobytes() == np.zeros((3, 2)).tobytes()
 
-    def test_peak_memory_is_one_block_and_one_gram(self):
-        # One block of H (N x L float64) and one L x L Gram, never both with a second L x L
-        # matrix: 107 MB is traced when a zero-filled Gram and a block product coexist with H.
-        N, n, L = 3000, 784, 2000
+    def test_one_gram_serves_every_gamma_and_is_left_intact(self):
+        X, targets, W, kind, scale = self._case("l2_normalize")
+        gram, rhs = accumulate_gram(hidden_features(W, X, scale), None, targets)
+        before = gram.tobytes(), rhs.tobytes()
+        betas = {gamma: solve_spd(gram, rhs, gamma)[0] for gamma in (0.01, 1.0, 100.0)}
+        assert (gram.tobytes(), rhs.tobytes()) == before
+        for gamma, beta in betas.items():
+            model = train(X, targets, W, gamma=gamma, weight_kind=kind, row_scale=scale)
+            assert beta.tobytes() == model.beta.tobytes()
+
+    @staticmethod
+    def _traced_train_peak(N, n, L):
         rng = make_rng(24)
         labels = np.arange(N) % 10
         samples = rng.integers(0, 256, size=(N, n)).astype(np.uint8)
@@ -316,7 +331,19 @@ class TestFirstBlockStart:
         finally:
             tracemalloc.stop()
         assert model.beta.shape == (L, 10)
-        assert peak < N * L * 8 + L * L * 8 + 2**20
+        return peak
+
+    def test_peak_memory_is_one_block_and_one_gram(self):
+        # One block of H (N x L float64) and one L x L Gram, never both with a second L x L
+        # matrix: 107 MB is traced when a zero-filled Gram and a block product coexist with H.
+        N, n, L = 3000, 784, 2000
+        assert self._traced_train_peak(N, n, L) < N * L * 8 + L * L * 8 + 2**20
+
+    def test_peak_memory_with_fewer_rows_than_L_is_the_gram_and_its_factor(self):
+        # Here the solve sets the peak: the Gram and the ridged copy dpotrf factors in place.
+        # A copy of that copy inside dpotrf would trace a third L x L matrix, 92 MiB.
+        N, n, L = 1000, 784, 2000
+        assert self._traced_train_peak(N, n, L) < 2 * L * L * 8 + 2 * 2**20
 
 
 class TestPredict:
@@ -516,6 +543,23 @@ class TestExactHiddenLayer:
     def test_row_scale_length_checked(self):
         with pytest.raises(DimensionError, match="row_scale"):
             hidden_features(np.ones((2, 3), dtype=np.int8), np.ones((4, 2), dtype=np.int64), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+    def test_row_scale_must_be_finite_and_positive(self, bad):
+        # relu(x . w) * s is the hidden layer of s * x only for 0 < s < inf: a negative scale
+        # would train on negative activations, a zero one on no signal at all.
+        X = make_rng(26).integers(0, 256, size=(6, 4)).astype(np.uint8)
+        W, targets = gen_weights_ternary(4, 3, 27), one_hot(np.arange(6) % 2, 2)
+        scale = np.full(6, 0.5)
+        scale[3] = bad
+        for call in (lambda: hidden_features(W, X, scale),
+                     lambda: train(X, targets, W, weight_kind="ternary", row_scale=scale),
+                     lambda: hidden_features(W.astype(np.float64), X, scale)):
+            with pytest.raises(ValueError, match=r"row_scale must be finite and > 0"):
+                call()
+        norm = preprocess(RawDataset(X, np.arange(6) % 2, 2), ["zero_mean", "l2_normalize"])
+        for row_scale in (None, norm.row_scale):
+            hidden_features(W, norm.rows, row_scale)
 
     def test_same_model_as_training_on_float_samples(self, rng):
         X = rng.integers(0, 256, size=(60, 16))
